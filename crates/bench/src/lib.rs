@@ -40,16 +40,18 @@ pub fn plain_bench<F: FnMut()>(label: &str, samples: u32, mut f: F) {
 /// Micro-benchmark kernels for the per-access hot path.
 ///
 /// Each kernel is a deterministic closed loop over one layer of the
-/// simulator — TLB lookup, FLC/SLC probe, and the full
-/// `Machine::access` path — returning a checksum so the optimizer
-/// cannot discard the work and so the smoke test can pin the result.
+/// simulator — TLB lookup, the TLB bank, FLC/SLC probe, page-table
+/// mapping, and the full `Machine::access` path — returning a checksum
+/// so the optimizer cannot discard the work and so the smoke test can pin
+/// the result.
 /// The `hotpath_micro` bench target times them; `cargo test` runs them
 /// once at a small iteration count.
 pub mod micro {
     use vcoma::cachesim::{Flc, Slc};
+    use vcoma::vm::{PageTable, RoundRobinAllocator};
     use vcoma::{
-        AccessKind, DetRng, Machine, MachineConfig, Op, Scheme, SimConfig, Tlb, TlbOrg, VAddr,
-        VPage,
+        AccessKind, DetRng, Machine, MachineConfig, Op, Scheme, SimConfig, Tlb, TlbBank, TlbOrg,
+        VAddr, VPage,
     };
 
     /// Pages in the TLB kernel's working set: 1.5x the TLB's capacity,
@@ -68,6 +70,51 @@ pub mod micro {
             hits += u64::from(tlb.translate(page));
         }
         hits + tlb.stats().misses
+    }
+
+    /// Pages in the bank kernel's working set: 1.5x the largest member.
+    const BANK_WORKING_SET: usize = 192;
+
+    /// Table 2's 8/32/128 fully-associative bank over a stream of
+    /// same-page runs: four references in five repeat the previous page,
+    /// about the repeat rate of BARNES and FMM under L0-TLB, and the rest
+    /// pick a random page. Returns primary hits plus every member's
+    /// misses.
+    pub fn tlb_bank(iters: u64) -> u64 {
+        let specs = [8, 32, 128].map(|e| (e, TlbOrg::FullyAssociative));
+        let mut bank = TlbBank::new(&specs, 7);
+        let mut rng = DetRng::new(43);
+        let mut page = VPage::new(0);
+        let mut hits = 0u64;
+        for _ in 0..iters {
+            if rng.gen_index(5) == 0 {
+                page = VPage::new(rng.gen_index(BANK_WORKING_SET) as u64);
+            }
+            hits += u64::from(bank.access(page));
+        }
+        hits + bank.all_stats().map(|s| s.misses).sum::<u64>()
+    }
+
+    /// Pages mapped before the page-table kernel starts looking them up.
+    const RESIDENT_PAGES: usize = 4096;
+
+    /// `PageTable::map_physical` on resident pages of the paper machine:
+    /// the idempotent lookup every physically-addressed reference makes.
+    /// Returns the sum of the frames handed back.
+    pub fn page_table_map(iters: u64) -> u64 {
+        let m = MachineConfig::paper_baseline();
+        let mut table = PageTable::new(m.clone());
+        let mut alloc = RoundRobinAllocator::new(&m);
+        for p in 0..RESIDENT_PAGES as u64 {
+            table.map_physical(VPage::new(p), &mut alloc).expect("the paper machine has room");
+        }
+        let mut rng = DetRng::new(44);
+        let mut sum = 0u64;
+        for _ in 0..iters {
+            let page = VPage::new(rng.gen_index(RESIDENT_PAGES) as u64);
+            sum += table.map_physical(page, &mut alloc).expect("page is resident").raw();
+        }
+        sum
     }
 
     /// Mixed read/write probes against the tiny machine's FLC + SLC pair,
@@ -148,6 +195,14 @@ mod tests {
         let tlb = micro::tlb_lookup(20_000);
         assert!(tlb >= 20_000, "hits + misses covers every lookup");
         assert_eq!(tlb, micro::tlb_lookup(20_000));
+
+        let bank = micro::tlb_bank(20_000);
+        assert!(bank > 20_000, "primary hits + misses covers every access, shadows add more");
+        assert_eq!(bank, micro::tlb_bank(20_000));
+
+        let pages = micro::page_table_map(20_000);
+        assert!(pages > 0);
+        assert_eq!(pages, micro::page_table_map(20_000));
 
         let cache = micro::cache_probe(20_000);
         assert!(cache > 0);

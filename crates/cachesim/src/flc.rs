@@ -7,7 +7,7 @@
 //! study: in `L1-TLB` the write-through traffic is what keeps the TLB busy
 //! on stores (paper §5.2, RADIX discussion).
 
-use crate::{CacheStats, LookupResult, SetAssocArray, Replacement};
+use crate::{CacheStats, LookupResult, SetAssocArray};
 use vcoma_types::CacheGeometry;
 
 /// A direct-mapped (or, if configured, set-associative) write-through,
@@ -27,7 +27,7 @@ impl Flc {
     /// the paper's direct-mapped geometry the policy is moot).
     pub fn new(geometry: CacheGeometry) -> Self {
         Flc {
-            array: SetAssocArray::with_geometry(geometry, Replacement::Lru),
+            array: SetAssocArray::with_geometry(geometry),
             geometry,
             stats: CacheStats::default(),
         }

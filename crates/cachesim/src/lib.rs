@@ -1,9 +1,8 @@
 //! Set-associative cache structures for the V-COMA simulator.
 //!
 //! This crate provides the building blocks shared by every tagged memory in
-//! the simulated machine: the generic [`SetAssocArray`], replacement
-//! policies, and the two processor-cache models of the paper's baseline
-//! machine:
+//! the simulated machine: the generic LRU [`SetAssocArray`] and the two
+//! processor-cache models of the paper's baseline machine:
 //!
 //! * [`Flc`] — a direct-mapped, write-through, no-write-allocate first-level
 //!   cache (16 KB / 32-byte blocks in the paper);
@@ -38,7 +37,7 @@ mod slc;
 mod stats;
 
 pub use flc::Flc;
-pub use set_assoc::{Replacement, SetAssocArray};
+pub use set_assoc::SetAssocArray;
 pub use slc::{Slc, SlcAccess, Writeback};
 pub use stats::CacheStats;
 

@@ -4,40 +4,23 @@
 //! flat slabs indexed by `set * assoc + way`, with a per-set occupancy
 //! count. A lookup scans a contiguous `u64` tag strip — no per-set `Vec`
 //! headers, no pointer chasing, no allocation after construction. The
-//! observable semantics (occupancy order, victim choice, RNG draw
-//! sequence) are bit-identical to the earlier `Vec<Vec<Way>>` layout:
-//! fills append at the end of the occupied strip, evictions replace in
-//! place, and removals are `swap_remove`s.
+//! observable semantics (occupancy order, victim choice) are bit-identical
+//! to the earlier `Vec<Vec<Way>>` layout: fills append at the end of the
+//! occupied strip, evictions replace in place, and removals are
+//! `swap_remove`s.
 
-use vcoma_types::{CacheGeometry, DetRng};
+use vcoma_types::CacheGeometry;
 
-/// Replacement policy applied within a set when a victim is needed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Replacement {
-    /// Least-recently-used. Used by the processor caches.
-    Lru,
-    /// Uniformly random among the set's ways, as the paper uses for the
-    /// fully-associative TLB/DLB (§5.1). Carries its own deterministic RNG.
-    Random(DetRng),
-}
-
-impl Replacement {
-    /// Picks the victim way among `ways` occupied ways given their LRU
-    /// ranks (`ranks[i]` = ticks since last touch ordering; larger = older).
-    fn victim(&mut self, ranks: &[u64]) -> usize {
-        match self {
-            Replacement::Lru => {
-                let mut best = 0;
-                for (i, &r) in ranks.iter().enumerate() {
-                    if r < ranks[best] {
-                        best = i;
-                    }
-                }
-                best
-            }
-            Replacement::Random(rng) => rng.gen_index(ranks.len()),
+/// Picks the least-recently-used way given the occupied ways' touch
+/// stamps (larger = more recent); the first of equal stamps wins.
+fn lru_victim(stamps: &[u64]) -> usize {
+    let mut best = 0;
+    for (i, &r) in stamps.iter().enumerate() {
+        if r < stamps[best] {
+            best = i;
         }
     }
+    best
 }
 
 /// A set-associative array of tagged entries.
@@ -48,7 +31,7 @@ impl Replacement {
 /// dirty bits, back-pointers, or `()` for a pure presence check.
 ///
 /// The array never exceeds `sets × assoc` entries; inserting into a full set
-/// evicts a victim chosen by the [`Replacement`] policy and returns it.
+/// evicts the set's least-recently-used entry and returns it.
 #[derive(Debug, Clone)]
 pub struct SetAssocArray<T> {
     /// `tags[s * assoc + i]` for `i < lens[s]` are the occupied ways of
@@ -63,7 +46,6 @@ pub struct SetAssocArray<T> {
     lens: Vec<u32>,
     num_sets: usize,
     assoc: usize,
-    policy: Replacement,
     clock: u64,
 }
 
@@ -73,7 +55,7 @@ impl<T: Default> SetAssocArray<T> {
     /// # Panics
     ///
     /// Panics if `sets` or `assoc` is zero.
-    pub fn new(sets: u64, assoc: u64, policy: Replacement) -> Self {
+    pub fn new(sets: u64, assoc: u64) -> Self {
         assert!(sets > 0 && assoc > 0, "sets and assoc must be positive");
         let slots = sets as usize * assoc as usize;
         SetAssocArray {
@@ -83,15 +65,14 @@ impl<T: Default> SetAssocArray<T> {
             lens: vec![0; sets as usize],
             num_sets: sets as usize,
             assoc: assoc as usize,
-            policy,
             clock: 0,
         }
     }
 
     /// Creates an array with the given geometry (`geometry.sets()` sets of
     /// `geometry.assoc` ways).
-    pub fn with_geometry(geometry: CacheGeometry, policy: Replacement) -> Self {
-        SetAssocArray::new(geometry.sets(), geometry.assoc, policy)
+    pub fn with_geometry(geometry: CacheGeometry) -> Self {
+        SetAssocArray::new(geometry.sets(), geometry.assoc)
     }
 }
 
@@ -190,7 +171,7 @@ impl<T> SetAssocArray<T> {
             self.lens[si] += 1;
             return None;
         }
-        let v = self.policy.victim(&self.stamps[base..base + len]);
+        let v = lru_victim(&self.stamps[base..base + len]);
         let slot = base + v;
         let victim_tag = std::mem::replace(&mut self.tags[slot], block);
         self.stamps[slot] = clock;
@@ -268,7 +249,7 @@ impl<T> SetAssocArray<T> {
 
     /// Iterates over the `(block, payload)` pairs resident in the set that
     /// `block` maps to. Used by the coherence protocol to pick replacement
-    /// victims by state priority rather than by this array's policy.
+    /// victims by state priority rather than by recency.
     pub fn entries_in_set(&self, block: u64) -> impl Iterator<Item = (u64, &T)> {
         let si = self.set_index(block);
         let base = si * self.assoc;
@@ -286,7 +267,7 @@ mod tests {
     use super::*;
 
     fn lru_array(sets: u64, assoc: u64) -> SetAssocArray<u32> {
-        SetAssocArray::new(sets, assoc, Replacement::Lru)
+        SetAssocArray::new(sets, assoc)
     }
 
     #[test]
@@ -360,23 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn random_replacement_is_deterministic() {
-        let mk = || {
-            let mut a: SetAssocArray<u32> =
-                SetAssocArray::new(1, 4, Replacement::Random(DetRng::new(7)));
-            let mut evictions = Vec::new();
-            for b in 0..32u64 {
-                if let Some((tag, _)) = a.insert(b, b as u32) {
-                    evictions.push(tag);
-                }
-            }
-            evictions
-        };
-        assert_eq!(mk(), mk());
-        assert!(!mk().is_empty());
-    }
-
-    #[test]
     fn retain_or_collect_flushes_predicate_matches() {
         let mut a = lru_array(8, 2);
         for b in 0..8u64 {
@@ -393,7 +357,7 @@ mod tests {
     #[test]
     fn with_geometry_matches_dimensions() {
         let g = CacheGeometry::new(64 << 10, 4, 64).unwrap();
-        let a: SetAssocArray<()> = SetAssocArray::with_geometry(g, Replacement::Lru);
+        let a: SetAssocArray<()> = SetAssocArray::with_geometry(g);
         assert_eq!(a.sets(), 256);
         assert_eq!(a.assoc(), 4);
         assert_eq!(a.capacity(), 1024);
@@ -473,16 +437,6 @@ mod tests {
                     if let Some((victim, _)) = a.insert(b, 0) {
                         prop_assert_eq!(victim % 8, b % 8);
                     }
-                }
-            }
-
-            #[test]
-            fn random_policy_respects_capacity(seed in 0u64..1000, blocks in proptest::collection::vec(0u64..64, 0..200)) {
-                let mut a: SetAssocArray<u32> =
-                    SetAssocArray::new(2, 4, Replacement::Random(DetRng::new(seed)));
-                for b in blocks {
-                    a.insert(b, 0);
-                    prop_assert!(a.len() <= 8);
                 }
             }
         }

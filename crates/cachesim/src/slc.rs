@@ -7,7 +7,7 @@
 //! `L2-TLB` curves of Figure 8 so much worse than the dashed
 //! `L2-TLB/no_wback` ones.
 
-use crate::{CacheStats, Replacement, SetAssocArray};
+use crate::{CacheStats, SetAssocArray};
 use vcoma_types::{AccessKind, CacheGeometry};
 
 /// A dirty line leaving the SLC that must be written back to the level
@@ -49,7 +49,7 @@ impl Slc {
     /// Creates an empty SLC with the given geometry (LRU replacement).
     pub fn new(geometry: CacheGeometry) -> Self {
         Slc {
-            array: SetAssocArray::with_geometry(geometry, Replacement::Lru),
+            array: SetAssocArray::with_geometry(geometry),
             geometry,
             stats: CacheStats::default(),
         }

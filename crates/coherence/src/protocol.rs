@@ -1,12 +1,11 @@
 //! The COMA-F write-invalidate protocol engine.
 
 use crate::{AmState, CopySet, DirEntry, HomeTranslation, ProtocolStats};
-use std::collections::HashMap;
 use vcoma_cachesim::SetAssocArray;
 use vcoma_faults::{FaultPlan, TxnFaults};
 use vcoma_metrics::MetricsRegistry;
 use vcoma_net::{Crossbar, MsgKind, SendOutcome};
-use vcoma_types::{DetRng, MachineConfig, NodeId, Timing};
+use vcoma_types::{DetRng, IntMap, MachineConfig, NodeId, Timing};
 
 /// How a master/exclusive victim searches for a new slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -246,7 +245,7 @@ impl Path {
 #[derive(Debug, Clone)]
 pub struct Protocol {
     ams: Vec<SetAssocArray<AmState>>,
-    dir: HashMap<u64, DirEntry>,
+    dir: IntMap<u64, DirEntry>,
     timing: Timing,
     nodes: u64,
     rng: DetRng,
@@ -270,12 +269,8 @@ impl Protocol {
     /// memories. `seed` drives victim selection and injection forwarding.
     pub fn new(cfg: &MachineConfig, seed: u64) -> Self {
         Protocol {
-            ams: (0..cfg.nodes)
-                .map(|_| {
-                    SetAssocArray::with_geometry(cfg.am, vcoma_cachesim::Replacement::Lru)
-                })
-                .collect(),
-            dir: HashMap::new(),
+            ams: (0..cfg.nodes).map(|_| SetAssocArray::with_geometry(cfg.am)).collect(),
+            dir: IntMap::default(),
             timing: cfg.timing,
             nodes: cfg.nodes,
             rng: DetRng::new(seed ^ 0xC0A_0C0A),

@@ -41,7 +41,7 @@ pub mod trace_export;
 pub use histogram::{Histogram, HistogramSnapshot, BUCKETS};
 pub use intern::intern;
 pub use mergeable::Mergeable;
-pub use registry::{MetricsRegistry, MetricsSnapshot};
+pub use registry::{HistogramSlot, MetricsRegistry, MetricsSnapshot};
 pub use ring::{Event, EventRing, EventSnapshot};
 pub use span::{
     critical_paths, Span, SpanBuffer, SpanCategory, SpanId, SpanSampler, TraceSnapshot,

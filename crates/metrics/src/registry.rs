@@ -11,13 +11,27 @@ use std::collections::BTreeMap;
 /// vocabularies (`"protocol.read_miss"`, `"tlb.l1.evict"`, ...). Keys are
 /// kept in a `BTreeMap` so iteration — and therefore every serialized
 /// snapshot — is deterministic.
+///
+/// A hot path that records into the same histogram on every call resolves
+/// its name once with [`histogram_slot`](Self::histogram_slot) and then
+/// records through [`observe_slot`](Self::observe_slot), which is an index
+/// into a `Vec` rather than a search by name.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, i64>,
-    histograms: BTreeMap<&'static str, Histogram>,
+    /// Histogram name → position in `histograms`. A registered histogram
+    /// with no samples is absent from every view of the registry.
+    histogram_slots: BTreeMap<&'static str, usize>,
+    histograms: Vec<Histogram>,
     events: EventRing,
 }
+
+/// A histogram of one [`MetricsRegistry`], resolved by name once (see
+/// [`MetricsRegistry::histogram_slot`]). Valid only for the registry that
+/// returned it, across [`reset`](MetricsRegistry::reset)s.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HistogramSlot(usize);
 
 impl MetricsRegistry {
     /// Creates an empty registry with an event ring of `event_capacity`.
@@ -26,7 +40,8 @@ impl MetricsRegistry {
         Self {
             counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
-            histograms: BTreeMap::new(),
+            histogram_slots: BTreeMap::new(),
+            histograms: Vec::new(),
             events: EventRing::new(event_capacity),
         }
     }
@@ -48,7 +63,34 @@ impl MetricsRegistry {
 
     /// Records one sample into the named histogram.
     pub fn observe(&mut self, name: &'static str, value: u64) {
-        self.histograms.entry(name).or_default().record(value);
+        let slot = self.histogram_slot(name);
+        self.observe_slot(slot, value);
+    }
+
+    /// Resolves the named histogram to a slot, registering it (empty) if
+    /// it is new.
+    pub fn histogram_slot(&mut self, name: &'static str) -> HistogramSlot {
+        let next = self.histograms.len();
+        let index = *self.histogram_slots.entry(name).or_insert(next);
+        if index == next {
+            self.histograms.push(Histogram::new());
+        }
+        HistogramSlot(index)
+    }
+
+    /// Records one sample into a histogram resolved by
+    /// [`histogram_slot`](Self::histogram_slot).
+    #[inline]
+    pub fn observe_slot(&mut self, slot: HistogramSlot, value: u64) {
+        self.histograms[slot.0].record(value);
+    }
+
+    /// Every histogram holding samples, in name order.
+    fn recorded_histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> {
+        self.histogram_slots
+            .iter()
+            .map(|(&name, &i)| (name, &self.histograms[i]))
+            .filter(|(_, h)| h.count() > 0)
     }
 
     /// Appends a structured event to the ring.
@@ -65,7 +107,8 @@ impl MetricsRegistry {
     /// The named histogram, if any samples were recorded.
     #[must_use]
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
+        let h = &self.histograms[*self.histogram_slots.get(name)?];
+        (h.count() > 0).then_some(h)
     }
 
     /// The event ring.
@@ -75,10 +118,11 @@ impl MetricsRegistry {
     }
 
     /// Clears all metrics and the event ring (used at warmup reset).
+    /// Histogram slots stay registered, and valid, with no samples.
     pub fn reset(&mut self) {
         self.counters.clear();
         self.gauges.clear();
-        self.histograms.clear();
+        self.histograms.fill(Histogram::new());
         self.events.clear();
     }
 
@@ -89,9 +133,8 @@ impl MetricsRegistry {
             counters: self.counters.iter().map(|(k, v)| ((*k).to_string(), *v)).collect(),
             gauges: self.gauges.iter().map(|(k, v)| ((*k).to_string(), *v)).collect(),
             histograms: self
-                .histograms
-                .iter()
-                .map(|(k, h)| ((*k).to_string(), h.snapshot()))
+                .recorded_histograms()
+                .map(|(k, h)| (k.to_string(), h.snapshot()))
                 .collect(),
             events: self.events.snapshot(),
             dropped_events: self.events.dropped(),
@@ -112,7 +155,10 @@ impl Mergeable for MetricsRegistry {
                 *slot = *v;
             }
         }
-        Mergeable::merge(&mut self.histograms, &other.histograms);
+        for (name, h) in other.recorded_histograms() {
+            let slot = self.histogram_slot(name);
+            self.histograms[slot.0].merge(h);
+        }
         for e in other.events.iter() {
             self.events.push(*e);
         }
@@ -209,6 +255,37 @@ mod tests {
         assert_eq!(a.counter("x"), 10);
         assert_eq!(a.histogram("lat").unwrap().count, 2);
         assert_eq!(a.dropped_events, 2);
+    }
+
+    #[test]
+    fn slots_record_like_names_and_survive_reset() {
+        let mut reg = MetricsRegistry::new(4);
+        let slot = reg.histogram_slot("lat");
+        assert_eq!(reg.histogram_slot("lat"), slot);
+        assert!(reg.histogram("lat").is_none(), "a registered, empty histogram is absent");
+        assert!(reg.snapshot().histograms.is_empty());
+        reg.observe_slot(slot, 5);
+        reg.observe("lat", 7);
+        assert_eq!(reg.histogram("lat").unwrap().count(), 2);
+        reg.reset();
+        assert!(reg.histogram("lat").is_none());
+        reg.observe_slot(slot, 9);
+        let snap = reg.snapshot();
+        assert_eq!(snap.histogram("lat").unwrap().count, 1);
+        assert_eq!(snap.histograms.len(), 1);
+    }
+
+    #[test]
+    fn registry_merge_skips_empty_histograms() {
+        let mut a = MetricsRegistry::new(4);
+        let mut b = MetricsRegistry::new(4);
+        b.histogram_slot("empty");
+        b.observe("lat", 3);
+        a.observe("lat", 4);
+        a.merge(&b);
+        let snap = a.snapshot();
+        assert_eq!(snap.histograms.keys().collect::<Vec<_>>(), vec!["lat"]);
+        assert_eq!(snap.histogram("lat").unwrap().count, 2);
     }
 
     #[test]

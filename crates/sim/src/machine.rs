@@ -12,7 +12,7 @@ use std::collections::BinaryHeap;
 use vcoma_cachesim::{Flc, Slc};
 use vcoma_coherence::{Access, HomeTranslation, NullTranslation, Protocol};
 use vcoma_faults::LinkFaultInjector;
-use vcoma_metrics::{Event, Mergeable, MetricsRegistry};
+use vcoma_metrics::{Event, HistogramSlot, Mergeable, MetricsRegistry};
 use vcoma_net::{Crossbar, MsgKind};
 use vcoma_tlb::{AllocPolicy, ModelParams, TranslationModel, XlatePoint};
 use vcoma_types::{AccessKind, MachineConfig, NodeId, Op, OpSource, VAddr, VPage};
@@ -147,6 +147,9 @@ pub struct Machine {
     /// events (TLB/DLB misses, shootdowns, swap-outs). Observation-only —
     /// never feeds back into timing.
     metrics: MetricsRegistry,
+    /// `latency.read` and `latency.write` in `metrics`, resolved once so
+    /// the per-reference path records without a search by name.
+    latency_slots: [HistogramSlot; 2],
     /// Causal transaction tracer ([`SimConfig::trace`]); `None` keeps the
     /// replay hot path free of any tracing work.
     tracer: Option<Tracer>,
@@ -268,6 +271,9 @@ impl Machine {
             )));
             protocol = protocol.with_faults(plan.clone());
         }
+        let mut metrics = MetricsRegistry::new(cfg.event_capacity);
+        let latency_slots =
+            [metrics.histogram_slot("latency.read"), metrics.histogram_slot("latency.write")];
         Machine {
             path: PathTable::new(&cfg),
             nodes,
@@ -281,7 +287,8 @@ impl Machine {
             locks: Locks::new(LOCK_ACQUIRE_COST, LOCK_RELEASE_COST),
             page_faults: 0,
             audited_txns: 0,
-            metrics: MetricsRegistry::new(cfg.event_capacity),
+            metrics,
+            latency_slots,
             tracer: cfg.trace.map(|tc| Tracer::new(tc, cfg.seed, m.nodes as usize)),
             cfg,
         }
@@ -522,11 +529,11 @@ impl Machine {
     /// cycles and feeds the per-request latency histograms.
     fn access(&mut self, n: usize, va: VAddr, kind: AccessKind) -> Result<u64, SimError> {
         let dt = self.access_inner(n, va, kind)?;
-        let name = match kind {
-            AccessKind::Read => "latency.read",
-            AccessKind::Write => "latency.write",
+        let slot = match kind {
+            AccessKind::Read => self.latency_slots[0],
+            AccessKind::Write => self.latency_slots[1],
         };
-        self.metrics.observe(name, dt);
+        self.metrics.observe_slot(slot, dt);
         Ok(dt)
     }
 
@@ -599,6 +606,7 @@ impl Machine {
             AccessKind::Write => self.nodes[n].flc.write(flc_block).is_hit(),
         };
         t += timing.flc_hit;
+        self.nodes[n].breakdown.local_stall += timing.flc_hit;
         self.nodes[n].fine.local_stall += timing.flc_hit;
         if let Some(tr) = self.tracer.as_mut() {
             tr.interval("flc", t - timing.flc_hit, t, flc_block);

@@ -22,7 +22,7 @@
 
 use crate::bank::TlbBank;
 use crate::tlb::{Tlb, TlbOrg, TlbStats};
-use vcoma_cachesim::{Replacement, SetAssocArray};
+use vcoma_cachesim::SetAssocArray;
 use vcoma_types::VPage;
 
 /// The outcome of one translation lookup.
@@ -129,7 +129,7 @@ impl TranslationModel for BankModel {
     }
 
     fn all_stats(&self) -> Vec<TlbStats> {
-        self.bank.all_stats().copied().collect()
+        self.bank.all_stats().collect()
     }
 
     fn reset_stats(&mut self) {
@@ -165,7 +165,7 @@ impl VictimaModel {
     pub fn new(p: &ModelParams<'_>) -> Self {
         VictimaModel {
             bank: TlbBank::new(p.specs, p.seed),
-            spill: SetAssocArray::new(1, p.spill_entries.max(1), Replacement::Lru),
+            spill: SetAssocArray::new(1, p.spill_entries.max(1)),
             spill_stats: TlbStats::default(),
             spill_latency: p.spill_latency,
             walk_penalty: p.walk_penalty,
@@ -216,7 +216,7 @@ impl TranslationModel for VictimaModel {
     }
 
     fn all_stats(&self) -> Vec<TlbStats> {
-        let mut v: Vec<TlbStats> = self.bank.all_stats().copied().collect();
+        let mut v: Vec<TlbStats> = self.bank.all_stats().collect();
         v.push(self.spill_stats);
         v
     }
@@ -490,7 +490,7 @@ mod tests {
             assert_eq!(x.cycles, if hit { 0 } else { 40 });
         }
         let model_stats = model.all_stats();
-        let bank_stats: Vec<TlbStats> = bank.all_stats().copied().collect();
+        let bank_stats: Vec<TlbStats> = bank.all_stats().collect();
         assert_eq!(model_stats, bank_stats);
     }
 

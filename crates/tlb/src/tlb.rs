@@ -1,9 +1,8 @@
 //! The TLB/DLB structure.
 
 use serde::{Deserialize, Serialize};
-use vcoma_cachesim::{Replacement, SetAssocArray};
 use vcoma_metrics::Mergeable;
-use vcoma_types::{DetRng, VPage};
+use vcoma_types::{DetRng, IntMap, VPage};
 
 /// Organisation of a TLB or DLB.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -88,10 +87,26 @@ impl std::fmt::Display for TlbStats {
 /// misses.
 #[derive(Debug, Clone)]
 pub struct Tlb {
-    array: Option<SetAssocArray<()>>,
+    slots: Slots,
     entries: u64,
     org: TlbOrg,
     stats: TlbStats,
+}
+
+/// Resident mappings of a [`Tlb`], by organisation.
+#[derive(Debug, Clone)]
+enum Slots {
+    /// Zero capacity (software-managed): nothing is ever resident.
+    None,
+    /// Fully associative. `tags` holds the resident pages in fill order:
+    /// fills append, a random victim is replaced in place and a shootdown
+    /// is a `swap_remove`, so the strip — and with it every victim the RNG
+    /// picks — is exactly that of a one-set array with random replacement.
+    /// `index` maps each resident tag to its position in `tags`, so a
+    /// lookup is one hash probe instead of a scan of the strip.
+    Fa { tags: Vec<u64>, index: IntMap<u64, u32>, rng: DetRng },
+    /// Direct mapped: one optional tag per set, set = page mod entries.
+    Dm(Vec<Option<u64>>),
 }
 
 impl Tlb {
@@ -99,17 +114,17 @@ impl Tlb {
     /// `seed` feeds the random-replacement policy (fully-associative
     /// organisation only), keeping runs deterministic.
     pub fn new(entries: u64, org: TlbOrg, seed: u64) -> Self {
-        let array = if entries == 0 {
-            None
-        } else {
-            Some(match org {
-                TlbOrg::FullyAssociative => {
-                    SetAssocArray::new(1, entries, Replacement::Random(DetRng::new(seed)))
-                }
-                TlbOrg::DirectMapped => SetAssocArray::new(entries, 1, Replacement::Lru),
-            })
+        let cap = usize::try_from(entries).expect("TLB entries fit in memory");
+        let slots = match org {
+            _ if entries == 0 => Slots::None,
+            TlbOrg::FullyAssociative => Slots::Fa {
+                tags: Vec::with_capacity(cap),
+                index: IntMap::with_capacity_and_hasher(cap, Default::default()),
+                rng: DetRng::new(seed),
+            },
+            TlbOrg::DirectMapped => Slots::Dm(vec![None; cap]),
         };
-        Tlb { array, entries, org, stats: TlbStats::default() }
+        Tlb { slots, entries, org, stats: TlbStats::default() }
     }
 
     /// Number of entries.
@@ -139,31 +154,74 @@ impl Tlb {
     /// evicted a victim). Counters are updated exactly as by `translate`.
     pub fn translate_track(&mut self, page: VPage) -> (bool, Option<VPage>) {
         self.stats.accesses += 1;
-        let Some(array) = &mut self.array else {
-            self.stats.misses += 1;
-            return (false, None);
+        let tag = page.raw();
+        let victim = match &mut self.slots {
+            Slots::None => {
+                self.stats.misses += 1;
+                return (false, None);
+            }
+            Slots::Fa { tags, index, rng } => {
+                if index.contains_key(&tag) {
+                    return (true, None);
+                }
+                if tags.len() < self.entries as usize {
+                    index.insert(tag, tags.len() as u32);
+                    tags.push(tag);
+                    None
+                } else {
+                    let slot = rng.gen_index(tags.len());
+                    let old = std::mem::replace(&mut tags[slot], tag);
+                    index.remove(&old);
+                    index.insert(tag, slot as u32);
+                    Some(old)
+                }
+            }
+            Slots::Dm(sets) => {
+                let set = &mut sets[(tag % self.entries) as usize];
+                if *set == Some(tag) {
+                    return (true, None);
+                }
+                set.replace(tag)
+            }
         };
-        if array.lookup(page.raw()).is_some() {
-            return (true, None);
-        }
         self.stats.misses += 1;
-        let victim = array.insert(page.raw(), ()).map(|(tag, ())| VPage::new(tag));
         if victim.is_some() {
             self.stats.evictions += 1;
         }
-        (false, victim)
+        (false, victim.map(VPage::new))
     }
 
     /// Probes for a page without refilling or counting an access.
     pub fn contains(&self, page: VPage) -> bool {
-        self.array.as_ref().is_some_and(|a| a.contains(page.raw()))
+        let tag = page.raw();
+        match &self.slots {
+            Slots::None => false,
+            Slots::Fa { index, .. } => index.contains_key(&tag),
+            Slots::Dm(sets) => sets[(tag % self.entries) as usize] == Some(tag),
+        }
     }
 
     /// Removes a page mapping (TLB shootdown on mapping/protection change).
     /// Returns whether it was present.
     pub fn shootdown(&mut self, page: VPage) -> bool {
-        let present =
-            self.array.as_mut().is_some_and(|a| a.invalidate(page.raw()).is_some());
+        let tag = page.raw();
+        let present = match &mut self.slots {
+            Slots::None => false,
+            Slots::Fa { tags, index, .. } => match index.remove(&tag) {
+                Some(slot) => {
+                    tags.swap_remove(slot as usize);
+                    if let Some(&moved) = tags.get(slot as usize) {
+                        index.insert(moved, slot);
+                    }
+                    true
+                }
+                None => false,
+            },
+            Slots::Dm(sets) => {
+                let set = &mut sets[(tag % self.entries) as usize];
+                set.take_if(|t| *t == tag).is_some()
+            }
+        };
         if present {
             self.stats.shootdowns += 1;
         }
@@ -172,14 +230,23 @@ impl Tlb {
 
     /// Removes all mappings (full flush).
     pub fn flush(&mut self) {
-        if let Some(a) = &mut self.array {
-            a.clear();
+        match &mut self.slots {
+            Slots::None => {}
+            Slots::Fa { tags, index, .. } => {
+                tags.clear();
+                index.clear();
+            }
+            Slots::Dm(sets) => sets.fill(None),
         }
     }
 
     /// Number of resident mappings.
     pub fn len(&self) -> usize {
-        self.array.as_ref().map_or(0, |a| a.len())
+        match &self.slots {
+            Slots::None => 0,
+            Slots::Fa { tags, .. } => tags.len(),
+            Slots::Dm(sets) => sets.iter().filter(|s| s.is_some()).count(),
+        }
     }
 
     /// Returns `true` if no mapping is resident.

@@ -26,6 +26,7 @@
 mod addr;
 mod config;
 mod error;
+mod hash;
 mod op;
 mod protection;
 mod rng;
@@ -34,6 +35,7 @@ mod source;
 pub use addr::{BlockAddr, DirAddr, PAddr, PFrame, VAddr, VPage};
 pub use config::{CacheGeometry, MachineConfig, MachineConfigBuilder, Timing};
 pub use error::ConfigError;
+pub use hash::{IntBuildHasher, IntHasher, IntMap};
 pub use op::{AccessKind, Op, SyncId};
 pub use protection::Protection;
 pub use rng::DetRng;

@@ -1,8 +1,7 @@
 //! The global page table.
 
 use crate::{DirectoryAllocator, FrameAllocator, VmError};
-use std::collections::HashMap;
-use vcoma_types::{DirAddr, MachineConfig, PFrame, Protection, VPage};
+use vcoma_types::{DirAddr, IntMap, MachineConfig, PFrame, Protection, VPage};
 
 /// One page-table entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,13 +28,13 @@ pub struct PageEntry {
 #[derive(Debug, Clone)]
 pub struct PageTable {
     cfg: MachineConfig,
-    entries: HashMap<VPage, PageEntry>,
+    entries: IntMap<VPage, PageEntry>,
 }
 
 impl PageTable {
     /// Creates an empty page table for the given machine.
     pub fn new(cfg: MachineConfig) -> Self {
-        PageTable { cfg, entries: HashMap::new() }
+        PageTable { cfg, entries: IntMap::default() }
     }
 
     /// The machine configuration the table was built for.

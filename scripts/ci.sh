@@ -13,6 +13,10 @@ cargo build --workspace --release
 echo "==> tier-1: tests"
 cargo test --workspace -q
 
+echo "==> property tests: epoch engine, TLB, VM, coherence"
+cargo test --release -q --features proptest-tests \
+    -p vcoma-sim -p vcoma-tlb -p vcoma-vm -p vcoma-coherence
+
 echo "==> golden-report regression suite"
 cargo test -q -p vcoma-integration --test golden_reports
 

@@ -101,6 +101,29 @@ fn fine_breakdown_conserves_every_cycle() {
 }
 
 #[test]
+fn both_ledgers_conserve_at_nonzero_flc_hit() {
+    // The paper charges nothing for an FLC hit, which hides a charge made
+    // to one ledger only. With a nonzero `flc_hit`, every node's coarse
+    // Figure-10 total and fine total must both still equal its clock, and
+    // the FLC charge must show up as local stall in both.
+    use vcoma::{MachineConfig, Scheme};
+    let mut machine = MachineConfig::paper_baseline();
+    machine.timing.flc_hit = 2;
+    for w in all_benchmarks(0.003) {
+        for scheme in [Scheme::L0_TLB, Scheme::V_COMA] {
+            let report = Simulator::new(scheme).machine(machine.clone()).run(w.as_ref());
+            for (i, n) in report.nodes().iter().enumerate() {
+                let ctx = || format!("{} {scheme} flc_hit=2 node {i}", w.name());
+                assert_eq!(n.time, n.breakdown.total(), "{}: coarse ledger leaks cycles", ctx());
+                assert_eq!(n.time, n.fine.total(), "{}: fine ledger leaks cycles", ctx());
+                assert_eq!(n.fine.local_stall, n.breakdown.local_stall, "{}", ctx());
+                assert!(n.breakdown.local_stall >= 2 * n.refs, "{}: FLC charge missing", ctx());
+            }
+        }
+    }
+}
+
+#[test]
 fn metrics_reconcile_with_report_counters() {
     // The observation-only metrics layer must agree with the first-class
     // statistics it mirrors.
