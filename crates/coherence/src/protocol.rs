@@ -889,8 +889,7 @@ impl Protocol {
         // Walk the directory in ascending block order, not HashMap order:
         // with several simultaneous violations the *reported* one must be
         // a pure function of the machine state, or audit errors (and the
-        // reports built from them) would differ run to run — the same
-        // determinism discipline the epoch-barrier scheduler relies on.
+        // reports built from them) would differ run to run.
         let mut blocks: Vec<u64> = self.dir.keys().copied().collect();
         blocks.sort_unstable();
         for block in blocks {
@@ -1394,7 +1393,7 @@ mod tests {
         // Regression for the old HashMap-ordered directory walk: with
         // several simultaneous violations the sweep must always report
         // the one on the numerically lowest block, so audit errors are
-        // identical run to run (and under any intra-run worker count).
+        // identical run to run.
         let (_, mut p, mut net, mut xl) = setup();
         for b in [90u64, 10, 50] {
             p.read(N1, b, N0, &mut net, &mut xl, 0);

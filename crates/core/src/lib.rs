@@ -123,7 +123,6 @@ use vcoma_workloads::Workload;
 pub struct Simulator {
     cfg: SimConfig,
     materialized: bool,
-    intra_jobs: usize,
 }
 
 impl Simulator {
@@ -133,22 +132,7 @@ impl Simulator {
         Simulator {
             cfg: SimConfig::new(MachineConfig::paper_baseline(), scheme),
             materialized: false,
-            intra_jobs: 1,
         }
-    }
-
-    /// Sets the number of worker threads the replay engine may use inside
-    /// one run (`0` = one per available core; the default `1` keeps the
-    /// classic serial event loop). More than one worker switches the
-    /// machine to the deterministic epoch-barrier scheduler — see
-    /// [`Machine::with_intra_jobs`] — whose reports are **byte-identical**
-    /// to the serial engine's at any worker count. Like
-    /// [`Simulator::materialized`], this is an execution strategy, not
-    /// part of [`SimConfig`]: the report embeds its config, and results
-    /// must not depend on how they were computed.
-    pub fn intra_jobs(mut self, jobs: usize) -> Self {
-        self.intra_jobs = jobs;
-        self
     }
 
     /// Builds the workload's full traces up front instead of streaming
@@ -283,9 +267,7 @@ impl Simulator {
             let traces = workload.generate(&self.cfg.machine);
             self.try_run_traces(traces)
         } else {
-            Machine::new(self.cfg.clone())
-                .with_intra_jobs(self.intra_jobs)
-                .run_streaming(|| workload.sources(&self.cfg.machine))
+            Machine::new(self.cfg.clone()).run_streaming(|| workload.sources(&self.cfg.machine))
         }
     }
 
@@ -305,7 +287,7 @@ impl Simulator {
     ///
     /// See [`Simulator::try_run`].
     pub fn try_run_traces(&self, traces: Vec<Vec<Op>>) -> Result<SimReport, SimError> {
-        Machine::new(self.cfg.clone()).with_intra_jobs(self.intra_jobs).run(traces)
+        Machine::new(self.cfg.clone()).run(traces)
     }
 }
 
@@ -335,11 +317,18 @@ mod tests {
 
     #[test]
     fn run_traces_matches_run() {
-        let s = Simulator::new(Scheme::L0_TLB).tiny();
-        let w = PingPong { rounds: 20 };
-        let via_workload = s.run(&w);
-        let via_traces = s.run_traces(w.generate(&s.config().machine));
-        assert_eq!(via_workload.exec_time(), via_traces.exec_time());
+        let random = UniformRandom { pages: 32, refs_per_node: 250, write_fraction: 0.4 };
+        let cases: [(Scheme, &dyn Workload); 3] = [
+            (Scheme::L0_TLB, &PingPong { rounds: 20 }),
+            (Scheme::L0_TLB, &random),
+            (Scheme::V_COMA, &random),
+        ];
+        for (scheme, w) in cases {
+            let s = Simulator::new(scheme).tiny();
+            let via_workload = s.run(w);
+            let via_traces = s.run_traces(w.generate(&s.config().machine));
+            assert_eq!(format!("{via_workload:?}"), format!("{via_traces:?}"), "{scheme}");
+        }
     }
 
     #[test]
@@ -373,21 +362,6 @@ mod tests {
         let json = metrics::trace_export::to_chrome_trace([("demo", snap)]);
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("\"ph\": \"X\""));
-    }
-
-    #[test]
-    fn intra_jobs_leaves_every_report_byte_untouched() {
-        let w = UniformRandom { pages: 32, refs_per_node: 250, write_fraction: 0.4 };
-        for scheme in [Scheme::V_COMA, Scheme::L0_TLB] {
-            let serial = Simulator::new(scheme).tiny().run(&w);
-            let sharded = Simulator::new(scheme).tiny().intra_jobs(4).run(&w);
-            assert_eq!(format!("{serial:?}"), format!("{sharded:?}"), "{scheme}");
-            let via_traces = Simulator::new(scheme)
-                .tiny()
-                .intra_jobs(3)
-                .run_traces(w.generate(&MachineConfig::tiny()));
-            assert_eq!(format!("{serial:?}"), format!("{via_traces:?}"), "{scheme} traces");
-        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! on-disk store implements.
 //!
 //! The key deliberately **excludes** every execution-strategy knob —
-//! `--jobs`, `--intra-jobs`, `--materialized` — because the simulator's
+//! `--jobs`, `--materialized` — because the simulator's
 //! reports are byte-identical across all of them (the determinism the
 //! integration suite pins). Two runs that differ only in parallelism
 //! share cache entries; two runs that differ in any result-affecting
@@ -154,7 +154,7 @@ mod tests {
 
     #[test]
     fn execution_strategy_knobs_never_reach_the_key() {
-        // --jobs, --intra-jobs and --materialized change how a result is
+        // --jobs and --materialized change how a result is
         // computed, never what it is; the key must be identical across
         // all of them so a store filled at one worker count serves all.
         let base = ExperimentConfig::smoke();
@@ -162,9 +162,8 @@ mod tests {
         for variant in [
             base.clone().with_jobs(1),
             base.clone().with_jobs(7),
-            base.clone().with_intra_jobs(4),
             base.clone().with_materialized(),
-            base.clone().with_jobs(3).with_intra_jobs(2).with_materialized(),
+            base.clone().with_jobs(3).with_materialized(),
         ] {
             assert_eq!(key_for(&variant, Scheme::V_COMA), k);
         }

@@ -73,12 +73,6 @@ pub struct ExperimentConfig {
     /// (`--materialized` exists to demonstrate exactly that); streaming is
     /// the default because it bounds peak memory at large `scale`.
     pub materialized: bool,
-    /// Worker threads *inside* each simulation run (`0` = one per
-    /// available core). The default `1` keeps the classic serial replay
-    /// loop; larger values switch every simulator to the deterministic
-    /// epoch-barrier scheduler, whose reports are byte-identical at any
-    /// worker count — the intra-run analogue of [`ExperimentConfig::jobs`].
-    pub intra_jobs: usize,
     /// Optional scheme filter (`--schemes a,b,c`): artifacts intersect
     /// their natural roster with this set. `None` (the default) runs every
     /// artifact's full roster, which is what every golden fixture records.
@@ -106,7 +100,6 @@ impl std::fmt::Debug for ExperimentConfig {
             .field("seed", &self.seed)
             .field("jobs", &self.jobs)
             .field("materialized", &self.materialized)
-            .field("intra_jobs", &self.intra_jobs)
             .field("schemes", &self.schemes)
             .field("cache", &self.cache.as_ref().map(|_| "ReportCache"))
             .field("progress", &self.progress.as_ref().map(|_| "ProgressSink"))
@@ -123,7 +116,6 @@ impl ExperimentConfig {
             seed: 0x5EED,
             jobs: 0,
             materialized: false,
-            intra_jobs: 1,
             schemes: None,
             cache: None,
             progress: None,
@@ -140,7 +132,6 @@ impl ExperimentConfig {
             seed: 0x5EED,
             jobs: 0,
             materialized: false,
-            intra_jobs: 1,
             schemes: None,
             cache: None,
             progress: None,
@@ -163,14 +154,6 @@ impl ExperimentConfig {
     /// trace path.
     pub fn with_materialized(mut self) -> Self {
         self.materialized = true;
-        self
-    }
-
-    /// Sets the intra-run worker count (`0` = one per available core;
-    /// `1`, the default, keeps the serial replay loop). Results are
-    /// byte-identical for any value.
-    pub fn with_intra_jobs(mut self, intra_jobs: usize) -> Self {
-        self.intra_jobs = intra_jobs;
         self
     }
 
@@ -263,10 +246,7 @@ impl ExperimentConfig {
 
     /// A simulator for `scheme` on this configuration's machine.
     pub fn simulator(&self, scheme: Scheme) -> Simulator {
-        let s = Simulator::new(scheme)
-            .machine(self.machine.clone())
-            .seed(self.seed)
-            .intra_jobs(self.intra_jobs);
+        let s = Simulator::new(scheme).machine(self.machine.clone()).seed(self.seed);
         if self.materialized {
             s.materialized()
         } else {
@@ -315,18 +295,6 @@ mod tests {
         let s = c.simulator(Scheme::V_COMA);
         assert_eq!(s.config().machine.nodes, 32);
         assert_eq!(s.config().seed, c.seed);
-    }
-
-    #[test]
-    fn intra_jobs_toggle_changes_nothing_in_the_artifacts() {
-        let serial = ExperimentConfig::smoke().with_jobs(1);
-        let sharded = ExperimentConfig::smoke().with_jobs(1).with_intra_jobs(4);
-        assert_eq!(serial.intra_jobs, 1);
-        assert_eq!(sharded.intra_jobs, 4);
-        let w = &serial.benchmarks()[0];
-        let a = serial.simulator(Scheme::V_COMA).run(w.as_ref());
-        let b = sharded.simulator(Scheme::V_COMA).run(w.as_ref());
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! ```
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
+use vcoma_experiments::progress::StderrProgress;
 use vcoma_experiments::{artifacts, breakdown, cache, client, faults, sweep, trace, ExperimentConfig};
 
 /// Every artifact name the CLI accepts, in default execution order
@@ -18,7 +20,7 @@ const VALID_ARTIFACTS: [&str; 14] = [
 
 const USAGE: &str = "\
 usage: vcoma-experiments [ARTIFACT...] [--scale F] [--nodes N] [--jobs N]
-                         [--intra-jobs N] [--schemes LIST] [--out DIR]
+                         [--schemes LIST] [--out DIR]
                          [--materialized] [--breakdown] [--metrics-out FILE]
                          [--fault-plan SPEC] [--fault-seed S] [--trace-out FILE]
                          [--progress]
@@ -38,11 +40,6 @@ options:
   --nodes N          node count (default 32, the paper's machine)
   --jobs N           sweep worker threads (default: one per available core);
                      tables and CSVs are byte-identical for any value
-  --intra-jobs N     worker threads inside each simulation run (default 1,
-                     the serial replay loop; 0 = one per available core).
-                     N > 1 switches every run to the deterministic
-                     epoch-barrier scheduler; reports, tables and CSVs are
-                     byte-identical for any value
   --schemes LIST     comma-separated scheme keys to run, e.g.
                      l0_tlb,vcoma,victima (default: each artifact's full
                      roster). Applies to fig8, table5, breakdown, faults and
@@ -122,7 +119,6 @@ fn main() {
     let mut scale = 0.1f64;
     let mut nodes = 32u64;
     let mut jobs = 0usize;
-    let mut intra_jobs = 1usize;
     let mut materialized = false;
     let mut out: Option<PathBuf> = None;
     let mut want_breakdown = false;
@@ -131,6 +127,7 @@ fn main() {
     let mut fault_seed: Option<u64> = None;
     let mut trace_out: Option<PathBuf> = None;
     let mut schemes: Option<vcoma::SchemeSet> = None;
+    let mut progress = false;
 
     let mut args = std::env::args().skip(1).peekable();
     // Client subcommands talk to a running vcoma-sweepd instead of
@@ -163,9 +160,6 @@ fn main() {
                     eprintln!("error: --jobs must be at least 1 (omit the flag for one per core)");
                     std::process::exit(2);
                 }
-            }
-            "--intra-jobs" => {
-                intra_jobs = parse_flag("--intra-jobs", args.next());
             }
             "--schemes" => {
                 let spec = args.next().unwrap_or_else(|| {
@@ -216,7 +210,7 @@ fn main() {
             "--trace-out" => {
                 trace_out = Some(PathBuf::from(flag_value("--trace-out", args.next())));
             }
-            "--progress" => sweep::set_progress(true),
+            "--progress" => progress = true,
             "--help" | "-h" => {
                 print!("{USAGE}");
                 return;
@@ -274,10 +268,11 @@ fn main() {
     }
 
     let machine = vcoma::MachineConfig::builder().nodes(nodes).build().expect("valid machine");
-    let mut cfg = ExperimentConfig { machine, ..ExperimentConfig::new() }
-        .with_scale(scale)
-        .with_jobs(jobs)
-        .with_intra_jobs(intra_jobs);
+    let mut cfg =
+        ExperimentConfig { machine, ..ExperimentConfig::new() }.with_scale(scale).with_jobs(jobs);
+    if progress {
+        cfg = cfg.with_progress(Arc::new(StderrProgress::default()));
+    }
     if materialized {
         cfg = cfg.with_materialized();
     }
@@ -285,16 +280,9 @@ fn main() {
         cfg = cfg.with_schemes(set);
     }
     println!(
-        "machine: {} nodes, scale {scale}, {} sweep workers, {} intra-run workers, {} traces (paper geometry, paper timing)\n",
+        "machine: {} nodes, scale {scale}, {} sweep workers, {} traces (paper geometry, paper timing)\n",
         cfg.machine.nodes,
         cfg.effective_jobs(),
-        if cfg.intra_jobs == 1 {
-            "serial".to_string()
-        } else if cfg.intra_jobs == 0 {
-            "auto".to_string()
-        } else {
-            cfg.intra_jobs.to_string()
-        },
         if cfg.materialized { "materialized" } else { "streamed" }
     );
     // Fail unwritable destinations before any sweep runs, not after.
@@ -412,7 +400,6 @@ fn main() {
             sweep::BenchContext {
                 jobs: cfg.effective_jobs(),
                 nodes: cfg.machine.nodes,
-                intra_jobs: cfg.intra_jobs,
                 code_fingerprint: cache::code_fingerprint(),
             },
             &prior,

@@ -21,6 +21,14 @@
 //! Sinks must never write to stdout or touch artifact outputs — the
 //! byte-identity of every table, CSV and golden fixture with and without
 //! a sink installed is a tested invariant.
+//!
+//! [`StderrProgress`] is the CLI's sink (`--progress`); the daemon
+//! installs its own per job.
+
+use std::sync::Mutex;
+use std::time::Instant;
+
+use crate::sweep::peak_rss_kb;
 
 /// Observer for sweep and simulation progress. All methods default to
 /// no-ops so sinks implement only the events they care about.
@@ -43,6 +51,74 @@ pub trait ProgressSink: Send + Sync {
     /// result was served from the configured store instead of simulated.
     fn point_resolved(&self, simulated_cycles: u64, from_cache: bool) {
         let _ = (simulated_cycles, from_cache);
+    }
+}
+
+/// Paints a live one-line status of the current sweep to stderr:
+/// points done out of the sweep's total, freshly simulated cycles per
+/// wall-clock second since the sweep started, and the process peak RSS.
+/// The line is cleared when the sweep's last point finishes. Stderr
+/// only: stdout carries the deterministic tables.
+#[derive(Debug)]
+pub struct StderrProgress {
+    line: Mutex<Line>,
+}
+
+/// The state behind the painted line, reset by each sweep.
+#[derive(Debug)]
+struct Line {
+    artifact: String,
+    total: u64,
+    done: u64,
+    cycles: u64,
+    started: Instant,
+}
+
+impl Line {
+    fn start(artifact: &str, total: u64) -> Line {
+        Line { artifact: artifact.to_string(), total, done: 0, cycles: 0, started: Instant::now() }
+    }
+}
+
+impl StderrProgress {
+    fn line(&self) -> std::sync::MutexGuard<'_, Line> {
+        self.line.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+}
+
+impl Default for StderrProgress {
+    /// A sink with no sweep started yet.
+    fn default() -> Self {
+        StderrProgress { line: Mutex::new(Line::start("", 0)) }
+    }
+}
+
+impl ProgressSink for StderrProgress {
+    fn sweep_started(&self, artifact: &str, points: u64) {
+        *self.line() = Line::start(artifact, points);
+    }
+
+    fn point_done(&self, _label: &str) {
+        let mut line = self.line();
+        line.done += 1;
+        let secs = line.started.elapsed().as_secs_f64();
+        let rate = if secs > 0.0 { line.cycles as f64 / secs } else { 0.0 };
+        eprint!(
+            "\r[{}] {}/{} points, {rate:.3e} cycles/s, peak RSS {} KB ",
+            line.artifact,
+            line.done,
+            line.total,
+            peak_rss_kb()
+        );
+        if line.done == line.total {
+            eprint!("\r{:79}\r", "");
+        }
+    }
+
+    fn point_resolved(&self, simulated_cycles: u64, from_cache: bool) {
+        if !from_cache {
+            self.line().cycles += simulated_cycles;
+        }
     }
 }
 

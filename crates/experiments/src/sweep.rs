@@ -12,24 +12,13 @@
 //! cycles, throughput) in a process-wide ledger; the CLI drains it with
 //! [`take_stats`] and writes `BENCH_sweep.json`.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
 use crate::progress::ProgressSink;
-
-/// Whether [`run`] paints a live progress line to stderr (`--progress`).
-/// Stderr-only by design: stdout carries the deterministic tables and
-/// must stay byte-identical with or without the flag.
-static PROGRESS: AtomicBool = AtomicBool::new(false);
-
-/// Enables or disables the live stderr progress line for subsequent
-/// sweeps (process-wide; the CLI sets it once from `--progress`).
-pub fn set_progress(on: bool) {
-    PROGRESS.store(on, Ordering::Relaxed);
-}
 
 /// One point of a sweep grid: a display label plus the evaluator input.
 #[derive(Debug, Clone)]
@@ -173,16 +162,11 @@ where
     // results into its point's dedicated slot, so completion order never
     // influences the merge below.
     let next = AtomicUsize::new(0);
-    let done = AtomicUsize::new(0);
-    let cycles_done = AtomicU64::new(0);
-    let progress = PROGRESS.load(Ordering::Relaxed);
     let slots: Vec<Mutex<Option<SweepResult<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let points = &points;
     let eval = &eval;
     let slots_ref = &slots;
     let next_ref = &next;
-    let done_ref = &done;
-    let cycles_ref = &cycles_done;
     std::thread::scope(|s| {
         for _ in 0..jobs {
             s.spawn(move || loop {
@@ -191,28 +175,13 @@ where
                     break;
                 }
                 let result = eval(&points[i].input);
-                let cycles = result.simulated_cycles;
                 *slots_ref[i].lock().unwrap() = Some(result);
                 if let Some(sink) = sink {
                     sink.point_done(&points[i].label);
                 }
-                if progress {
-                    let d = done_ref.fetch_add(1, Ordering::Relaxed) + 1;
-                    let c = cycles_ref.fetch_add(cycles, Ordering::Relaxed) + cycles;
-                    let secs = t0.elapsed().as_secs_f64();
-                    let rate = if secs > 0.0 { c as f64 / secs } else { 0.0 };
-                    eprint!(
-                        "\r[{name}] {d}/{n} points, {rate:.3e} cycles/s, peak RSS {} KB ",
-                        peak_rss_kb()
-                    );
-                }
             });
         }
     });
-    if progress && n > 0 {
-        // Clear the live line; the deterministic summary goes to stdout.
-        eprint!("\r{:79}\r", "");
-    }
 
     let mut values = Vec::with_capacity(n);
     let mut simulated_cycles = 0u64;
@@ -246,16 +215,13 @@ where
 
 /// The run-wide context `BENCH_sweep.json` records next to the sweep
 /// stats, so a throughput figure is never separated from the machine
-/// size and worker counts that produced it.
+/// size and worker count that produced it.
 #[derive(Debug, Clone, Copy)]
 pub struct BenchContext {
     /// Sweep worker threads (the resolved `--jobs` value).
     pub jobs: usize,
     /// Node count of the machine under test (`--nodes`).
     pub nodes: u64,
-    /// Intra-run worker threads (`--intra-jobs`; `1` = serial replay,
-    /// `0` = one per available core).
-    pub intra_jobs: usize,
     /// The process code fingerprint (see [`crate::cache::code_fingerprint`]):
     /// ties the recorded throughput to the code revision that produced
     /// it, and matches the fingerprint of any cache entries the run
@@ -368,7 +334,6 @@ pub fn bench_json(stats: &[SweepStats], ctx: BenchContext, prior: &[BenchHistory
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"jobs\": {},\n", ctx.jobs));
     out.push_str(&format!("  \"nodes\": {},\n", ctx.nodes));
-    out.push_str(&format!("  \"intra_jobs\": {},\n", ctx.intra_jobs));
     out.push_str(&format!("  \"code_fingerprint\": \"{}\",\n", ctx.code_fingerprint));
     out.push_str(&format!("  \"total_wall_seconds\": {total_wall:.6},\n"));
     out.push_str(&format!("  \"total_points\": {total_points},\n"));
@@ -527,14 +492,12 @@ mod tests {
             BenchContext {
                 jobs: 4,
                 nodes: 64,
-                intra_jobs: 8,
                 code_fingerprint: crate::cache::code_fingerprint(),
             },
             &[],
         );
         assert!(j.contains("\"sweeps\": ["));
         assert!(j.contains("\"nodes\": 64"));
-        assert!(j.contains("\"intra_jobs\": 8"));
         assert!(j.contains(&format!(
             "\"code_fingerprint\": \"{}\"",
             crate::cache::code_fingerprint()
@@ -561,7 +524,6 @@ mod tests {
         let ctx = BenchContext {
             jobs: 2,
             nodes: 32,
-            intra_jobs: 1,
             code_fingerprint: crate::cache::code_fingerprint(),
         };
         let older = vec![BenchHistoryEntry {

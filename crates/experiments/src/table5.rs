@@ -1,12 +1,12 @@
-//! Table 5 — the post-1998 extension table: every *registered* scheme
-//! (the paper's six plus the plugin schemes, e.g. Victima-style SLC
+//! Table 5 — the post-1998 extension table: every scheme in the registry
+//! (the paper's six plus the post-1998 schemes, e.g. Victima-style SLC
 //! spilling and the multi-page-size TLB) over every benchmark, reporting
 //! execution time relative to the first scheme in the roster (L0-TLB
 //! unless `--schemes` filters it out) and the primary translation
 //! structure's miss rate.
 //!
-//! This is the artifact new schemes land in: anything added through
-//! [`vcoma::registry::register`] shows up here without touching the
+//! This is the artifact new schemes land in: add your spec to the
+//! registry's `BUILTINS` and it shows up here without touching the
 //! harness, while the paper artifacts (tables 1–4, figures 8–11) keep
 //! iterating the 1998 roster byte-exactly.
 

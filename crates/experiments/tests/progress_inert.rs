@@ -15,7 +15,7 @@ use std::sync::{Arc, Mutex};
 
 use vcoma::{codec, SimConfig, SimReport};
 use vcoma_experiments::cache::{code_fingerprint, PointKey, ReportCache};
-use vcoma_experiments::progress::ProgressSink;
+use vcoma_experiments::progress::{ProgressSink, StderrProgress};
 use vcoma_experiments::{artifacts, ExperimentConfig};
 
 /// Counts every callback; the assertions below reconcile the counts
@@ -99,6 +99,36 @@ fn progress_sink_is_byte_inert_and_counts_every_point() {
     assert_eq!(sink.cached.load(Ordering::Relaxed), 0);
     assert_eq!(sink.fresh.load(Ordering::Relaxed), announced);
     assert!(sink.cycles.load(Ordering::Relaxed) > 0, "fresh runs retire cycles");
+
+    // The CLI's `--progress` sink paints stderr and nothing else.
+    let painted = render_table2(&base_cfg().with_progress(Arc::new(StderrProgress::default())));
+    assert_eq!(plain, painted, "the stderr progress sink changed rendered bytes");
+}
+
+#[test]
+fn cli_progress_line_goes_to_stderr_and_leaves_csvs_alone() {
+    let base = std::env::temp_dir().join(format!("vcoma-cli-progress-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    std::fs::create_dir_all(&base).expect("test dir");
+    let run = |out: &str, progress: bool| {
+        let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_vcoma-experiments"));
+        cmd.current_dir(&base).args(["table2", "--scale", "0.005", "--jobs", "2", "--out", out]);
+        if progress {
+            cmd.arg("--progress");
+        }
+        let output = cmd.output().expect("run vcoma-experiments");
+        assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
+        output
+    };
+    let plain = run("plain", false);
+    let painted = run("painted", true);
+    assert!(plain.stderr.is_empty());
+    let stderr = String::from_utf8_lossy(&painted.stderr);
+    assert!(stderr.contains("[table2] ") && stderr.contains(" points, "), "stderr: {stderr:?}");
+    assert!(!String::from_utf8_lossy(&painted.stdout).contains(" points, "));
+    let csv = |dir: &str| std::fs::read(base.join(dir).join("table2.csv")).expect("table2.csv");
+    assert_eq!(csv("plain"), csv("painted"), "--progress changed the CSV bytes");
+    let _ = std::fs::remove_dir_all(&base);
 }
 
 #[test]

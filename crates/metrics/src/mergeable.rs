@@ -2,7 +2,7 @@
 
 /// A statistics value that can absorb another instance of itself.
 ///
-/// Per-node and per-shard statistics throughout the workspace are
+/// Per-node statistics throughout the workspace are
 /// accumulated into machine-wide totals (and sweep results from parallel
 /// jobs are folded in deterministic input order). Every such type
 /// implements `Mergeable` so the accumulation sites are uniform instead

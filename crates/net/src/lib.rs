@@ -105,19 +105,6 @@ impl MsgKind {
         }
     }
 
-    /// The minimum one-way latency over all message kinds under `timing` —
-    /// the conservative lookahead bound for time-stepped parallel
-    /// simulation: no cross-node interaction can complete in fewer cycles,
-    /// so nodes may be advanced independently within a window of this
-    /// length without reordering any cross-node event.
-    pub fn min_latency(timing: &Timing) -> u64 {
-        ALL_MSG_KINDS
-            .iter()
-            .map(|k| k.latency(timing))
-            .min()
-            .expect("at least one message kind")
-    }
-
     /// Stable `&'static` label (same spelling as [`std::fmt::Display`]),
     /// for layers that tag spans or events with a `'static` kind string.
     pub const fn label(self) -> &'static str {
@@ -435,14 +422,6 @@ impl Crossbar {
         kind.latency(&self.timing)
     }
 
-    /// The conservative lookahead horizon for epoch-stepped parallel
-    /// simulation on this crossbar: the minimum cross-node message latency
-    /// (see [`MsgKind::min_latency`]), floored at one cycle so degenerate
-    /// timings still make forward progress.
-    pub fn lookahead(&self) -> u64 {
-        MsgKind::min_latency(&self.timing).max(1)
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> &NetStats {
         &self.stats
@@ -455,70 +434,6 @@ impl Crossbar {
         self.stats = NetStats::new(n);
         if let Some(ports) = &mut self.port_busy_until {
             ports.iter_mut().for_each(|p| *p = 0);
-        }
-    }
-}
-
-/// Per-(source shard, destination shard) message buffers for the
-/// epoch-barrier scheduler in `vcoma-sim`.
-///
-/// During an epoch's parallel phase each shard worker owns one *row* of
-/// the grid ([`ShardMailboxes::rows_mut`] hands out disjoint `&mut`
-/// slices) and appends outbound items to it without any synchronisation.
-/// At the barrier the coordinator drains the whole grid in a fixed
-/// **(src, dst, seq)** order — ascending source shard, ascending
-/// destination shard, then append order — so the merged stream is a pure
-/// function of the per-shard streams, independent of how many workers
-/// filled them or in what real-time order they ran.
-#[derive(Debug, Clone)]
-pub struct ShardMailboxes<T> {
-    shards: usize,
-    /// Row-major `(src, dst)` slots: slot `src * shards + dst`.
-    slots: Vec<Vec<T>>,
-}
-
-impl<T> ShardMailboxes<T> {
-    /// An empty `shards × shards` grid.
-    pub fn new(shards: usize) -> Self {
-        assert!(shards > 0, "a mailbox grid needs at least one shard");
-        ShardMailboxes { shards, slots: (0..shards * shards).map(|_| Vec::new()).collect() }
-    }
-
-    /// Number of shards per side.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Appends an item to the `(src, dst)` slot.
-    pub fn push(&mut self, src: usize, dst: usize, item: T) {
-        self.slots[src * self.shards + dst].push(item);
-    }
-
-    /// Hands out one mutable row per source shard — disjoint slices, so
-    /// each shard worker can fill its own row concurrently.
-    pub fn rows_mut(&mut self) -> std::slice::ChunksMut<'_, Vec<T>> {
-        self.slots.chunks_mut(self.shards)
-    }
-
-    /// Total buffered items.
-    pub fn len(&self) -> usize {
-        self.slots.iter().map(Vec::len).sum()
-    }
-
-    /// `true` if no slot holds an item.
-    pub fn is_empty(&self) -> bool {
-        self.slots.iter().all(Vec::is_empty)
-    }
-
-    /// Drains every slot in the canonical (src, dst, seq) order, invoking
-    /// `f(src, dst, item)` for each item.
-    pub fn drain_ordered(&mut self, mut f: impl FnMut(usize, usize, T)) {
-        for src in 0..self.shards {
-            for dst in 0..self.shards {
-                for item in self.slots[src * self.shards + dst].drain(..) {
-                    f(src, dst, item);
-                }
-            }
         }
     }
 }
@@ -727,48 +642,5 @@ mod tests {
         assert_eq!(a.dropped_msgs, 4);
         assert_eq!(a.duplicated_msgs, 6);
         assert_eq!(a.fault_delay_cycles, 80);
-    }
-
-    #[test]
-    fn lookahead_is_the_minimum_message_latency() {
-        let timing = Timing::paper();
-        // Control messages (16 cycles) are the cheapest crossing under the
-        // paper's timing, so they bound the conservative window.
-        assert_eq!(MsgKind::min_latency(&timing), timing.net_request);
-        assert_eq!(xbar().lookahead(), timing.net_request);
-    }
-
-    #[test]
-    fn lookahead_never_collapses_to_zero() {
-        let timing = Timing { net_request: 0, net_block: 0, ..Timing::paper() };
-        assert_eq!(Crossbar::new(4, timing).lookahead(), 1);
-    }
-
-    #[test]
-    fn mailboxes_drain_in_src_dst_seq_order() {
-        let mut m: ShardMailboxes<u32> = ShardMailboxes::new(3);
-        // Fill out of order; the drain order must not care.
-        m.push(2, 0, 20);
-        m.push(0, 1, 1);
-        m.push(0, 1, 2);
-        m.push(1, 2, 12);
-        m.push(0, 0, 0);
-        assert_eq!(m.len(), 5);
-        let mut seen = Vec::new();
-        m.drain_ordered(|src, dst, item| seen.push((src, dst, item)));
-        assert_eq!(seen, vec![(0, 0, 0), (0, 1, 1), (0, 1, 2), (1, 2, 12), (2, 0, 20)]);
-        assert!(m.is_empty());
-    }
-
-    #[test]
-    fn mailbox_rows_are_disjoint_per_source_shard() {
-        let mut m: ShardMailboxes<u32> = ShardMailboxes::new(2);
-        for (src, row) in m.rows_mut().enumerate() {
-            assert_eq!(row.len(), 2);
-            row[src].push(src as u32);
-        }
-        let mut seen = Vec::new();
-        m.drain_ordered(|src, dst, item| seen.push((src, dst, item)));
-        assert_eq!(seen, vec![(0, 0, 0), (1, 1, 1)]);
     }
 }

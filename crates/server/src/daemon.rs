@@ -53,6 +53,11 @@ use vcoma_experiments::client::Endpoint;
 use vcoma_experiments::protocol::{CsvFile, Request, Response, PROTOCOL_VERSION};
 use vcoma_experiments::{artifacts, sweep, ExperimentConfig};
 
+/// Longest control-socket request line the daemon reads, in bytes. A
+/// longer line gets one failure response and the connection closes, so
+/// a client that never sends a newline cannot grow the daemon's memory.
+const MAX_REQUEST_LINE: usize = 1 << 20;
+
 /// Daemon configuration: where to listen, where the store lives, and
 /// the worker-pool shape every job runs with.
 #[derive(Debug, Clone)]
@@ -63,8 +68,6 @@ pub struct DaemonConfig {
     pub store_dir: PathBuf,
     /// Sweep worker threads per job (`0` = one per available core).
     pub jobs: usize,
-    /// Intra-run worker threads (`0` = one per core, `1` = serial).
-    pub intra_jobs: usize,
     /// Optional HTTP observation address (`--http`, e.g.
     /// `127.0.0.1:9188`); `None` means no HTTP port.
     pub http: Option<String>,
@@ -104,7 +107,6 @@ impl JobSpec {
         let mut cfg = ExperimentConfig { machine, ..ExperimentConfig::new() }
             .with_scale(self.scale)
             .with_jobs(daemon.jobs)
-            .with_intra_jobs(daemon.intra_jobs)
             .with_cache(store);
         cfg.seed = self.seed;
         if let Some(spec) = &self.schemes {
@@ -338,19 +340,38 @@ impl Daemon {
         vlog!(Level::Debug, "connect");
         let Ok(write_half) = stream.try_clone() else { return };
         let mut writer = write_half;
-        let reader = BufReader::new(stream);
-        for line in reader.lines() {
-            let Ok(line) = line else { return };
+        let mut reader = BufReader::new(stream);
+        let mut respond = |resp: &Response| {
+            let Ok(mut out) = to_json_line(resp) else { return false };
+            out.push('\n');
+            writer.write_all(out.as_bytes()).and_then(|()| writer.flush()).is_ok()
+        };
+        let mut buf = Vec::new();
+        loop {
+            buf.clear();
+            // One byte past the cap tells an oversized line from one
+            // that ends exactly at it.
+            let limit = MAX_REQUEST_LINE as u64 + 1;
+            match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
+                Ok(0) | Err(_) => return,
+                Ok(_) => {}
+            }
+            if buf.last() == Some(&b'\n') {
+                buf.pop();
+            } else if buf.len() > MAX_REQUEST_LINE {
+                vlog!(Level::Warn, "request-too-long", "limit_bytes={MAX_REQUEST_LINE}");
+                respond(&Response::failure("request line too long"));
+                return;
+            }
+            let Ok(line) = std::str::from_utf8(&buf) else { return };
             if line.trim().is_empty() {
                 continue;
             }
-            let resp = match from_json_str::<Request>(&line) {
+            let resp = match from_json_str::<Request>(line) {
                 Ok(req) => self.dispatch(&req),
                 Err(e) => Response::failure(format!("malformed request: {e}")),
             };
-            let Ok(mut out) = to_json_line(&resp) else { return };
-            out.push('\n');
-            if writer.write_all(out.as_bytes()).and_then(|()| writer.flush()).is_err() {
+            if !respond(&resp) {
                 return;
             }
         }

@@ -21,8 +21,6 @@ REQUIRED:
 
 OPTIONS:
     --jobs N            sweep worker threads per job (default: one per core)
-    --intra-jobs N      workers inside each simulation (default 1; 0 = one
-                        per core)
     --http ADDR         also serve HTTP GET /metrics, /healthz and /readyz
                         on ADDR (e.g. 127.0.0.1:9188; port 0 picks a free
                         port). Observation only - control stays on --listen
@@ -54,7 +52,6 @@ fn main() {
     let mut listen: Option<Endpoint> = None;
     let mut store_dir: Option<PathBuf> = None;
     let mut jobs = 0usize;
-    let mut intra_jobs = 1usize;
     let mut http: Option<String> = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -67,7 +64,6 @@ fn main() {
             }
             "--store" => store_dir = Some(PathBuf::from(flag_value("--store", args.next()))),
             "--jobs" => jobs = parse_count("--jobs", args.next()),
-            "--intra-jobs" => intra_jobs = parse_count("--intra-jobs", args.next()),
             "--http" => http = Some(flag_value("--http", args.next())),
             "--help" | "-h" => {
                 print!("{USAGE}");
@@ -79,7 +75,7 @@ fn main() {
     let Some(listen) = listen else { fail("--listen is required") };
     let Some(store_dir) = store_dir else { fail("--store is required") };
 
-    let config = DaemonConfig { listen, store_dir, jobs, intra_jobs, http };
+    let config = DaemonConfig { listen, store_dir, jobs, http };
     let daemon = match Daemon::new(config) {
         Ok(d) => d,
         Err(e) => {

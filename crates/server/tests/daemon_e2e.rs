@@ -42,7 +42,6 @@ impl RunningDaemon {
             listen: endpoint.clone(),
             store_dir: store.to_path_buf(),
             jobs: 2,
-            intra_jobs: 1,
             http: None,
         };
         let daemon = Daemon::new(config).expect("open store");
@@ -223,5 +222,35 @@ fn daemon_serves_caches_resumes_and_matches_direct_runs() {
         }
     }
 
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+#[test]
+fn oversized_request_line_is_refused_and_the_daemon_keeps_serving() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::UnixStream;
+
+    let base = std::env::temp_dir().join(format!("vcoma-daemon-long-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    std::fs::create_dir_all(&base).expect("test dir");
+    let server = RunningDaemon::start(&base.join("sweepd.sock"), &base.join("store"));
+    drop(server.connect());
+
+    // More than 1 MiB with no newline. The daemon may close the socket
+    // before the client finishes writing, so a failed write is fine.
+    let mut raw = UnixStream::connect(base.join("sweepd.sock")).expect("raw connect");
+    let _ = raw.write_all(&vec![b'x'; (1 << 20) + 4096]);
+    let _ = raw.shutdown(std::net::Shutdown::Write);
+    let mut reply = String::new();
+    let _ = BufReader::new(&raw).read_line(&mut reply);
+    assert!(
+        reply.is_empty() || reply.contains("request line too long"),
+        "expected the length failure or EOF, got {reply:?}"
+    );
+
+    let mut conn = server.connect();
+    let pong = ok(conn.request(&Request::new("ping")));
+    assert_eq!(pong.protocol, Some(PROTOCOL_VERSION));
+    server.stop();
     let _ = std::fs::remove_dir_all(&base);
 }

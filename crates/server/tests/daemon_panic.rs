@@ -67,7 +67,6 @@ fn panicking_artifact_fails_its_job_but_daemon_keeps_serving() {
         listen: endpoint.clone(),
         store_dir: base.join("store"),
         jobs: 2,
-        intra_jobs: 1,
         http: None,
     })
     .expect("open store");

@@ -41,7 +41,6 @@ impl RunningDaemon {
             listen: endpoint.clone(),
             store_dir: store.to_path_buf(),
             jobs: 2,
-            intra_jobs: 1,
             http: Some("127.0.0.1:0".to_string()),
         };
         let daemon = Daemon::new(config).expect("open store");

@@ -11,8 +11,8 @@ use vcoma_types::MachineConfig;
 pub struct TraceConfig {
     /// Sampling period: (on average) one in `sample_every` transactions
     /// per node is traced, chosen by a keyed hash of
-    /// `(seed, node, per-node reference index)` so the sampled set is
-    /// byte-identical at any worker count. `1` traces everything.
+    /// `(seed, node, per-node reference index)` so the sampled set is a
+    /// pure function of the run. `1` traces everything.
     pub sample_every: u64,
     /// Per-node span-buffer capacity; when a transaction's spans would
     /// overflow it, the whole transaction is dropped and counted.

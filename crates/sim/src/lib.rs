@@ -55,7 +55,6 @@ pub mod codec;
 mod audit;
 mod breakdown;
 mod config;
-mod epoch;
 mod error;
 mod machine;
 mod report;

@@ -28,30 +28,23 @@ const LOCK_ACQUIRE_COST: u64 = 32;
 const LOCK_RELEASE_COST: u64 = 16;
 
 /// Per-node simulation state.
-///
-/// `pub(crate)` (fields included) because the epoch-barrier engine in
-/// [`crate::epoch`] hands disjoint `&mut` chunks of the node array to
-/// shard workers. Aligned to 128 bytes (two cache lines, covering
-/// adjacent-line prefetchers) so neighbouring nodes never share a cache
-/// line when those workers mutate them concurrently.
 #[derive(Debug)]
-#[repr(align(128))]
-pub(crate) struct NodeCtx {
-    pub(crate) flc: Flc,
-    pub(crate) slc: Slc,
+struct NodeCtx {
+    flc: Flc,
+    slc: Slc,
     /// The node's translation model: its private TLB in `L0`–`L3` (and
     /// the post-1998 schemes), its home-side DLB in V-COMA. Built by the
     /// scheme's [`vcoma_tlb::SchemeSpec::build_model`]; owns the lookup,
     /// fill, shootdown and miss-latency schedule.
-    pub(crate) xlb: Box<dyn TranslationModel>,
-    pub(crate) time: u64,
-    pub(crate) breakdown: TimeBreakdown,
+    xlb: Box<dyn TranslationModel>,
+    time: u64,
+    breakdown: TimeBreakdown,
     /// Fine latency attribution; every cycle of `time` lands in exactly
     /// one of its categories (`fine.total() == time`).
-    pub(crate) fine: LatencyBreakdown,
-    pub(crate) refs: u64,
-    pub(crate) reads: u64,
-    pub(crate) writes: u64,
+    fine: LatencyBreakdown,
+    refs: u64,
+    reads: u64,
+    writes: u64,
 }
 
 /// Per-scheme hot-path decisions, precomputed once at machine build time.
@@ -123,14 +116,9 @@ pub struct Machine {
     cfg: SimConfig,
     /// Precomputed per-scheme hot-path decision table (see [`PathTable`]).
     path: PathTable,
-    pub(crate) nodes: Vec<NodeCtx>,
+    nodes: Vec<NodeCtx>,
     protocol: Protocol,
-    pub(crate) net: Crossbar,
-    /// Worker threads for intra-run epoch-barrier replay (`1` = the
-    /// classic serial event loop). An execution strategy, not part of
-    /// [`SimConfig`]: reports embed their config, and any worker count
-    /// must produce byte-identical reports.
-    pub(crate) intra_jobs: usize,
+    net: Crossbar,
     page_table: PageTable,
     phys_alloc: PhysAlloc,
     dir_alloc: DirectoryAllocator,
@@ -279,7 +267,6 @@ impl Machine {
             nodes,
             protocol,
             net,
-            intra_jobs: 1,
             page_table: PageTable::new(m.clone()),
             phys_alloc,
             dir_alloc: DirectoryAllocator::new(m),
@@ -297,27 +284,6 @@ impl Machine {
     /// The configuration this machine was built with.
     pub fn config(&self) -> &SimConfig {
         &self.cfg
-    }
-
-    /// Sets the number of worker threads the replay engine may use
-    /// *inside* one run (`0` = one per available core, `1` = the classic
-    /// serial event loop, the default).
-    ///
-    /// With more than one worker the machine switches to the deterministic
-    /// epoch-barrier scheduler (see [`crate::epoch`]): nodes are split
-    /// into contiguous shards that advance independently up to the
-    /// conservative lookahead horizon — the minimum cross-node message
-    /// latency from the crossbar — with all cross-node work merged at an
-    /// epoch barrier in the canonical `(time, node)` order. The resulting
-    /// [`SimReport`] (metrics, fault decisions and trace spans included)
-    /// is byte-identical for **any** worker count.
-    pub fn with_intra_jobs(mut self, jobs: usize) -> Self {
-        self.intra_jobs = if jobs == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            jobs
-        };
-        self
     }
 
     /// Replays one trace per node to completion and reports statistics.
@@ -421,9 +387,6 @@ impl Machine {
     /// consumed, so "has this node finished?" is a local `Option` check and
     /// lazy sources are pulled exactly one op ahead of the replay point.
     fn replay<'a>(&mut self, sources: &mut [Box<dyn OpSource + 'a>]) -> Result<(), SimError> {
-        if self.intra_jobs > 1 {
-            return self.replay_epochs(sources, self.intra_jobs);
-        }
         let mut next_op: Vec<Option<Op>> = sources.iter_mut().map(|s| s.next_op()).collect();
         let mut done: Vec<bool> = next_op.iter().map(|o| o.is_none()).collect();
         let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
@@ -462,14 +425,11 @@ impl Machine {
     }
 
     /// Applies one op for node `n` at time `t`, appending every node it
-    /// resumes (with its resume time) to `resumes`. This is the single
-    /// op-application path shared by the serial event loop and the
-    /// epoch-barrier engine ([`crate::epoch`]): both must route every op
-    /// through here so the two schedules stay observably identical.
+    /// resumes (with its resume time) to `resumes`.
     ///
     /// The caller has already set `nodes[n].time = t` and is responsible
     /// for applying the resume times to the nodes' clocks.
-    pub(crate) fn step_op(
+    fn step_op(
         &mut self,
         n: usize,
         t: u64,
@@ -569,7 +529,7 @@ impl Machine {
 
         // Sampled tracing: the decision keys on the per-node reference
         // index *before* this reference bumps it, so which references are
-        // traced is independent of worker count and of tracing itself.
+        // traced is independent of tracing itself.
         if let Some(tr) = self.tracer.as_mut() {
             let class = match kind {
                 AccessKind::Read => "read",
@@ -1148,10 +1108,15 @@ mod tests {
 
     #[test]
     fn empty_traces_finish_instantly() {
+        // Zero-cost computes advance no clock either.
+        let mut spinning = vec![Vec::new(); 4];
+        spinning[0] = vec![Op::Compute(0); 50];
         for scheme in all_schemes() {
-            let report = Machine::new(tiny(scheme)).run(vec![Vec::new(); 4]).unwrap();
-            assert_eq!(report.total_refs(), 0, "{scheme}");
-            assert_eq!(report.exec_time(), 0, "{scheme}");
+            for traces in [vec![Vec::new(); 4], spinning.clone()] {
+                let report = Machine::new(tiny(scheme)).run(traces).unwrap();
+                assert_eq!(report.total_refs(), 0, "{scheme}");
+                assert_eq!(report.exec_time(), 0, "{scheme}");
+            }
         }
     }
 
@@ -1553,5 +1518,55 @@ mod tests {
             .unwrap();
         assert_eq!(plain.exec_time(), audited.exec_time());
         assert_eq!(plain.aggregate_breakdown(), audited.aggregate_breakdown());
+    }
+
+    #[cfg(feature = "proptest-tests")]
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+        use vcoma_types::SyncId;
+
+        /// Decodes one generated `(kind, value)` pair into trace ops.
+        /// Locks always come as balanced critical sections so random
+        /// workloads never self-deadlock on a held lock; barriers are
+        /// allowed to mismatch, and a deadlock is then the outcome.
+        fn push_op(trace: &mut Vec<Op>, kind: u16, v: u64) {
+            match kind {
+                0 => trace.push(Op::Compute(v % 5)),
+                1 => trace.push(Op::Read(VAddr::new((v % 128) * 64))),
+                2 => trace.push(Op::Write(VAddr::new((v % 128) * 64))),
+                3 => {
+                    let id = SyncId((v % 2) as u32);
+                    trace.push(Op::Lock(id));
+                    trace.push(Op::Write(VAddr::new(0x40 + (v % 4) * 64)));
+                    trace.push(Op::Unlock(id));
+                }
+                _ => trace.push(Op::Barrier(SyncId(9))),
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+            #[test]
+            fn random_replays_are_a_pure_function_of_the_traces(
+                nodes_log2 in 2u32..4,
+                scheme_ix in 0usize..8,
+                ops in proptest::collection::vec((0u16..5, 0u64..4096), 0..160),
+            ) {
+                let machine = MachineConfig::builder()
+                    .nodes(1u64 << nodes_log2)
+                    .build()
+                    .expect("power-of-two machine");
+                let cfg = SimConfig::new(machine, all_schemes()[scheme_ix % all_schemes().len()]);
+                let n = cfg.machine.nodes as usize;
+                let mut traces = vec![Vec::new(); n];
+                for (i, (kind, v)) in ops.into_iter().enumerate() {
+                    push_op(&mut traces[i % n], kind, v);
+                }
+                let first = format!("{:?}", Machine::new(cfg.clone()).run(traces.clone()));
+                let second = format!("{:?}", Machine::new(cfg).run(traces));
+                prop_assert_eq!(first, second);
+            }
+        }
     }
 }

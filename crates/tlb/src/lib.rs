@@ -27,7 +27,7 @@
 //!   miss-latency schedule ([`BankModel`] for the paper's uniform-penalty
 //!   bank, [`VictimaModel`] for SLC-spilled translations, [`MpsModel`] for
 //!   the multi-page-size TLB);
-//! * the [`registry`] holds every registered scheme and derives all
+//! * the [`registry`] holds every scheme and derives all
 //!   rosters ([`paper_schemes`], [`all_schemes`]) and CLI parsing
 //!   ([`SchemeSet`], `Scheme::from_str`);
 //! * [`Scheme`] is the copyable handle the rest of the workspace passes

@@ -64,8 +64,8 @@ pub struct ModelParams<'a> {
 /// A node's translation state and miss-latency schedule. See the module
 /// docs.
 ///
-/// Models must be `Send`: under intra-run sharding the epoch engine hands
-/// disjoint `NodeCtx` chunks to scoped worker threads.
+/// Models must be `Send` so a machine holding them can move between
+/// threads.
 pub trait TranslationModel: std::fmt::Debug + Send {
     /// Presents one translation: updates the structures (refilling on a
     /// miss) and returns the cycles to charge.

@@ -1,22 +1,21 @@
-//! The scheme registry: built-in schemes plus runtime-registered plugins.
+//! The scheme registry: the static table of every scheme the workspace
+//! ships.
 //!
 //! Every consumer that needs "the schemes" derives them from here —
-//! presentation order included — so a newly registered scheme cannot
+//! presentation order included — so a scheme added to the table cannot
 //! silently miss an artifact:
 //!
 //! * [`paper_schemes`] — the six options evaluated by the 1998 paper, in
 //!   the paper's presentation order. Paper artifacts (tables 1–4, figures
 //!   8–11) iterate these.
-//! * [`all_schemes`] — every registered scheme (paper + post-1998 +
-//!   plugins), ordered by `(order, key)`. The `table5` comparison and the
-//!   worker-count-invariance suites iterate these.
+//! * [`all_schemes`] — every scheme in the table (paper + post-1998),
+//!   ordered by `(order, key)`. The `table5` comparison and the
+//!   every-scheme test suites iterate these.
 //! * [`get`] / [`SchemeSet::parse`] — lookup by stable key or paper label,
 //!   backing `FromStr` and the CLI's `--schemes` flag.
 //!
-//! Out-of-tree schemes call [`register`] once at startup with a `'static`
-//! [`SchemeSpec`]; the spec's `order` slots it into every listing.
-
-use std::sync::RwLock;
+//! A new scheme is a `'static` [`SchemeSpec`] added to `BUILTINS`; the
+//! spec's `order` slots it into every listing.
 
 use crate::model::{BankModel, MpsModel, VictimaModel};
 use crate::scheme::Scheme;
@@ -174,7 +173,7 @@ pub static MPS_TLB_SPEC: SchemeSpec = SchemeSpec {
     doc: "multi-page-size TLB (4K/2M/1G sub-TLBs, per-size reach and walk latency)",
 };
 
-/// The schemes compiled into this crate, in registration order.
+/// Every scheme, in declaration order (listings sort by `order`).
 static BUILTINS: [&SchemeSpec; 8] = [
     &L0_TLB_SPEC,
     &L1_TLB_SPEC,
@@ -186,42 +185,8 @@ static BUILTINS: [&SchemeSpec; 8] = [
     &MPS_TLB_SPEC,
 ];
 
-/// Plugins registered at runtime.
-static EXTRAS: RwLock<Vec<&'static SchemeSpec>> = RwLock::new(Vec::new());
-
-/// An error from [`register`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RegistryError {
-    /// The key or label that collided with an existing scheme.
-    pub duplicate: String,
-}
-
-impl std::fmt::Display for RegistryError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "scheme '{}' is already registered", self.duplicate)
-    }
-}
-
-impl std::error::Error for RegistryError {}
-
-/// Registers an out-of-tree scheme. Fails if its key or label collides
-/// with an already-registered scheme.
-pub fn register(spec: &'static SchemeSpec) -> Result<(), RegistryError> {
-    let mut extras = EXTRAS.write().expect("scheme registry poisoned");
-    let clash = BUILTINS
-        .iter()
-        .chain(extras.iter())
-        .any(|s| s.key == spec.key || s.label == spec.label);
-    if clash {
-        return Err(RegistryError { duplicate: spec.key.to_string() });
-    }
-    extras.push(spec);
-    Ok(())
-}
-
 fn snapshot() -> Vec<&'static SchemeSpec> {
-    let extras = EXTRAS.read().expect("scheme registry poisoned");
-    let mut v: Vec<&'static SchemeSpec> = BUILTINS.iter().copied().chain(extras.iter().copied()).collect();
+    let mut v = BUILTINS.to_vec();
     v.sort_by_key(|s| (s.order, s.key));
     v
 }
@@ -382,32 +347,5 @@ mod tests {
         let filtered = set.filter(&roster);
         let keys: Vec<&str> = filtered.iter().map(|s| s.key()).collect();
         assert_eq!(keys, ["l0_tlb", "vcoma"]);
-    }
-
-    #[test]
-    fn register_rejects_duplicate_keys() {
-        static DUP: SchemeSpec = SchemeSpec { key: "l0_tlb", ..L0_TLB_SPEC };
-        let err = register(&DUP).unwrap_err();
-        assert_eq!(err.duplicate, "l0_tlb");
-    }
-
-    #[test]
-    fn registered_plugins_slot_into_every_listing() {
-        static PLUGIN: SchemeSpec = SchemeSpec {
-            key: "test_plugin",
-            label: "Test-Plugin",
-            order: 990,
-            paper: false,
-            doc: "registry test plugin",
-            ..L0_TLB_SPEC
-        };
-        register(&PLUGIN).expect("unique key registers");
-        let plugin = get("test_plugin").expect("plugin resolves by key");
-        assert_eq!(get("Test-Plugin"), Some(plugin), "and by label");
-        let all = all_schemes();
-        assert_eq!(all.last(), Some(&plugin), "order 990 sorts last");
-        assert!(!paper_schemes().contains(&plugin), "plugins never join the paper roster");
-        assert!(valid_keys().contains(&"test_plugin"));
-        assert_eq!(register(&PLUGIN).unwrap_err().duplicate, "test_plugin");
     }
 }

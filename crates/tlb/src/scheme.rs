@@ -3,8 +3,8 @@
 //! [`Scheme`] is a cheap copyable handle onto a `'static`
 //! [`SchemeSpec`]: the paper's six options ship as associated constants
 //! ([`Scheme::L0_TLB`] … [`Scheme::V_COMA`]), the first two post-1998
-//! schemes as [`Scheme::VICTIMA`] and [`Scheme::MPS_TLB`], and further
-//! schemes arrive through [`crate::registry::register`]. Identity,
+//! schemes as [`Scheme::VICTIMA`] and [`Scheme::MPS_TLB`], and a further
+//! scheme is one more spec added to the registry's `BUILTINS`. Identity,
 //! ordering and hashing all key off the spec's stable `key`, and
 //! `Display` prints the paper label — the bytes every golden fixture
 //! depends on.
@@ -142,7 +142,7 @@ impl std::str::FromStr for Scheme {
     type Err = registry::SchemeParseError;
 
     /// Parses a stable key (`l0_tlb`) or a paper label (`L0-TLB`),
-    /// consulting the full registry so plugins parse too.
+    /// consulting the full registry so post-1998 schemes parse too.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         registry::get(s).ok_or_else(|| registry::SchemeParseError {
             unknown: s.to_string(),

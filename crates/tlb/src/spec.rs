@@ -11,7 +11,7 @@
 //!
 //! The simulator never branches on *which* scheme is running — it only
 //! consults these fields — so a new scheme is a new `SchemeSpec` plus
-//! (optionally) a new model, registered with [`crate::registry::register`].
+//! (optionally) a new model: add your spec to the registry's `BUILTINS`.
 
 use crate::model::{ModelParams, TranslationModel};
 
@@ -51,8 +51,7 @@ pub enum XlatePoint {
 
 /// A translation scheme descriptor. See the module docs.
 ///
-/// All fields are public so out-of-tree schemes can be declared as
-/// `static` values and registered at startup.
+/// All fields are public so a scheme is declared as one `static` value.
 #[derive(Debug, Clone, Copy)]
 pub struct SchemeSpec {
     /// Stable machine-readable key (`l0_tlb`, `vcoma`, …) used by

@@ -13,7 +13,7 @@ cargo build --workspace --release
 echo "==> tier-1: tests"
 cargo test --workspace -q
 
-echo "==> property tests: epoch engine, TLB, VM, coherence"
+echo "==> property tests: sim, TLB, VM, coherence"
 cargo test --release -q --features proptest-tests \
     -p vcoma-sim -p vcoma-tlb -p vcoma-vm -p vcoma-coherence
 
@@ -26,11 +26,9 @@ out2=$(mktemp -d)
 outm=$(mktemp -d)
 fault1=$(mktemp -d)
 fault2=$(mktemp -d)
-intra1=$(mktemp -d)
-intra8=$(mktemp -d)
 n64a=$(mktemp -d)
 n64b=$(mktemp -d)
-trap 'rm -rf "$out1" "$out2" "$outm" "$fault1" "$fault2" "$intra1" "$intra8" "$n64a" "$n64b"' EXIT
+trap 'rm -rf "$out1" "$out2" "$outm" "$fault1" "$fault2" "$n64a" "$n64b"' EXIT
 cargo run --release -p vcoma-experiments -- table2 fig8 \
     --scale 0.01 --out "$out1" --jobs 1
 cargo run --release -p vcoma-experiments -- table2 fig8 \
@@ -38,33 +36,24 @@ cargo run --release -p vcoma-experiments -- table2 fig8 \
 diff -r "$out1" "$out2"
 echo "==> CSVs byte-identical across worker counts"
 
-echo "==> intra-run sharding matrix: serial replay vs epoch-barrier engine"
-cargo run --release -p vcoma-experiments -- table2 fig8 \
-    --scale 0.01 --out "$intra1" --jobs 1 --intra-jobs 1
-cargo run --release -p vcoma-experiments -- table2 fig8 \
-    --scale 0.01 --out "$intra8" --jobs 1 --intra-jobs 8
-diff -r "$intra1" "$intra8"
-echo "==> CSVs byte-identical across intra-run worker counts"
-
-echo "==> 64-node smoke: sharded scale-up run, byte-diffed against serial"
-# The sharded run goes last so BENCH_sweep.json records cycles/s for the
-# 64-node epoch-barrier configuration.
+echo "==> 64-node smoke: scale-up run, --jobs 2 vs --jobs 1"
+# The --jobs 1 run goes last so BENCH_sweep.json records cycles/s for the
+# single-worker 64-node configuration.
 cargo run --release -p vcoma-experiments -- fig11 \
-    --scale 0.01 --nodes 64 --out "$n64a" --jobs 1 --intra-jobs 1
+    --scale 0.01 --nodes 64 --out "$n64a" --jobs 2
 cargo run --release -p vcoma-experiments -- fig11 \
-    --scale 0.01 --nodes 64 --out "$n64b" --jobs 1 --intra-jobs 8
+    --scale 0.01 --nodes 64 --out "$n64b" --jobs 1
 diff -r "$n64a" "$n64b"
 grep -q '"nodes": 64' BENCH_sweep.json
-grep -q '"intra_jobs": 8' BENCH_sweep.json
 cp BENCH_sweep.json BENCH_sweep_64node.json
-echo "==> 64-node engines byte-identical; BENCH_sweep_64node.json records the sharded run"
+echo "==> 64-node CSVs byte-identical; BENCH_sweep_64node.json records the --jobs 1 run"
 
 echo "==> table5 smoke: full scheme registry, --jobs 1 vs --jobs 8"
 t5a=$(mktemp -d)
 t5b=$(mktemp -d)
 t5n64a=$(mktemp -d)
 t5n64b=$(mktemp -d)
-trap 'rm -rf "$out1" "$out2" "$outm" "$fault1" "$fault2" "$intra1" "$intra8" "$n64a" "$n64b" "$t5a" "$t5b" "$t5n64a" "$t5n64b"' EXIT
+trap 'rm -rf "$out1" "$out2" "$outm" "$fault1" "$fault2" "$n64a" "$n64b" "$t5a" "$t5b" "$t5n64a" "$t5n64b"' EXIT
 cargo run --release -p vcoma-experiments -- table5 \
     --scale 0.01 --out "$t5a" --jobs 1
 cargo run --release -p vcoma-experiments -- table5 \
@@ -77,11 +66,11 @@ for label in L0-TLB L1-TLB L2-TLB L2-TLB/no_wback L3-TLB V-COMA Victima MPS-TLB;
 done
 echo "==> table5 byte-identical across worker counts; all registered schemes present"
 
-echo "==> table5 64-node smoke: sharded vs serial, --schemes filter in play"
+echo "==> table5 64-node smoke: --jobs 1 vs --jobs 2, --schemes filter in play"
 cargo run --release -p vcoma-experiments -- table5 --schemes l0_tlb,victima,mps_tlb \
-    --scale 0.01 --nodes 64 --out "$t5n64a" --jobs 1 --intra-jobs 1
+    --scale 0.01 --nodes 64 --out "$t5n64a" --jobs 1
 cargo run --release -p vcoma-experiments -- table5 --schemes l0_tlb,victima,mps_tlb \
-    --scale 0.01 --nodes 64 --out "$t5n64b" --jobs 1 --intra-jobs 8
+    --scale 0.01 --nodes 64 --out "$t5n64b" --jobs 2
 diff -r "$t5n64a" "$t5n64b"
 # An unknown key must fail fast with the one-line usage error, status 2.
 set +e
@@ -90,7 +79,7 @@ cargo run --release -p vcoma-experiments -- table5 --schemes no_such_scheme \
 status=$?
 set -e
 test "$status" -eq 2 || { echo "expected --schemes no_such_scheme to exit 2, got $status"; exit 1; }
-echo "==> table5 64-node engines byte-identical; bad --schemes rejected"
+echo "==> table5 64-node CSVs byte-identical across worker counts; bad --schemes rejected"
 
 echo "==> bench smoke: streaming (jobs 2) vs materialized (--jobs 1) sweeps"
 # The materialized single-worker run is the oracle the streamed CSVs must
@@ -108,7 +97,7 @@ echo "==> streaming and materialized sweeps byte-identical; BENCH_sweep.json wri
 echo "==> hot-path micro-benchmarks: plain-timer harness must run every kernel"
 guard=""
 micro_out=$(mktemp)
-trap 'rm -rf "$out1" "$out2" "$outm" "$fault1" "$fault2" "$intra1" "$intra8" "$n64a" "$n64b" "$micro_out"' EXIT
+trap 'rm -rf "$out1" "$out2" "$outm" "$fault1" "$fault2" "$n64a" "$n64b" "$micro_out"' EXIT
 cargo bench -p vcoma-bench --bench hotpath_micro | tee "$micro_out"
 for label in tlb_lookup cache_probe access_v_coma access_l0_tlb; do
     grep -q "bench hotpath_micro/${label}:" "$micro_out" \
@@ -125,7 +114,7 @@ if baseline=$(git show HEAD:BENCH_sweep.json 2>/dev/null \
         | grep -o '"total_cycles_per_second": [0-9.]*' | awk '{print $2}') \
         && [ -n "$baseline" ]; then
     guard=$(mktemp -d)
-    trap 'rm -rf "$out1" "$out2" "$outm" "$fault1" "$fault2" "$intra1" "$intra8" "$n64a" "$n64b" "$micro_out" "$guard"' EXIT
+    trap 'rm -rf "$out1" "$out2" "$outm" "$fault1" "$fault2" "$n64a" "$n64b" "$micro_out" "$guard"' EXIT
     cargo run --release -p vcoma-experiments -- table2 fig8 \
         --scale 0.1 --jobs 8 --out "$guard"
     current=$(grep -o '"total_cycles_per_second": [0-9.]*' BENCH_sweep.json | awk '{print $2}')
@@ -154,7 +143,7 @@ echo "==> fault sweeps byte-identical across worker counts"
 echo "==> trace smoke: critical-path table + Perfetto export, --jobs 1 vs --jobs 8"
 trace1=$(mktemp -d)
 trace8=$(mktemp -d)
-trap 'rm -rf "$out1" "$out2" "$outm" "$fault1" "$fault2" "$intra1" "$intra8" "$n64a" "$n64b" "$micro_out" "$guard" "$trace1" "$trace8"' EXIT
+trap 'rm -rf "$out1" "$out2" "$outm" "$fault1" "$fault2" "$n64a" "$n64b" "$micro_out" "$guard" "$trace1" "$trace8"' EXIT
 cargo run --release -p vcoma-experiments -- trace --scale 0.01 \
     --out "$trace1" --trace-out "$trace1/trace.json" --jobs 1
 cargo run --release -p vcoma-experiments -- trace --scale 0.01 \
@@ -179,7 +168,7 @@ echo "==> sweep server: crash resume, 100% cache-hit resubmission, byte-diff vs 
 sw=$(mktemp -d)
 sweepd_pid=""
 sweepd_http="127.0.0.1:9188"
-trap 'kill "$sweepd_pid" 2>/dev/null || true; rm -rf "$out1" "$out2" "$outm" "$fault1" "$fault2" "$intra1" "$intra8" "$n64a" "$n64b" "$micro_out" "$guard" "$trace1" "$trace8" "$sw"' EXIT
+trap 'kill "$sweepd_pid" 2>/dev/null || true; rm -rf "$out1" "$out2" "$outm" "$fault1" "$fault2" "$n64a" "$n64b" "$micro_out" "$guard" "$trace1" "$trace8" "$sw"' EXIT
 cargo build --release -p vcoma-server -p vcoma-experiments
 start_sweepd() {
     # A kill -9'd daemon leaves its socket file behind; clear it so the

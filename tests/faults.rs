@@ -1,10 +1,10 @@
 //! End-to-end fault-injection guarantees: faulty runs complete under the
-//! auditor on every scheme, the recovery work is visible in the protocol
-//! stats and the metrics snapshot, zero-probability plans are byte-inert,
-//! and fault runs are a pure function of `(plan, seed)`.
+//! auditor on every scheme, traced or not, the recovery work is visible
+//! in the protocol stats and the metrics snapshot, zero-probability plans
+//! are byte-inert, and fault runs are a pure function of `(plan, seed)`.
 
 use vcoma::faults::FaultPlan;
-use vcoma::workloads::UniformRandom;
+use vcoma::workloads::{PingPong, UniformRandom, Workload};
 use vcoma::{all_schemes, Scheme, Simulator};
 
 fn workload() -> UniformRandom {
@@ -14,13 +14,11 @@ fn workload() -> UniformRandom {
 #[test]
 fn every_scheme_survives_a_lossy_crossbar_with_the_auditor_armed() {
     let plan = FaultPlan::parse("drop=0.01,dup=0.005,delay=32,nack=0.02").unwrap();
-    for scheme in all_schemes() {
-        let report = Simulator::new(scheme)
-            .tiny()
-            .fault_plan(plan.clone())
-            .audit()
-            .try_run(&workload())
-            .unwrap_or_else(|e| panic!("{scheme}: {e}"));
+    for (scheme, traced) in all_schemes().into_iter().flat_map(|s| [(s, false), (s, true)]) {
+        let sim = Simulator::new(scheme).tiny().fault_plan(plan.clone()).audit();
+        let sim = if traced { sim.trace(7, 256) } else { sim };
+        let report = sim.try_run(&workload()).unwrap_or_else(|e| panic!("{scheme}: {e}"));
+        assert_eq!(report.trace().is_some(), traced, "{scheme}");
         assert_eq!(report.total_refs(), 4 * 800, "{scheme}");
         let p = report.protocol();
         assert!(
@@ -65,19 +63,23 @@ fn zero_probability_plan_is_byte_inert() {
 #[test]
 fn fault_runs_are_a_pure_function_of_plan_and_seed() {
     let plan = FaultPlan::parse("drop=0.02,nack=0.05").unwrap().with_seed(0xBEEF);
-    let run = || {
-        Simulator::new(Scheme::V_COMA)
-            .tiny()
-            .fault_plan(plan.clone())
-            .audit()
-            .try_run(&workload())
-            .unwrap()
-    };
-    let (a, b) = (run(), run());
-    assert_eq!(a.exec_time(), b.exec_time());
-    assert_eq!(a.protocol(), b.protocol());
-    assert_eq!(a.net(), b.net());
-    assert_eq!(a.metrics(), b.metrics());
+    // The traced ping-pong is sync-heavy: every op is a coherence
+    // transaction, so any drift in replay order shows up.
+    let cases: [(&dyn Workload, bool); 2] =
+        [(&workload(), false), (&PingPong { rounds: 300 }, true)];
+    for (w, traced) in cases {
+        let run = || {
+            let sim = Simulator::new(Scheme::V_COMA).tiny().fault_plan(plan.clone()).audit();
+            let sim = if traced { sim.trace(7, 256) } else { sim };
+            sim.try_run(w).unwrap()
+        };
+        let (a, b) = (run(), run());
+        assert_eq!(a.exec_time(), b.exec_time());
+        assert_eq!(a.protocol(), b.protocol());
+        assert_eq!(a.net(), b.net());
+        assert_eq!(a.metrics(), b.metrics());
+        assert_eq!(format!("{:?}", a.trace()), format!("{:?}", b.trace()));
+    }
 }
 
 #[test]

@@ -5,7 +5,8 @@
 //! change to trace generation, cache/TLB behaviour, protocol timing or
 //! rendering shows up here as a diff — Figure 10 in particular carries
 //! absolute cycle counts, so even a one-cycle latency change fails the
-//! suite.
+//! suite. Beside them sit the scale-up fixtures: one summary line per
+//! scheme for a 64-node and a 256-node smoke run.
 //!
 //! To regenerate after an intentional behaviour change:
 //!
@@ -15,6 +16,8 @@
 
 use std::fs;
 use std::path::PathBuf;
+use vcoma::workloads::UniformRandom;
+use vcoma::{all_schemes, paper_schemes, MachineConfig, Scheme, SimReport, Simulator};
 use vcoma_experiments::{fig10, fig8, table2, ExperimentConfig};
 
 fn golden_dir() -> PathBuf {
@@ -73,4 +76,58 @@ fn fig10_matches_golden() {
         out.push('\n');
     }
     check("fig10_smoke.txt", &out);
+}
+
+/// One compact, fully deterministic line per scheme: enough to pin the
+/// timing model and every counter without snapshotting 256 node reports.
+fn summary_line(scheme: Scheme, r: &SimReport) -> String {
+    format!(
+        "{scheme} exec={} refs={} writes={} msgs={} bytes={} swaps={} breakdown={:?} fine={:?}\n",
+        r.exec_time(),
+        r.total_refs(),
+        r.total_writes(),
+        r.net_msgs(),
+        r.net_bytes(),
+        r.swap_outs(),
+        r.aggregate_breakdown(),
+        r.aggregate_fine(),
+    )
+}
+
+/// Runs the scale-up smoke workload on `nodes` nodes for each scheme and
+/// returns one summary line per scheme.
+///
+/// The roster is explicit so the paper-scheme fixtures record the paper's
+/// six schemes while the post-1998 schemes pin their own fixture.
+fn scale_up_summary(schemes: &[Scheme], nodes: u64, refs_per_node: u64) -> String {
+    let machine = MachineConfig::builder().nodes(nodes).build().expect("scale-up machine");
+    let w = UniformRandom { pages: 2 * nodes, refs_per_node, write_fraction: 0.3 };
+    let mut out = String::new();
+    for &scheme in schemes {
+        // Tracing is armed so the fixtures also show it stays inert at scale.
+        let report = Simulator::new(scheme)
+            .machine(machine.clone())
+            .trace(17, 128)
+            .try_run(&w)
+            .unwrap_or_else(|e| panic!("{scheme} @ {nodes} nodes: {e}"));
+        out.push_str(&summary_line(scheme, &report));
+    }
+    out
+}
+
+#[test]
+fn node64_smoke_matches_golden() {
+    check("scale_up_64node_smoke.txt", &scale_up_summary(&paper_schemes(), 64, 200));
+}
+
+#[test]
+fn node256_smoke_matches_golden() {
+    check("scale_up_256node_smoke.txt", &scale_up_summary(&paper_schemes(), 256, 60));
+}
+
+#[test]
+fn post1998_schemes_node64_smoke_matches_golden() {
+    let extras: Vec<Scheme> = all_schemes().into_iter().filter(|s| !s.is_paper()).collect();
+    assert!(!extras.is_empty(), "the registry ships post-1998 schemes");
+    check("scale_up_64node_post1998_smoke.txt", &scale_up_summary(&extras, 64, 200));
 }
