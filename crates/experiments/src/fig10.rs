@@ -13,6 +13,7 @@ use crate::render::TextTable;
 use crate::sweep::{self, SweepPoint, SweepResult};
 use crate::ExperimentConfig;
 use vcoma::workloads::{Raytrace, Workload};
+use vcoma::sim::TimeBreakdownF;
 use vcoma::{Scheme, SimReport, TlbOrg};
 
 /// One Figure-10 bar.
@@ -20,34 +21,13 @@ use vcoma::{Scheme, SimReport, TlbOrg};
 pub struct Bar {
     /// Bar label (`TLB/8`, `DLB/8/DM`, …).
     pub label: String,
-    /// Per-node average busy cycles.
-    pub busy: f64,
-    /// Per-node average sync cycles.
-    pub sync: f64,
-    /// Per-node average local-stall cycles.
-    pub local_stall: f64,
-    /// Per-node average remote-stall cycles.
-    pub remote_stall: f64,
-    /// Per-node average translation cycles.
-    pub translation: f64,
+    /// Per-node average cycles in each Figure-10 category.
+    pub time: TimeBreakdownF,
 }
 
 impl Bar {
     fn from_report(label: &str, report: &SimReport) -> Self {
-        let b = report.mean_breakdown();
-        Bar {
-            label: label.to_string(),
-            busy: b.busy,
-            sync: b.sync,
-            local_stall: b.local_stall,
-            remote_stall: b.remote_stall,
-            translation: b.translation,
-        }
-    }
-
-    /// Total cycles of the bar.
-    pub fn total(&self) -> f64 {
-        self.busy + self.sync + self.local_stall + self.remote_stall + self.translation
+        Bar { label: label.to_string(), time: report.mean_breakdown() }
     }
 }
 
@@ -112,15 +92,15 @@ pub fn render(panel: &Fig10Panel) -> TextTable {
         "xlation".to_string(),
         "total".to_string(),
     ]);
-    for b in &panel.bars {
+    for Bar { label, time } in &panel.bars {
         t.row(vec![
-            b.label.clone(),
-            format!("{:.0}", b.busy),
-            format!("{:.0}", b.sync),
-            format!("{:.0}", b.local_stall),
-            format!("{:.0}", b.remote_stall),
-            format!("{:.0}", b.translation),
-            format!("{:.0}", b.total()),
+            label.clone(),
+            format!("{:.0}", time.busy),
+            format!("{:.0}", time.sync),
+            format!("{:.0}", time.local_stall),
+            format!("{:.0}", time.remote_stall),
+            format!("{:.0}", time.translation),
+            format!("{:.0}", time.total()),
         ]);
     }
     t
@@ -142,8 +122,8 @@ mod tests {
         let panels = run(&ExperimentConfig::smoke());
         assert_eq!(panels.len(), 6);
         for p in &panels {
-            let tlb8 = p.bar("TLB/8").unwrap();
-            let dlb8 = p.bar("DLB/8").unwrap();
+            let tlb8 = p.bar("TLB/8").unwrap().time;
+            let dlb8 = p.bar("DLB/8").unwrap().time;
             assert!(
                 dlb8.translation <= tlb8.translation,
                 "{}: DLB xlation {} above TLB {}",

@@ -245,147 +245,95 @@ pub struct BenchHistoryEntry {
 }
 
 /// The slice of a previously written `BENCH_sweep.json` the next run
-/// carries forward (every other field is regenerated). The top-level
-/// fields migrate files from before the `history` array existed: their
-/// single headline figure becomes the first trajectory point.
-#[derive(Debug, Default)]
+/// carries forward (every other field is regenerated).
+#[derive(Deserialize)]
 struct PriorBench {
-    history: Option<Vec<BenchHistoryEntry>>,
-    code_fingerprint: Option<String>,
-    total_cycles_per_second: Option<f64>,
-    max_peak_rss_kb: Option<u64>,
-}
-
-// Hand-written rather than derived: the vendored derive treats every
-// field as required (absence is a missing-field error even for
-// `Option`), but this struct exists precisely to read files where any
-// of these fields may be absent.
-impl serde::de::Deserialize for PriorBench {
-    fn deserialize<D: serde::de::Deserializer>(deserializer: D) -> Result<Self, D::Error> {
-        struct V;
-        impl serde::de::Visitor for V {
-            type Value = PriorBench;
-
-            fn expecting(&self) -> &'static str {
-                "struct PriorBench"
-            }
-
-            fn visit_map<A: serde::de::MapAccess>(
-                self,
-                mut map: A,
-            ) -> Result<PriorBench, A::Error> {
-                let mut out = PriorBench::default();
-                while let Some(key) = map.next_key()? {
-                    match key.as_str() {
-                        "history" => out.history = Some(map.next_value()?),
-                        "code_fingerprint" => out.code_fingerprint = Some(map.next_value()?),
-                        "total_cycles_per_second" => {
-                            out.total_cycles_per_second = Some(map.next_value()?);
-                        }
-                        "max_peak_rss_kb" => out.max_peak_rss_kb = Some(map.next_value()?),
-                        _ => {
-                            let _: serde::de::IgnoredAny = map.next_value()?;
-                        }
-                    }
-                }
-                Ok(out)
-            }
-        }
-        deserializer.deserialize_struct(
-            "PriorBench",
-            &["history", "code_fingerprint", "total_cycles_per_second", "max_peak_rss_kb"],
-            V,
-        )
-    }
+    history: Vec<BenchHistoryEntry>,
 }
 
 /// Extracts the `history` array from a previously written
-/// `BENCH_sweep.json`. Files from before the array existed contribute
-/// their headline figure as a synthesized single entry, so no recorded
-/// point is lost to the format change; malformed files yield an empty
-/// trajectory (a corrupt bench report should never fail a sweep, it
-/// just restarts the trend).
+/// `BENCH_sweep.json`. Files without the array and malformed files yield
+/// an empty trajectory (a corrupt bench report should never fail a
+/// sweep, it just restarts the trend).
 pub fn prior_history(json: &str) -> Vec<BenchHistoryEntry> {
-    let Ok(prior) = vcoma::metrics::json::from_json_str::<PriorBench>(json) else {
-        return Vec::new();
-    };
-    if let Some(history) = prior.history {
-        return history;
-    }
-    match (prior.code_fingerprint, prior.total_cycles_per_second) {
-        (Some(fingerprint), Some(cycles_per_sec)) => vec![BenchHistoryEntry {
-            fingerprint,
-            cycles_per_sec,
-            peak_rss_kb: prior.max_peak_rss_kb.unwrap_or(0),
-        }],
-        _ => Vec::new(),
-    }
+    vcoma::metrics::json::from_json_str::<PriorBench>(json).map(|p| p.history).unwrap_or_default()
+}
+
+/// The `BENCH_sweep.json` document, in key order.
+#[derive(Serialize)]
+struct BenchDoc {
+    jobs: usize,
+    nodes: u64,
+    code_fingerprint: String,
+    total_wall_seconds: f64,
+    total_points: usize,
+    total_simulated_cycles: u64,
+    total_cycles_per_second: f64,
+    max_peak_rss_kb: u64,
+    sweeps: Vec<SweepRecord>,
+    history: Vec<BenchHistoryEntry>,
+}
+
+/// One `sweeps` record of [`BenchDoc`]: a [`SweepStats`] with its rates.
+#[derive(Serialize)]
+struct SweepRecord {
+    sweep: String,
+    points: usize,
+    jobs: usize,
+    wall_seconds: f64,
+    simulated_cycles: u64,
+    points_per_second: f64,
+    cycles_per_second: f64,
+    peak_rss_kb: u64,
 }
 
 /// Renders sweep stats as the `BENCH_sweep.json` document: the run
 /// context, overall wall-clock, one record per sweep, plus the carried
-/// `history` trajectory with this run appended. Hand-rolled JSON — the
-/// workspace takes no serialisation dependency.
+/// `history` trajectory with this run appended.
 pub fn bench_json(stats: &[SweepStats], ctx: BenchContext, prior: &[BenchHistoryEntry]) -> String {
     let total_wall: f64 = stats.iter().map(|s| s.wall_seconds).sum();
     let total_cycles: u64 = stats.iter().map(|s| s.simulated_cycles).sum();
-    let total_points: usize = stats.iter().map(|s| s.points).sum();
+    let cycles_per_sec = if total_wall > 0.0 { total_cycles as f64 / total_wall } else { 0.0 };
     let max_rss: u64 = stats.iter().map(|s| s.peak_rss_kb).max().unwrap_or(0);
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"jobs\": {},\n", ctx.jobs));
-    out.push_str(&format!("  \"nodes\": {},\n", ctx.nodes));
-    out.push_str(&format!("  \"code_fingerprint\": \"{}\",\n", ctx.code_fingerprint));
-    out.push_str(&format!("  \"total_wall_seconds\": {total_wall:.6},\n"));
-    out.push_str(&format!("  \"total_points\": {total_points},\n"));
-    out.push_str(&format!("  \"total_simulated_cycles\": {total_cycles},\n"));
-    out.push_str(&format!(
-        "  \"total_cycles_per_second\": {:.3},\n",
-        if total_wall > 0.0 { total_cycles as f64 / total_wall } else { 0.0 }
-    ));
-    out.push_str(&format!("  \"max_peak_rss_kb\": {max_rss},\n"));
-    out.push_str("  \"sweeps\": [\n");
-    for (i, s) in stats.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"sweep\": \"{}\", \"points\": {}, \"jobs\": {}, \"wall_seconds\": {:.6}, \
-             \"simulated_cycles\": {}, \"points_per_second\": {:.3}, \"cycles_per_second\": {:.3}, \
-             \"peak_rss_kb\": {}}}{}\n",
-            s.sweep,
-            s.points,
-            s.jobs,
-            s.wall_seconds,
-            s.simulated_cycles,
-            s.points_per_second(),
-            s.cycles_per_second(),
-            s.peak_rss_kb,
-            if i + 1 < stats.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
     // The trajectory: prior entries (minus any from this same build —
     // re-running a build updates its point rather than duplicating it)
     // with this run appended.
     let current = BenchHistoryEntry {
         fingerprint: ctx.code_fingerprint.to_string(),
-        cycles_per_sec: if total_wall > 0.0 { total_cycles as f64 / total_wall } else { 0.0 },
+        cycles_per_sec,
         peak_rss_kb: max_rss,
     };
-    let history: Vec<&BenchHistoryEntry> = prior
+    let history = prior
         .iter()
-        .filter(|e| e.fingerprint != current.fingerprint)
-        .chain(std::iter::once(&current))
+        .filter(|e| e.fingerprint != ctx.code_fingerprint)
+        .cloned()
+        .chain(std::iter::once(current))
         .collect();
-    out.push_str("  \"history\": [\n");
-    for (i, e) in history.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"fingerprint\": \"{}\", \"cycles_per_sec\": {:.3}, \"peak_rss_kb\": {}}}{}\n",
-            e.fingerprint,
-            e.cycles_per_sec,
-            e.peak_rss_kb,
-            if i + 1 < history.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let doc = BenchDoc {
+        jobs: ctx.jobs,
+        nodes: ctx.nodes,
+        code_fingerprint: ctx.code_fingerprint.to_string(),
+        total_wall_seconds: total_wall,
+        total_points: stats.iter().map(|s| s.points).sum(),
+        total_simulated_cycles: total_cycles,
+        total_cycles_per_second: cycles_per_sec,
+        max_peak_rss_kb: max_rss,
+        sweeps: stats
+            .iter()
+            .map(|s| SweepRecord {
+                sweep: s.sweep.clone(),
+                points: s.points,
+                jobs: s.jobs,
+                wall_seconds: s.wall_seconds,
+                simulated_cycles: s.simulated_cycles,
+                points_per_second: s.points_per_second(),
+                cycles_per_second: s.cycles_per_second(),
+                peak_rss_kb: s.peak_rss_kb,
+            })
+            .collect(),
+        history,
+    };
+    vcoma::metrics::json::to_json_pretty(&doc).expect("bench document has no maps")
 }
 
 #[cfg(test)]
@@ -545,19 +493,21 @@ mod tests {
         let after_second = prior_history(&second);
         assert_eq!(after_second, after_first);
 
-        // Files from before the history array existed contribute their
-        // headline figure as the first trajectory point.
-        let old_format = "{\"jobs\": 8, \"code_fingerprint\": \"0.1.0-cafe\", \
-             \"total_cycles_per_second\": 58322308.491, \"max_peak_rss_kb\": 379268}";
-        let migrated = prior_history(old_format);
-        assert_eq!(migrated.len(), 1);
-        assert_eq!(migrated[0].fingerprint, "0.1.0-cafe");
-        assert_eq!(migrated[0].cycles_per_sec, 58322308.491);
-        assert_eq!(migrated[0].peak_rss_kb, 379268);
-
-        // Headline-less or malformed files restart the trajectory.
-        assert!(prior_history("{\"jobs\": 4}").is_empty());
+        // History-less or malformed files restart the trajectory.
+        assert!(prior_history("{\"jobs\": 4, \"total_cycles_per_second\": 1.5}").is_empty());
         assert!(prior_history("not json at all").is_empty());
+    }
+
+    #[test]
+    fn committed_bench_file_history_is_readable() {
+        let text = include_str!("../../../BENCH_sweep.json");
+        let history = prior_history(text);
+        assert!(history.len() >= 2, "the committed trajectory has two points: {history:?}");
+        assert_eq!(history.len(), text.matches("\"fingerprint\"").count());
+        assert_eq!(history[0].fingerprint, "0.1.0-2d87dcfe096838942817dd671f53cf01");
+        assert_eq!(history[0].cycles_per_sec, 61_077_289.63);
+        assert_eq!(history[0].peak_rss_kb, 615_476);
+        assert_eq!(history[1].fingerprint, "0.2.0-ee14d614749d4a1793ddabc305f69f82");
     }
 
     #[test]

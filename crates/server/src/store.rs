@@ -185,7 +185,8 @@ mod tests {
         // Corrupt: a future schema version must be ignored, not served.
         let path = store.entry_path(&key.digest);
         let text = std::fs::read_to_string(&path).expect("entry");
-        std::fs::write(&path, text.replace("\"version\": 1", "\"version\": 999")).expect("rewrite");
+        let current = format!("\"version\": {}", codec::VERSION);
+        std::fs::write(&path, text.replace(&current, "\"version\": 999")).expect("rewrite");
         assert!(store.load(&key, sim.config()).is_none());
 
         // Truncated file: also a miss.

@@ -5,7 +5,9 @@ use serde::{Deserialize, Serialize};
 use vcoma_metrics::Mergeable;
 
 /// Cycles spent by one node (or summed over nodes), split into the paper's
-/// execution-time categories.
+/// execution-time categories. The COMA machine derives it from its
+/// [`LatencyBreakdown`] through [`LatencyBreakdown::coarse`]; the CC-NUMA
+/// reference machine charges it directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub struct TimeBreakdown {
     /// Instruction execution (`Compute` ops plus one issue cycle per memory
@@ -59,10 +61,9 @@ impl Mergeable for TimeBreakdown {
 ///
 /// Every elapsed cycle of a node's simulated time lands in exactly one of
 /// these categories, so for any run `total() == node.time` — enforced by
-/// the conservation integration test. This refines [`TimeBreakdown`]:
-/// `busy`/`sync` match its categories, `tlb_walk + dlb_lookup` refines
-/// `translation`, and `coherence + network + queue` refines
-/// `remote_stall`.
+/// the conservation integration test. It is the only ledger the machine
+/// charges; [`LatencyBreakdown::coarse`] projects it onto
+/// [`TimeBreakdown`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub struct LatencyBreakdown {
     /// Instruction execution (`Compute` ops plus one issue cycle per
@@ -120,9 +121,17 @@ impl LatencyBreakdown {
             + self.fault
     }
 
-    /// Translation overhead (node TLB walks plus home DLB lookups).
-    pub const fn translation(&self) -> u64 {
-        self.tlb_walk + self.dlb_lookup
+    /// The paper's Figure-10 categories: translation is node TLB walks
+    /// plus home DLB lookups, and remote stall is everything a coherence
+    /// transaction spends beyond the home's translation.
+    pub const fn coarse(&self) -> TimeBreakdown {
+        TimeBreakdown {
+            busy: self.busy,
+            sync: self.sync,
+            local_stall: self.local_stall,
+            remote_stall: self.coherence + self.network + self.queue + self.fault,
+            translation: self.tlb_walk + self.dlb_lookup,
+        }
     }
 
     /// The category values in [`LATENCY_CATEGORIES`] order.
@@ -219,23 +228,37 @@ mod tests {
         }
     }
 
+    /// A distinct power of two in each fine category.
+    const POWERS: LatencyBreakdown = LatencyBreakdown {
+        busy: 1,
+        sync: 2,
+        tlb_walk: 4,
+        dlb_lookup: 8,
+        local_stall: 16,
+        coherence: 32,
+        network: 64,
+        queue: 128,
+        fault: 256,
+    };
+
     #[test]
     fn latency_breakdown_total_covers_every_category() {
-        let fine = LatencyBreakdown {
+        assert_eq!(POWERS.total(), 511);
+        assert_eq!(POWERS.as_array().iter().sum::<u64>(), POWERS.total());
+        assert_eq!(POWERS.as_array().len(), LATENCY_CATEGORIES.len());
+    }
+
+    #[test]
+    fn coarse_projects_each_fine_category_once() {
+        let coarse = TimeBreakdown {
             busy: 1,
             sync: 2,
-            tlb_walk: 4,
-            dlb_lookup: 8,
             local_stall: 16,
-            coherence: 32,
-            network: 64,
-            queue: 128,
-            fault: 256,
+            remote_stall: 32 + 64 + 128 + 256,
+            translation: 4 + 8,
         };
-        assert_eq!(fine.total(), 511);
-        assert_eq!(fine.translation(), 12);
-        assert_eq!(fine.as_array().iter().sum::<u64>(), fine.total());
-        assert_eq!(fine.as_array().len(), LATENCY_CATEGORIES.len());
+        assert_eq!(POWERS.coarse(), coarse);
+        assert_eq!(coarse.total(), POWERS.total());
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub const FORMAT: &str = "vcoma-simreport";
 /// Current schema version. Bump on any change to the serialized shape of
 /// the envelope or any type reachable from the body; stores treat a
 /// version mismatch as a cache miss.
-pub const VERSION: u64 = 1;
+pub const VERSION: u64 = 2;
 
 #[derive(Serialize, Deserialize)]
 struct Envelope {
@@ -98,7 +98,7 @@ impl From<JsonParseError> for CodecError {
     }
 }
 
-/// Encodes `report` into a version-1 envelope, recording the given code
+/// Encodes `report` into a [`VERSION`] envelope, recording the given code
 /// `fingerprint` and cache `key` as provenance.
 #[must_use]
 pub fn encode(report: &SimReport, fingerprint: &str, key: &str) -> String {
@@ -193,7 +193,8 @@ mod tests {
             decode(&wrong_format, cfg.clone()),
             Err(CodecError::Format(f)) if f == "other-format"
         ));
-        let wrong_version = text.replace("\"version\": 1", "\"version\": 999");
+        let wrong_version =
+            text.replace(&format!("\"version\": {VERSION}"), "\"version\": 999");
         assert!(matches!(decode(&wrong_version, cfg.clone()), Err(CodecError::Version(999))));
         assert!(matches!(decode("{not json", cfg), Err(CodecError::Json(_))));
     }

@@ -6,7 +6,7 @@ use crate::breakdown::LatencyBreakdown;
 use crate::error::SimError;
 use crate::sync::{Barriers, Locks};
 use crate::trace::Tracer;
-use crate::{SimConfig, SimReport, TimeBreakdown};
+use crate::{SimConfig, SimReport};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use vcoma_cachesim::{Flc, Slc};
@@ -38,7 +38,6 @@ struct NodeCtx {
     /// fill, shootdown and miss-latency schedule.
     xlb: Box<dyn TranslationModel>,
     time: u64,
-    breakdown: TimeBreakdown,
     /// Fine latency attribution; every cycle of `time` lands in exactly
     /// one of its categories (`fine.total() == time`).
     fine: LatencyBreakdown,
@@ -233,7 +232,6 @@ impl Machine {
                     page_size: m.page_size,
                 }),
                 time: 0,
-                breakdown: TimeBreakdown::default(),
                 fine: LatencyBreakdown::default(),
                 refs: 0,
                 reads: 0,
@@ -354,7 +352,6 @@ impl Machine {
     fn reset_stats(&mut self) {
         for n in &mut self.nodes {
             n.time = 0;
-            n.breakdown = TimeBreakdown::default();
             n.fine = LatencyBreakdown::default();
             n.refs = 0;
             n.reads = 0;
@@ -438,7 +435,6 @@ impl Machine {
     ) -> Result<(), SimError> {
         match op {
             Op::Compute(c) => {
-                self.nodes[n].breakdown.busy += c;
                 self.nodes[n].fine.busy += c;
                 resumes.push((n, t + c));
             }
@@ -453,7 +449,6 @@ impl Machine {
             Op::Barrier(id) => {
                 if let Some(released) = self.barriers.arrive(id, n, t) {
                     for (node, resume, sync) in released {
-                        self.nodes[node].breakdown.sync += sync;
                         self.nodes[node].fine.sync += sync;
                         resumes.push((node, resume));
                     }
@@ -461,18 +456,15 @@ impl Machine {
             }
             Op::Lock(id) => {
                 if let Some((resume, sync)) = self.locks.acquire(id, n, t) {
-                    self.nodes[n].breakdown.sync += sync;
                     self.nodes[n].fine.sync += sync;
                     resumes.push((n, resume));
                 }
             }
             Op::Unlock(id) => {
                 let ((resume, sync), next) = self.locks.release(id, n, t);
-                self.nodes[n].breakdown.sync += sync;
                 self.nodes[n].fine.sync += sync;
                 resumes.push((n, resume));
                 if let Some((waiter, wresume, wsync)) = next {
-                    self.nodes[waiter].breakdown.sync += wsync;
                     self.nodes[waiter].fine.sync += wsync;
                     resumes.push((waiter, wresume));
                 }
@@ -541,7 +533,6 @@ impl Machine {
         // Issue cycle.
         {
             let node = &mut self.nodes[n];
-            node.breakdown.busy += 1;
             node.fine.busy += 1;
             t += 1;
             node.refs += 1;
@@ -566,7 +557,6 @@ impl Machine {
             AccessKind::Write => self.nodes[n].flc.write(flc_block).is_hit(),
         };
         t += timing.flc_hit;
-        self.nodes[n].breakdown.local_stall += timing.flc_hit;
         self.nodes[n].fine.local_stall += timing.flc_hit;
         if let Some(tr) = self.tracer.as_mut() {
             tr.interval("flc", t - timing.flc_hit, t, flc_block);
@@ -600,7 +590,6 @@ impl Machine {
                 if x.missed {
                     let penalty = x.cycles;
                     t += penalty;
-                    self.nodes[n].breakdown.translation += penalty;
                     self.nodes[n].fine.tlb_walk += penalty;
                     self.metrics.trace(Event {
                         cycle: t,
@@ -616,7 +605,6 @@ impl Machine {
         }
         if slc_res.hit {
             t += timing.slc_hit;
-            self.nodes[n].breakdown.local_stall += timing.slc_hit;
             self.nodes[n].fine.local_stall += timing.slc_hit;
             if let Some(tr) = self.tracer.as_mut() {
                 tr.interval("slc", t - timing.slc_hit, t, slc_block);
@@ -640,7 +628,6 @@ impl Machine {
         if local_ok {
             if !slc_res.hit {
                 t += timing.am_hit;
-                self.nodes[n].breakdown.local_stall += timing.am_hit;
                 self.nodes[n].fine.local_stall += timing.am_hit;
                 if let Some(tr) = self.tracer.as_mut() {
                     tr.interval("am", t - timing.am_hit, t, am_block);
@@ -667,7 +654,6 @@ impl Machine {
         // exists (the transaction is then just an upgrade).
         if !slc_res.hit && had_local_copy {
             t += timing.am_hit;
-            self.nodes[n].breakdown.local_stall += timing.am_hit;
             self.nodes[n].fine.local_stall += timing.am_hit;
             if let Some(tr) = self.tracer.as_mut() {
                 tr.interval("am", t - timing.am_hit, t, am_block);
@@ -709,8 +695,6 @@ impl Machine {
         }
         {
             let node = &mut self.nodes[n];
-            node.breakdown.remote_stall += out.latency - out.home_lookup_cycles;
-            node.breakdown.translation += out.home_lookup_cycles;
             node.fine.dlb_lookup += out.home_lookup_cycles;
             node.fine.coherence += out.mem_cycles;
             node.fine.network += out.net_cycles;
@@ -792,7 +776,6 @@ impl Machine {
         let timing = cfg.timing;
         let t0 = self.nodes[n].time;
         let mut t = t0 + 1;
-        self.nodes[n].breakdown.busy += 1;
         self.nodes[n].fine.busy += 1;
         if self.path.virtual_protocol {
             self.ensure_directory_mapping(n, page)?;
@@ -815,7 +798,6 @@ impl Machine {
                 last_ack = last_ack.max(self.net.send(h, node_id, MsgKind::Ack, upd));
             }
             arrive = last_ack.max(self.net.send(home, node_id, MsgKind::Ack, arrive));
-            self.nodes[n].breakdown.translation += arrive - t;
             self.nodes[n].fine.dlb_lookup += arrive - t;
             self.metrics.trace(Event {
                 cycle: arrive,
@@ -833,7 +815,6 @@ impl Machine {
                 node.xlb.shootdown(page);
             }
             let cost = 2 * timing.net_request;
-            self.nodes[n].breakdown.translation += cost;
             self.nodes[n].fine.tlb_walk += cost;
             self.metrics.trace(Event {
                 cycle: t + cost,
@@ -1013,7 +994,6 @@ impl Machine {
         if x.missed {
             let penalty = x.cycles;
             *t += penalty;
-            self.nodes[n].breakdown.translation += penalty;
             self.nodes[n].fine.tlb_walk += penalty;
             self.metrics.trace(Event {
                 cycle: *t,
@@ -1057,7 +1037,6 @@ impl Machine {
                     .into_iter()
                     .map(|n| crate::report::NodeReport {
                         time: n.time,
-                        breakdown: n.breakdown,
                         fine: n.fine,
                         refs: n.refs,
                         reads: n.reads,

@@ -14,10 +14,8 @@ use vcoma_vm::PressureProfile;
 pub struct NodeReport {
     /// The node's final local time.
     pub time: u64,
-    /// The node's time breakdown.
-    pub breakdown: TimeBreakdown,
     /// The node's fine-grained latency attribution; conserves cycles:
-    /// `fine.total() == time`.
+    /// `fine.total() == time`. Its Figure-10 view is `fine.coarse()`.
     pub fine: LatencyBreakdown,
     /// Memory references issued.
     pub refs: u64,
@@ -257,13 +255,9 @@ impl SimReport {
         self.nodes.iter().map(|n| n.writes).sum()
     }
 
-    /// Sum of all nodes' time breakdowns.
+    /// Sum of all nodes' time breakdowns, in Figure 10's categories.
     pub fn aggregate_breakdown(&self) -> TimeBreakdown {
-        let mut b = TimeBreakdown::default();
-        for n in &self.nodes {
-            b.merge(&n.breakdown);
-        }
-        b
+        self.aggregate_fine().coarse()
     }
 
     /// Sum of all nodes' fine latency breakdowns; conserves cycles:
@@ -415,7 +409,6 @@ mod tests {
     fn aggregation_over_nodes() {
         let mk_node = |time, refs, misses| NodeReport {
             time,
-            breakdown: TimeBreakdown { busy: 10, ..TimeBreakdown::default() },
             fine: LatencyBreakdown { busy: 10, network: 5, ..LatencyBreakdown::default() },
             refs,
             reads: refs,

@@ -126,6 +126,10 @@ if baseline=$(git show HEAD:BENCH_sweep.json 2>/dev/null \
         printf "perf guard ok: %.0f cycles/s vs committed baseline %.0f (%.1f%%)\n", c, b, 100 * c / b
     }'
     grep -q '"history"' BENCH_sweep.json
+    # The history trajectory must parse as JSON and end with a complete
+    # point for this run.
+    python3 -c 'import json; h = json.load(open("BENCH_sweep.json"))["history"]; \
+    assert h and all(k in h[-1] for k in ("fingerprint", "cycles_per_sec", "peak_rss_kb")), h'
 else
     echo "no committed BENCH_sweep.json baseline; skipping the guard"
 fi

@@ -35,18 +35,13 @@ fn time_accounting_is_consistent() {
             let report = Simulator::new(scheme).run(w.as_ref());
             for (i, n) in report.nodes().iter().enumerate() {
                 // A node's final clock equals the sum of its breakdown
-                // categories: every elapsed cycle is attributed exactly
-                // once.
-                assert_eq!(
-                    n.time,
-                    n.breakdown.total(),
-                    "{} {scheme} node {i}: clock {} != breakdown {}",
-                    w.name(),
-                    n.time,
-                    n.breakdown.total()
-                );
+                // categories, fine and Figure-10 alike: every elapsed
+                // cycle is attributed exactly once.
+                let ctx = || format!("{} {scheme} node {i}", w.name());
+                assert_eq!(n.time, n.fine.total(), "{}: fine breakdown leaks cycles", ctx());
+                assert_eq!(n.time, n.fine.coarse().total(), "{}: coarse view leaks", ctx());
                 // Busy time includes at least the one issue cycle per ref.
-                assert!(n.breakdown.busy >= n.refs, "{} {scheme} node {i}", w.name());
+                assert!(n.fine.busy >= n.refs, "{}", ctx());
             }
         }
     }
@@ -55,30 +50,13 @@ fn time_accounting_is_consistent() {
 #[test]
 fn fine_breakdown_conserves_every_cycle() {
     // The fine latency attribution behind `--breakdown` must account for
-    // every simulated cycle, per node and machine-wide, in all five
-    // schemes — and refine the coarse Figure-10 categories exactly.
+    // every simulated cycle, per node and machine-wide, in every scheme.
     for w in all_benchmarks(0.003) {
         for scheme in all_schemes() {
             let report = Simulator::new(scheme).run(w.as_ref());
             for (i, n) in report.nodes().iter().enumerate() {
                 let ctx = || format!("{} {scheme} node {i}", w.name());
                 assert_eq!(n.time, n.fine.total(), "{}: fine breakdown leaks cycles", ctx());
-                // Category-by-category refinement of the coarse breakdown.
-                assert_eq!(n.fine.busy, n.breakdown.busy, "{}", ctx());
-                assert_eq!(n.fine.sync, n.breakdown.sync, "{}", ctx());
-                assert_eq!(n.fine.local_stall, n.breakdown.local_stall, "{}", ctx());
-                assert_eq!(
-                    n.fine.translation(),
-                    n.breakdown.translation,
-                    "{}: tlb_walk + dlb_lookup must equal coarse translation",
-                    ctx()
-                );
-                assert_eq!(
-                    n.fine.coherence + n.fine.network + n.fine.queue,
-                    n.breakdown.remote_stall,
-                    "{}: coherence + network + queue must equal coarse remote stall",
-                    ctx()
-                );
             }
             let fine = report.aggregate_fine();
             assert_eq!(
@@ -102,10 +80,10 @@ fn fine_breakdown_conserves_every_cycle() {
 
 #[test]
 fn both_ledgers_conserve_at_nonzero_flc_hit() {
-    // The paper charges nothing for an FLC hit, which hides a charge made
-    // to one ledger only. With a nonzero `flc_hit`, every node's coarse
-    // Figure-10 total and fine total must both still equal its clock, and
-    // the FLC charge must show up as local stall in both.
+    // The paper charges nothing for an FLC hit, which hides a missing
+    // charge. With a nonzero `flc_hit`, every node's fine total and its
+    // Figure-10 projection must both still equal its clock, and the FLC
+    // charge must show up as local stall.
     use vcoma::{MachineConfig, Scheme};
     let mut machine = MachineConfig::paper_baseline();
     machine.timing.flc_hit = 2;
@@ -114,10 +92,10 @@ fn both_ledgers_conserve_at_nonzero_flc_hit() {
             let report = Simulator::new(scheme).machine(machine.clone()).run(w.as_ref());
             for (i, n) in report.nodes().iter().enumerate() {
                 let ctx = || format!("{} {scheme} flc_hit=2 node {i}", w.name());
-                assert_eq!(n.time, n.breakdown.total(), "{}: coarse ledger leaks cycles", ctx());
+                let coarse = n.fine.coarse();
+                assert_eq!(n.time, coarse.total(), "{}: coarse view leaks cycles", ctx());
                 assert_eq!(n.time, n.fine.total(), "{}: fine ledger leaks cycles", ctx());
-                assert_eq!(n.fine.local_stall, n.breakdown.local_stall, "{}", ctx());
-                assert!(n.breakdown.local_stall >= 2 * n.refs, "{}: FLC charge missing", ctx());
+                assert!(coarse.local_stall >= 2 * n.refs, "{}: FLC charge missing", ctx());
             }
         }
     }
@@ -217,7 +195,7 @@ fn over_capacity_workload_swaps_and_conserves_refs() {
         assert_eq!(report.total_refs(), 1600, "{scheme}");
         assert!(report.swap_outs() > 0, "{scheme}: must swap");
         for n in report.nodes() {
-            assert_eq!(n.time, n.breakdown.total(), "{scheme}");
+            assert_eq!(n.time, n.fine.total(), "{scheme}");
         }
     }
 }

@@ -38,8 +38,12 @@ fn every_scheme_survives_a_lossy_crossbar_with_the_auditor_armed() {
                 > 0,
             "{scheme}: fault counters missing from the metrics snapshot"
         );
-        // And recovery time is attributed to its own latency category.
+        // And recovery time is attributed to its own latency category,
+        // without leaking a cycle of any node's clock.
         assert!(report.aggregate_fine().fault > 0, "{scheme}");
+        for (i, n) in report.nodes().iter().enumerate() {
+            assert_eq!(n.fine.total(), n.time, "{scheme} traced={traced} node {i}");
+        }
     }
 }
 

@@ -6,7 +6,8 @@
 //! snapshotted byte-exactly under `tests/golden/`. A change to any
 //! serialized shape fails here loudly, which is the contract that makes
 //! on-disk result stores trustworthy: stale stores must break visibly,
-//! not decode into subtly different reports.
+//! not decode into subtly different reports. `simreport_v1.json` stays
+//! as the previous version's envelope, which must fail the version check.
 //!
 //! To regenerate after an intentional format change (bump
 //! `codec::VERSION` too):
@@ -55,7 +56,14 @@ fn traced_report() -> SimReport {
 fn encoded_report_matches_golden_fixture() {
     let report = traced_report();
     let text = codec::encode(&report, "golden-fingerprint", "golden-key");
-    check("simreport_v1.json", &text);
+    check("simreport_v2.json", &text);
+}
+
+#[test]
+fn stale_v1_envelope_fails_the_version_check() {
+    let v1 = fs::read_to_string(golden_dir().join("simreport_v1.json")).expect("v1 fixture");
+    let cfg = traced_report().config().clone();
+    assert!(matches!(codec::decode(&v1, cfg), Err(codec::CodecError::Version(1))));
 }
 
 #[test]
