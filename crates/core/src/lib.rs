@@ -122,26 +122,13 @@ use vcoma_workloads::Workload;
 #[derive(Debug, Clone)]
 pub struct Simulator {
     cfg: SimConfig,
-    materialized: bool,
 }
 
 impl Simulator {
     /// Creates a simulator for `scheme` on the paper's 32-node baseline
     /// machine with an 8-entry fully-associative TLB/DLB.
     pub fn new(scheme: Scheme) -> Self {
-        Simulator {
-            cfg: SimConfig::new(MachineConfig::paper_baseline(), scheme),
-            materialized: false,
-        }
-    }
-
-    /// Builds the workload's full traces up front instead of streaming
-    /// them lazily into the replay engine. The results are identical;
-    /// materializing trades peak memory (the whole trace) for generating
-    /// the ops once even when warm-up replays the workload twice.
-    pub fn materialized(mut self) -> Self {
-        self.materialized = true;
-        self
+        Simulator { cfg: SimConfig::new(MachineConfig::paper_baseline(), scheme) }
     }
 
     /// Switches to the scaled-down 4-node test machine.
@@ -235,7 +222,7 @@ impl Simulator {
         &self.cfg
     }
 
-    /// Generates the workload's traces and runs them on a fresh machine.
+    /// Streams the workload into a fresh machine and reports statistics.
     ///
     /// # Panics
     ///
@@ -245,14 +232,12 @@ impl Simulator {
         self.try_run(workload).unwrap_or_else(|e| panic!("simulation failed: {e}"))
     }
 
-    /// Generates the workload's traces and runs them on a fresh machine,
-    /// surfacing simulation failures as values.
+    /// Streams the workload into a fresh machine, surfacing simulation
+    /// failures as values.
     ///
-    /// By default the workload is **streamed**: the replay engine pulls ops
-    /// from the workload's [`OpSource`] cursors phase by phase, so peak
-    /// memory stays bounded by the buffered window instead of the whole
-    /// trace. [`Simulator::materialized`] restores the build-then-replay
-    /// path; both produce identical reports.
+    /// The replay engine pulls ops from the workload's [`OpSource`]
+    /// cursors phase by phase, so peak memory stays bounded by the
+    /// buffered window instead of the whole trace.
     ///
     /// # Errors
     ///
@@ -263,12 +248,7 @@ impl Simulator {
     /// [`SimError::Deadlock`] if replay stalls with nodes parked at a
     /// barrier that can never fill.
     pub fn try_run(&self, workload: &dyn Workload) -> Result<SimReport, SimError> {
-        if self.materialized {
-            let traces = workload.generate(&self.cfg.machine);
-            self.try_run_traces(traces)
-        } else {
-            Machine::new(self.cfg.clone()).run_streaming(|| workload.sources(&self.cfg.machine))
-        }
+        Machine::new(self.cfg.clone()).run_streaming(|| workload.sources(&self.cfg.machine))
     }
 
     /// Runs pre-built traces (one per node) on a fresh machine.
@@ -346,7 +326,7 @@ mod tests {
         for scheme in all_schemes() {
             let s = Simulator::new(scheme).tiny().warmup();
             let streamed = s.try_run(&w).expect("streamed run");
-            let built = s.clone().materialized().try_run(&w).expect("materialized run");
+            let built = s.try_run_traces(w.generate(&s.config().machine)).expect("built run");
             assert_eq!(format!("{streamed:?}"), format!("{built:?}"), "{scheme}");
         }
     }

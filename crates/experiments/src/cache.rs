@@ -9,12 +9,12 @@
 //! that produced them, and the [`ReportCache`] trait the sweep server's
 //! on-disk store implements.
 //!
-//! The key deliberately **excludes** every execution-strategy knob —
-//! `--jobs`, `--materialized` — because the simulator's
-//! reports are byte-identical across all of them (the determinism the
-//! integration suite pins). Two runs that differ only in parallelism
-//! share cache entries; two runs that differ in any result-affecting
-//! input (machine, scheme, specs, seed, workload, scale, code) never do.
+//! The key deliberately **excludes** the execution-strategy knob
+//! `--jobs`, because the simulator's reports are byte-identical at any
+//! worker count (the determinism the integration suite pins). Two runs
+//! that differ only in parallelism share cache entries; two runs that
+//! differ in any result-affecting input (machine, scheme, specs, seed,
+//! workload, scale, code) never do.
 
 use std::sync::OnceLock;
 
@@ -115,8 +115,8 @@ pub fn code_fingerprint() -> &'static str {
 /// (machine, scheme, TLB/DLB specs, seed, every result-affecting
 /// toggle), the workload's identity and parameters, the experiment
 /// scale, and the code fingerprint. Execution-strategy knobs (worker
-/// counts, trace materialisation) are not part of a [`SimConfig`] and
-/// therefore never reach the key.
+/// counts) are not part of a [`SimConfig`] and therefore never reach the
+/// key.
 pub fn point_key(cfg: &SimConfig, workload: &dyn Workload, scale: f64, fingerprint: &str) -> PointKey {
     let material = format!(
         "scheme={}\nconfig={:?}\nworkload={} [{}]\nscale={}\nfingerprint={}\n",
@@ -154,16 +154,14 @@ mod tests {
 
     #[test]
     fn execution_strategy_knobs_never_reach_the_key() {
-        // --jobs and --materialized change how a result is
-        // computed, never what it is; the key must be identical across
-        // all of them so a store filled at one worker count serves all.
+        // --jobs changes how a result is computed, never what it is; the
+        // key must be identical across worker counts so a store filled at
+        // one worker count serves all.
         let base = ExperimentConfig::smoke();
         let k = key_for(&base, Scheme::V_COMA);
         for variant in [
             base.clone().with_jobs(1),
             base.clone().with_jobs(7),
-            base.clone().with_materialized(),
-            base.clone().with_jobs(3).with_materialized(),
         ] {
             assert_eq!(key_for(&variant, Scheme::V_COMA), k);
         }

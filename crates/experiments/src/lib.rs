@@ -68,11 +68,6 @@ pub struct ExperimentConfig {
     /// Worker threads for sweep evaluation; `0` means one per available
     /// core. The sweep output is byte-identical for any value.
     pub jobs: usize,
-    /// Build each workload's full traces up front instead of streaming
-    /// them into the replay engine. Results are identical either way
-    /// (`--materialized` exists to demonstrate exactly that); streaming is
-    /// the default because it bounds peak memory at large `scale`.
-    pub materialized: bool,
     /// Optional scheme filter (`--schemes a,b,c`): artifacts intersect
     /// their natural roster with this set. `None` (the default) runs every
     /// artifact's full roster, which is what every golden fixture records.
@@ -99,7 +94,6 @@ impl std::fmt::Debug for ExperimentConfig {
             .field("scale", &self.scale)
             .field("seed", &self.seed)
             .field("jobs", &self.jobs)
-            .field("materialized", &self.materialized)
             .field("schemes", &self.schemes)
             .field("cache", &self.cache.as_ref().map(|_| "ReportCache"))
             .field("progress", &self.progress.as_ref().map(|_| "ProgressSink"))
@@ -115,7 +109,6 @@ impl ExperimentConfig {
             scale: 0.1,
             seed: 0x5EED,
             jobs: 0,
-            materialized: false,
             schemes: None,
             cache: None,
             progress: None,
@@ -126,16 +119,7 @@ impl ExperimentConfig {
     /// at ~1 % scale. (The node count stays at 32: the benchmarks'
     /// footprints need the full machine's memory, as in the paper.)
     pub fn smoke() -> Self {
-        ExperimentConfig {
-            machine: MachineConfig::paper_baseline(),
-            scale: 0.01,
-            seed: 0x5EED,
-            jobs: 0,
-            materialized: false,
-            schemes: None,
-            cache: None,
-            progress: None,
-        }
+        ExperimentConfig { scale: 0.01, ..Self::new() }
     }
 
     /// Sets the workload scale.
@@ -147,13 +131,6 @@ impl ExperimentConfig {
     /// Sets the sweep worker count (`0` = one per available core).
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs;
-        self
-    }
-
-    /// Switches every simulator to the materialized (build-then-replay)
-    /// trace path.
-    pub fn with_materialized(mut self) -> Self {
-        self.materialized = true;
         self
     }
 
@@ -246,12 +223,7 @@ impl ExperimentConfig {
 
     /// A simulator for `scheme` on this configuration's machine.
     pub fn simulator(&self, scheme: Scheme) -> Simulator {
-        let s = Simulator::new(scheme).machine(self.machine.clone()).seed(self.seed);
-        if self.materialized {
-            s.materialized()
-        } else {
-            s
-        }
+        Simulator::new(scheme).machine(self.machine.clone()).seed(self.seed)
     }
 }
 
@@ -295,17 +267,5 @@ mod tests {
         let s = c.simulator(Scheme::V_COMA);
         assert_eq!(s.config().machine.nodes, 32);
         assert_eq!(s.config().seed, c.seed);
-    }
-
-    #[test]
-    fn materialized_toggle_changes_nothing_in_the_artifacts() {
-        let streamed = ExperimentConfig::smoke().with_jobs(1);
-        let built = ExperimentConfig::smoke().with_jobs(1).with_materialized();
-        assert!(!streamed.materialized);
-        assert!(built.materialized);
-        let w = &streamed.benchmarks()[0];
-        let a = streamed.simulator(Scheme::V_COMA).run(w.as_ref());
-        let b = built.simulator(Scheme::V_COMA).run(w.as_ref());
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 }

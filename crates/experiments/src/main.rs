@@ -21,7 +21,7 @@ const VALID_ARTIFACTS: [&str; 14] = [
 const USAGE: &str = "\
 usage: vcoma-experiments [ARTIFACT...] [--scale F] [--nodes N] [--jobs N]
                          [--schemes LIST] [--out DIR]
-                         [--materialized] [--breakdown] [--metrics-out FILE]
+                         [--breakdown] [--metrics-out FILE]
                          [--fault-plan SPEC] [--fault-seed S] [--trace-out FILE]
                          [--progress]
 
@@ -46,10 +46,6 @@ options:
                      trace; artifacts with fixed paper subsets (table2,
                      table3, fig9) ignore it
   --out DIR          also write each artifact as CSV into DIR
-  --materialized     build each workload's full traces up front instead of
-                     streaming them into the replay engine; tables and CSVs
-                     are byte-identical either way, but peak memory grows
-                     with --scale
   --breakdown        print the fine latency-attribution table (scheme x benchmark;
                      per-row totals equal the run's simulated cycles exactly)
   --metrics-out FILE write the merged metrics snapshot (counters, histograms,
@@ -119,7 +115,6 @@ fn main() {
     let mut scale = 0.1f64;
     let mut nodes = 32u64;
     let mut jobs = 0usize;
-    let mut materialized = false;
     let mut out: Option<PathBuf> = None;
     let mut want_breakdown = false;
     let mut metrics_out: Option<PathBuf> = None;
@@ -202,7 +197,6 @@ fn main() {
                 }
             }
             "--out" => out = Some(PathBuf::from(flag_value("--out", args.next()))),
-            "--materialized" => materialized = true,
             "--breakdown" => want_breakdown = true,
             "--metrics-out" => {
                 metrics_out = Some(PathBuf::from(flag_value("--metrics-out", args.next())));
@@ -273,17 +267,13 @@ fn main() {
     if progress {
         cfg = cfg.with_progress(Arc::new(StderrProgress::default()));
     }
-    if materialized {
-        cfg = cfg.with_materialized();
-    }
     if let Some(set) = schemes {
         cfg = cfg.with_schemes(set);
     }
     println!(
-        "machine: {} nodes, scale {scale}, {} sweep workers, {} traces (paper geometry, paper timing)\n",
+        "machine: {} nodes, scale {scale}, {} sweep workers (paper geometry, paper timing)\n",
         cfg.machine.nodes,
         cfg.effective_jobs(),
-        if cfg.materialized { "materialized" } else { "streamed" }
     );
     // Fail unwritable destinations before any sweep runs, not after.
     if let Some(dir) = &out {

@@ -28,17 +28,13 @@ pub struct Table1Row {
     pub mean_sharing: f64,
 }
 
-/// Generates each benchmark's traces and summarises them (one sweep point
+/// Streams each benchmark's traces and summarises them (one sweep point
 /// per benchmark; no simulation, so the sweep reports zero cycles).
 pub fn run(cfg: &ExperimentConfig) -> Vec<Table1Row> {
     let points =
         cfg.benchmarks().into_iter().map(|w| SweepPoint::new(w.name(), w)).collect();
     sweep::run_progress("table1", cfg.effective_jobs(), cfg.progress.as_deref(), points, |w| {
-        let a = if cfg.materialized {
-            TraceAnalysis::of(&w.generate(&cfg.machine), &cfg.machine)
-        } else {
-            TraceAnalysis::of_sources(w.sources(&cfg.machine), &cfg.machine)
-        };
+        let a = TraceAnalysis::of_sources(w.sources(&cfg.machine), &cfg.machine);
         SweepResult::new(
             Table1Row {
                 name: w.name(),

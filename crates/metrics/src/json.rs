@@ -37,7 +37,7 @@ impl std::error::Error for JsonError {}
 /// Returns [`JsonError::NonStringKey`] if a map key is not a string.
 pub fn to_json_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, JsonError> {
     let mut out = String::new();
-    value.serialize(JsonSerializer { out: &mut out, indent: 0 })?;
+    value.serialize(JsonSerializer { out: &mut out, indent: Some(0) })?;
     out.push('\n');
     Ok(out)
 }
@@ -51,11 +51,12 @@ pub fn to_json_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, JsonEr
 /// Returns [`JsonError::NonStringKey`] if a map key is not a string.
 pub fn to_json_line<T: Serialize + ?Sized>(value: &T) -> Result<String, JsonError> {
     let mut out = String::new();
-    value.serialize(JsonLineSerializer { out: &mut out })?;
+    value.serialize(JsonSerializer { out: &mut out, indent: None })?;
     Ok(out)
 }
 
-fn push_json_str(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a quoted, escaped JSON string.
+pub(crate) fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -79,9 +80,11 @@ fn push_indent(out: &mut String, indent: usize) {
     }
 }
 
+/// The one JSON writer: `indent` is the nesting depth of the pretty
+/// layout, or `None` for the compact single-line layout.
 struct JsonSerializer<'a> {
     out: &'a mut String,
-    indent: usize,
+    indent: Option<usize>,
 }
 
 impl<'a> Serializer for JsonSerializer<'a> {
@@ -133,13 +136,11 @@ impl<'a> Serializer for JsonSerializer<'a> {
     }
 
     fn serialize_seq(self, _len: Option<usize>) -> Result<JsonCompound<'a>, JsonError> {
-        self.out.push('[');
-        Ok(JsonCompound { out: self.out, indent: self.indent + 1, first: true, close: ']' })
+        Ok(self.open('[', ']'))
     }
 
     fn serialize_map(self, _len: Option<usize>) -> Result<JsonCompound<'a>, JsonError> {
-        self.out.push('{');
-        Ok(JsonCompound { out: self.out, indent: self.indent + 1, first: true, close: '}' })
+        Ok(self.open('{', '}'))
     }
 
     fn serialize_struct(
@@ -151,9 +152,16 @@ impl<'a> Serializer for JsonSerializer<'a> {
     }
 }
 
+impl<'a> JsonSerializer<'a> {
+    fn open(self, open: char, close: char) -> JsonCompound<'a> {
+        self.out.push(open);
+        JsonCompound { out: self.out, indent: self.indent.map(|i| i + 1), first: true, close }
+    }
+}
+
 struct JsonCompound<'a> {
     out: &'a mut String,
-    indent: usize,
+    indent: Option<usize>,
     first: bool,
     close: char,
 }
@@ -164,27 +172,33 @@ impl JsonCompound<'_> {
             self.out.push(',');
         }
         self.first = false;
-        self.out.push('\n');
-        push_indent(self.out, self.indent);
+        if let Some(indent) = self.indent {
+            self.out.push('\n');
+            push_indent(self.out, indent);
+        }
     }
 
     fn finish(self) {
-        if !self.first {
+        if let (Some(indent), false) = (self.indent, self.first) {
             self.out.push('\n');
-            push_indent(self.out, self.indent - 1);
+            push_indent(self.out, indent - 1);
         }
         self.out.push(self.close);
     }
 
     fn write_key<K: Serialize + ?Sized>(&mut self, key: &K) -> Result<(), JsonError> {
         let mut buf = String::new();
-        key.serialize(JsonSerializer { out: &mut buf, indent: 0 })?;
+        key.serialize(JsonSerializer { out: &mut buf, indent: None })?;
         if !buf.starts_with('"') {
             return Err(JsonError::NonStringKey);
         }
         self.out.push_str(&buf);
-        self.out.push_str(": ");
+        self.push_colon();
         Ok(())
+    }
+
+    fn push_colon(&mut self) {
+        self.out.push_str(if self.indent.is_some() { ": " } else { ":" });
     }
 }
 
@@ -199,7 +213,7 @@ impl SerializeStruct for JsonCompound<'_> {
     ) -> Result<(), JsonError> {
         self.begin_item();
         push_json_str(self.out, key);
-        self.out.push_str(": ");
+        self.push_colon();
         value.serialize(JsonSerializer { out: self.out, indent: self.indent })
     }
 
@@ -240,151 +254,6 @@ impl SerializeMap for JsonCompound<'_> {
 
     fn end(self) -> Result<(), JsonError> {
         self.finish();
-        Ok(())
-    }
-}
-
-struct JsonLineSerializer<'a> {
-    out: &'a mut String,
-}
-
-impl<'a> Serializer for JsonLineSerializer<'a> {
-    type Ok = ();
-    type Error = JsonError;
-    type SerializeStruct = JsonLineCompound<'a>;
-    type SerializeSeq = JsonLineCompound<'a>;
-    type SerializeMap = JsonLineCompound<'a>;
-
-    fn serialize_bool(self, v: bool) -> Result<(), JsonError> {
-        self.out.push_str(if v { "true" } else { "false" });
-        Ok(())
-    }
-
-    fn serialize_u64(self, v: u64) -> Result<(), JsonError> {
-        let _ = write!(self.out, "{v}");
-        Ok(())
-    }
-
-    fn serialize_i64(self, v: i64) -> Result<(), JsonError> {
-        let _ = write!(self.out, "{v}");
-        Ok(())
-    }
-
-    fn serialize_f64(self, v: f64) -> Result<(), JsonError> {
-        if v.is_finite() {
-            let _ = write!(self.out, "{v}");
-        } else {
-            self.out.push_str("null");
-        }
-        Ok(())
-    }
-
-    fn serialize_str(self, v: &str) -> Result<(), JsonError> {
-        push_json_str(self.out, v);
-        Ok(())
-    }
-
-    fn serialize_none(self) -> Result<(), JsonError> {
-        self.out.push_str("null");
-        Ok(())
-    }
-
-    fn serialize_some<T: Serialize + ?Sized>(self, value: &T) -> Result<(), JsonError> {
-        value.serialize(self)
-    }
-
-    fn serialize_seq(self, _len: Option<usize>) -> Result<JsonLineCompound<'a>, JsonError> {
-        self.out.push('[');
-        Ok(JsonLineCompound { out: self.out, first: true, close: ']' })
-    }
-
-    fn serialize_map(self, _len: Option<usize>) -> Result<JsonLineCompound<'a>, JsonError> {
-        self.out.push('{');
-        Ok(JsonLineCompound { out: self.out, first: true, close: '}' })
-    }
-
-    fn serialize_struct(
-        self,
-        _name: &'static str,
-        len: usize,
-    ) -> Result<JsonLineCompound<'a>, JsonError> {
-        self.serialize_map(Some(len))
-    }
-}
-
-struct JsonLineCompound<'a> {
-    out: &'a mut String,
-    first: bool,
-    close: char,
-}
-
-impl JsonLineCompound<'_> {
-    fn begin_item(&mut self) {
-        if !self.first {
-            self.out.push(',');
-        }
-        self.first = false;
-    }
-}
-
-impl SerializeStruct for JsonLineCompound<'_> {
-    type Ok = ();
-    type Error = JsonError;
-
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        key: &'static str,
-        value: &T,
-    ) -> Result<(), JsonError> {
-        self.begin_item();
-        push_json_str(self.out, key);
-        self.out.push(':');
-        value.serialize(JsonLineSerializer { out: self.out })
-    }
-
-    fn end(self) -> Result<(), JsonError> {
-        self.out.push(self.close);
-        Ok(())
-    }
-}
-
-impl SerializeSeq for JsonLineCompound<'_> {
-    type Ok = ();
-    type Error = JsonError;
-
-    fn serialize_element<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), JsonError> {
-        self.begin_item();
-        value.serialize(JsonLineSerializer { out: self.out })
-    }
-
-    fn end(self) -> Result<(), JsonError> {
-        self.out.push(self.close);
-        Ok(())
-    }
-}
-
-impl SerializeMap for JsonLineCompound<'_> {
-    type Ok = ();
-    type Error = JsonError;
-
-    fn serialize_entry<K: Serialize + ?Sized, V: Serialize + ?Sized>(
-        &mut self,
-        key: &K,
-        value: &V,
-    ) -> Result<(), JsonError> {
-        self.begin_item();
-        let mut buf = String::new();
-        key.serialize(JsonLineSerializer { out: &mut buf })?;
-        if !buf.starts_with('"') {
-            return Err(JsonError::NonStringKey);
-        }
-        self.out.push_str(&buf);
-        self.out.push(':');
-        value.serialize(JsonLineSerializer { out: self.out })
-    }
-
-    fn end(self) -> Result<(), JsonError> {
-        self.out.push(self.close);
         Ok(())
     }
 }
@@ -797,6 +666,41 @@ mod tests {
         assert!(line.starts_with('{') && line.ends_with('}'));
         let back: Round = from_json_str(&line).unwrap();
         assert_eq!(back, v);
+    }
+
+    #[derive(Serialize)]
+    struct Line {
+        label: String,
+        absent: Option<u64>,
+        ratio: f64,
+        nested: BTreeMap<String, Vec<u64>>,
+        empty: BTreeMap<String, u64>,
+        inner: Vec<Sample>,
+    }
+
+    #[test]
+    fn compact_line_bytes_are_pinned() {
+        let mut nested = BTreeMap::new();
+        nested.insert("a\"b".to_string(), vec![1, 2]);
+        nested.insert("z".to_string(), Vec::new());
+        let v = Line {
+            label: "tab\t\"q\"\\\u{1}".to_string(),
+            absent: None,
+            ratio: f64::NAN,
+            nested,
+            empty: BTreeMap::new(),
+            inner: vec![Sample {
+                name: "s".to_string(),
+                hits: 1,
+                ratio: f64::INFINITY,
+                empty: None,
+                tags: Vec::new(),
+            }],
+        };
+        assert_eq!(
+            to_json_line(&v).unwrap(),
+            r#"{"label":"tab\t\"q\"\\\u0001","absent":null,"ratio":null,"nested":{"a\"b":[1,2],"z":[]},"empty":{},"inner":[{"name":"s","hits":1,"ratio":null,"empty":null,"tags":[]}]}"#
+        );
     }
 
     #[test]

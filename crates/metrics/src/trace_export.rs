@@ -11,9 +11,10 @@
 //!
 //! Every emitted event — including the `M` metadata records — carries
 //! `ts`, `dur` and `pid` fields, which is the invariant the CI smoke job
-//! validates. Hand-rolled string building, like the workspace's other
-//! JSON emitters: the workspace takes no serialisation dependency.
+//! validates. Hand-rolled string building that shares its string escaper
+//! with [`crate::json`]: the workspace takes no serialisation dependency.
 
+use crate::json::push_json_str;
 use crate::span::{SpanCategory, TraceSnapshot};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -22,24 +23,6 @@ use std::fmt::Write as _;
 /// `pid = r * RUN_PID_STRIDE + n + 1` (pids start at 1; some viewers
 /// treat pid 0 as "the browser process").
 pub const RUN_PID_STRIDE: u64 = 1000;
-
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
 
 /// Serializes labelled trace snapshots as one Chrome trace-event JSON
 /// document. Runs are laid out as disjoint pid ranges (see

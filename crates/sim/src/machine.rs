@@ -142,9 +142,9 @@ pub struct Machine {
     tracer: Option<Tracer>,
 }
 
-/// Zero-copy [`OpSource`] over a borrowed trace slice: the materialized
-/// run path streams through the same engine as lazy sources without
-/// cloning the ops.
+/// Zero-copy [`OpSource`] over a borrowed trace slice: [`Machine::run`]
+/// streams pre-built traces through the same engine as lazy sources
+/// without cloning the ops.
 struct SliceSource<'a> {
     ops: std::slice::Iter<'a, Op>,
 }
@@ -286,6 +286,9 @@ impl Machine {
 
     /// Replays one trace per node to completion and reports statistics.
     ///
+    /// The traces stream through [`Machine::run_streaming`] via zero-copy
+    /// cursors over the borrowed op slices.
+    ///
     /// # Errors
     ///
     /// Returns [`SimError::Vm`] if the virtual-memory system hits an
@@ -294,16 +297,13 @@ impl Machine {
     /// the number of traces does not match the node count, and
     /// [`SimError::Deadlock`] if some node parks on a barrier or lock that
     /// the other traces never reach.
-    pub fn run(mut self, traces: Vec<Vec<Op>>) -> Result<SimReport, SimError> {
-        if traces.len() != self.nodes.len() {
-            return Err(SimError::BadTraces { got: traces.len(), want: self.nodes.len() });
-        }
-        if self.cfg.warmup {
-            self.replay_traces(&traces)?;
-            self.reset_stats();
-        }
-        self.replay_traces(&traces)?;
-        self.finish()
+    pub fn run(self, traces: Vec<Vec<Op>>) -> Result<SimReport, SimError> {
+        self.run_streaming(|| {
+            traces
+                .iter()
+                .map(|t| Box::new(SliceSource { ops: t.iter() }) as Box<dyn OpSource + '_>)
+                .collect()
+        })
     }
 
     /// Replays one lazy [`OpSource`] per node to completion, never holding
@@ -312,15 +312,15 @@ impl Machine {
     /// `make_sources` is called once per replay pass — twice when
     /// [`SimConfig::warmup`] is set (the warm-up pass regenerates the same
     /// stream), once otherwise. Each call must yield one source per node
-    /// producing the same ops a materialized trace would.
+    /// producing the same ops each time.
     ///
     /// # Errors
     ///
     /// As [`Machine::run`]; [`SimError::BadTraces`] if a factory call does
     /// not yield exactly one source per node.
-    pub fn run_streaming<F>(mut self, mut make_sources: F) -> Result<SimReport, SimError>
+    pub fn run_streaming<'a, F>(mut self, mut make_sources: F) -> Result<SimReport, SimError>
     where
-        F: FnMut() -> Vec<Box<dyn OpSource>>,
+        F: FnMut() -> Vec<Box<dyn OpSource + 'a>>,
     {
         let passes = if self.cfg.warmup { 2 } else { 1 };
         for pass in 0..passes {
@@ -333,11 +333,6 @@ impl Machine {
                 self.reset_stats();
             }
         }
-        self.finish()
-    }
-
-    /// End-of-run tail shared by the materialized and streaming paths.
-    fn finish(mut self) -> Result<SimReport, SimError> {
         if self.cfg.audit {
             // End-of-run full sweep: the quiescent machine must satisfy
             // every invariant globally, not just on recently-touched blocks.
@@ -366,16 +361,6 @@ impl Machine {
         if let Some(tr) = self.tracer.as_mut() {
             tr.reset();
         }
-    }
-
-    /// Replays pre-built traces once, through zero-copy cursors over the
-    /// borrowed op slices.
-    fn replay_traces(&mut self, traces: &[Vec<Op>]) -> Result<(), SimError> {
-        let mut sources: Vec<Box<dyn OpSource + '_>> = traces
-            .iter()
-            .map(|t| Box::new(SliceSource { ops: t.iter() }) as Box<dyn OpSource + '_>)
-            .collect();
-        self.replay(&mut sources)
     }
 
     /// Replays one op stream per node to completion once.
@@ -1390,8 +1375,7 @@ mod tests {
     #[test]
     fn auditor_reports_deliberate_protocol_corruption() {
         let mut m = Machine::new(tiny(Scheme::V_COMA).with_audit());
-        let traces = sharing_traces(4, 4096, 32);
-        m.replay_traces(&traces).unwrap();
+        m.replay(&mut vcoma_types::sources_from_traces(sharing_traces(4, 4096, 32))).unwrap();
         let block = *m.protocol.cached_blocks().first().expect("the run cached blocks");
         assert!(m.protocol.corrupt_master_for_tests(block));
         let err = m.audit_full(777).expect_err("corruption must be caught");

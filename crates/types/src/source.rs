@@ -28,7 +28,7 @@ pub trait OpSource {
 /// An [`OpSource`] over a pre-built op vector.
 ///
 /// The adapter for callers that already hold a full trace: tests, the
-/// trace-file loader, and the materialized (non-streaming) run path.
+/// trace-file loader, and fixed-trace workloads.
 #[derive(Debug, Clone)]
 pub struct Materialized {
     ops: std::vec::IntoIter<Op>,

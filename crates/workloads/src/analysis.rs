@@ -33,11 +33,16 @@ pub struct TraceAnalysis {
 }
 
 /// Running accumulator behind [`TraceAnalysis::of`] and
-/// [`TraceAnalysis::of_sources`]: its state is per-page bit masks and
+/// [`TraceAnalysis::of_sources`]: its state is per-page node sets and
 /// counters, independent of how the ops are delivered.
 #[derive(Default)]
 struct Accumulator {
-    readers_writers: HashMap<VPage, (u64, u64)>, // bit masks
+    /// 64-bit words per node set: `nodes.div_ceil(64)`.
+    words: usize,
+    /// Page → its slot in `sets`, in first-touch order.
+    pages: HashMap<VPage, usize>,
+    /// Per slot, the reader set's `words` words then the writer set's.
+    sets: Vec<u64>,
     reads: u64,
     writes: u64,
     compute: u64,
@@ -47,16 +52,30 @@ struct Accumulator {
 }
 
 impl Accumulator {
+    fn new(nodes: usize) -> Self {
+        Accumulator { words: nodes.div_ceil(64).max(1), ..Self::default() }
+    }
+
+    /// Adds `node` to `page`'s reader (or writer) set.
+    fn mark(&mut self, page: VPage, node: usize, write: bool) {
+        let stride = 2 * self.words;
+        let next = self.pages.len();
+        let base = *self.pages.entry(page).or_insert(next) * stride;
+        if base == self.sets.len() {
+            self.sets.resize(base + stride, 0);
+        }
+        self.sets[base + usize::from(write) * self.words + node / 64] |= 1 << (node % 64);
+    }
+
     fn push(&mut self, node: usize, op: &Op, page_size: u64) {
-        let bit = 1u64 << (node % 64);
         match op {
             Op::Read(a) => {
                 self.reads += 1;
-                self.readers_writers.entry(a.page(page_size)).or_default().0 |= bit;
+                self.mark(a.page(page_size), node, false);
             }
             Op::Write(a) => {
                 self.writes += 1;
-                self.readers_writers.entry(a.page(page_size)).or_default().1 |= bit;
+                self.mark(a.page(page_size), node, true);
             }
             Op::Compute(c) => self.compute += c,
             Op::Barrier(_) => {
@@ -74,10 +93,11 @@ impl Accumulator {
         let buckets = nodes.max(1);
         let mut sharing = vec![0u64; buckets];
         let mut write_shared = 0u64;
-        for &(r, w) in self.readers_writers.values() {
-            let degree = (r | w).count_ones() as usize;
-            sharing[degree.saturating_sub(1).min(buckets - 1)] += 1;
-            if w.count_ones() >= 2 {
+        for set in self.sets.chunks_exact(2 * self.words) {
+            let (r, w) = set.split_at(self.words);
+            let degree: u32 = r.iter().zip(w).map(|(r, w)| (r | w).count_ones()).sum();
+            sharing[(degree as usize).saturating_sub(1).min(buckets - 1)] += 1;
+            if w.iter().map(|w| w.count_ones()).sum::<u32>() >= 2 {
                 write_shared += 1;
             }
         }
@@ -87,7 +107,7 @@ impl Accumulator {
             compute_cycles: self.compute,
             barriers: self.barriers,
             lock_acquires: self.locks,
-            pages: self.readers_writers.len() as u64,
+            pages: self.pages.len() as u64,
             sharing_histogram: sharing,
             write_shared_pages: write_shared,
             protection_changes: self.protects,
@@ -98,7 +118,7 @@ impl Accumulator {
 impl TraceAnalysis {
     /// Analyses the traces under `cfg`'s page size.
     pub fn of(traces: &[Vec<Op>], cfg: &MachineConfig) -> Self {
-        let mut acc = Accumulator::default();
+        let mut acc = Accumulator::new(traces.len());
         for (n, trace) in traces.iter().enumerate() {
             for op in trace {
                 acc.push(n, op, cfg.page_size);
@@ -114,7 +134,7 @@ impl TraceAnalysis {
     /// [`TraceAnalysis::of`] over the materialized traces.
     pub fn of_sources(mut sources: Vec<Box<dyn OpSource>>, cfg: &MachineConfig) -> Self {
         let nodes = sources.len();
-        let mut acc = Accumulator::default();
+        let mut acc = Accumulator::new(nodes);
         let mut live: Vec<usize> = (0..nodes).collect();
         while !live.is_empty() {
             live.retain(|&n| match sources[n].next_op() {
@@ -224,6 +244,18 @@ mod tests {
         ];
         let a = TraceAnalysis::of(&traces, &cfg());
         assert_eq!(a.write_shared_pages, 1);
+    }
+
+    #[test]
+    fn nodes_above_64_do_not_alias() {
+        let machine = MachineConfig::builder().nodes(128).build().expect("valid machine");
+        let mut traces = vec![Vec::new(); 128];
+        traces[0].push(Op::Write(VAddr::new(0)));
+        traces[64].push(Op::Write(VAddr::new(0)));
+        let a = TraceAnalysis::of(&traces, &machine);
+        assert_eq!(a.write_shared_pages, 1);
+        assert_eq!(a.shared_pages(), 1);
+        assert!((a.mean_sharing_degree() - 2.0).abs() < 1e-12);
     }
 
     #[test]

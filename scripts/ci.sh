@@ -23,12 +23,12 @@ cargo test -q -p vcoma-integration --test golden_reports
 echo "==> parallel determinism smoke sweep (--jobs 1 vs --jobs 2)"
 out1=$(mktemp -d)
 out2=$(mktemp -d)
-outm=$(mktemp -d)
+bench1=$(mktemp -d)
 fault1=$(mktemp -d)
 fault2=$(mktemp -d)
 n64a=$(mktemp -d)
 n64b=$(mktemp -d)
-trap 'rm -rf "$out1" "$out2" "$outm" "$fault1" "$fault2" "$n64a" "$n64b"' EXIT
+trap 'rm -rf "$out1" "$out2" "$bench1" "$fault1" "$fault2" "$n64a" "$n64b"' EXIT
 cargo run --release -p vcoma-experiments -- table2 fig8 \
     --scale 0.01 --out "$out1" --jobs 1
 cargo run --release -p vcoma-experiments -- table2 fig8 \
@@ -53,7 +53,7 @@ t5a=$(mktemp -d)
 t5b=$(mktemp -d)
 t5n64a=$(mktemp -d)
 t5n64b=$(mktemp -d)
-trap 'rm -rf "$out1" "$out2" "$outm" "$fault1" "$fault2" "$n64a" "$n64b" "$t5a" "$t5b" "$t5n64a" "$t5n64b"' EXIT
+trap 'rm -rf "$out1" "$out2" "$bench1" "$fault1" "$fault2" "$n64a" "$n64b" "$t5a" "$t5b" "$t5n64a" "$t5n64b"' EXIT
 cargo run --release -p vcoma-experiments -- table5 \
     --scale 0.01 --out "$t5a" --jobs 1
 cargo run --release -p vcoma-experiments -- table5 \
@@ -81,23 +81,23 @@ set -e
 test "$status" -eq 2 || { echo "expected --schemes no_such_scheme to exit 2, got $status"; exit 1; }
 echo "==> table5 64-node CSVs byte-identical across worker counts; bad --schemes rejected"
 
-echo "==> bench smoke: streaming (jobs 2) vs materialized (--jobs 1) sweeps"
-# The materialized single-worker run is the oracle the streamed CSVs must
-# match byte-for-byte. It runs first: each run overwrites BENCH_sweep.json
-# in the working directory, and the streamed run's copy is the CI artifact.
+echo "==> bench smoke: --jobs 2 vs --jobs 1 sweeps"
+# The single-worker run is the oracle the two-worker CSVs must match
+# byte-for-byte. It runs first: each run overwrites BENCH_sweep.json in
+# the working directory, and the two-worker run's copy is the CI artifact.
 cargo run --release -p vcoma-experiments -- table1 table2 fig8 fig10 \
-    --scale 0.01 --out "$outm" --jobs 1 --materialized
+    --scale 0.01 --out "$bench1" --jobs 1
 cargo run --release -p vcoma-experiments -- table1 table2 fig8 fig10 \
     --scale 0.01 --out "$out2" --jobs 2
-diff -r "$out2" "$outm"
+diff -r "$out2" "$bench1"
 test -s BENCH_sweep.json
 grep -q '"peak_rss_kb"' BENCH_sweep.json
-echo "==> streaming and materialized sweeps byte-identical; BENCH_sweep.json written"
+echo "==> jobs-1 and jobs-2 sweeps byte-identical; BENCH_sweep.json written"
 
 echo "==> hot-path micro-benchmarks: plain-timer harness must run every kernel"
 guard=""
 micro_out=$(mktemp)
-trap 'rm -rf "$out1" "$out2" "$outm" "$fault1" "$fault2" "$n64a" "$n64b" "$micro_out"' EXIT
+trap 'rm -rf "$out1" "$out2" "$bench1" "$fault1" "$fault2" "$n64a" "$n64b" "$micro_out"' EXIT
 cargo bench -p vcoma-bench --bench hotpath_micro | tee "$micro_out"
 for label in tlb_lookup cache_probe access_v_coma access_l0_tlb; do
     grep -q "bench hotpath_micro/${label}:" "$micro_out" \
@@ -114,7 +114,7 @@ if baseline=$(git show HEAD:BENCH_sweep.json 2>/dev/null \
         | grep -o '"total_cycles_per_second": [0-9.]*' | awk '{print $2}') \
         && [ -n "$baseline" ]; then
     guard=$(mktemp -d)
-    trap 'rm -rf "$out1" "$out2" "$outm" "$fault1" "$fault2" "$n64a" "$n64b" "$micro_out" "$guard"' EXIT
+    trap 'rm -rf "$out1" "$out2" "$bench1" "$fault1" "$fault2" "$n64a" "$n64b" "$micro_out" "$guard"' EXIT
     cargo run --release -p vcoma-experiments -- table2 fig8 \
         --scale 0.1 --jobs 8 --out "$guard"
     current=$(grep -o '"total_cycles_per_second": [0-9.]*' BENCH_sweep.json | awk '{print $2}')
@@ -147,7 +147,7 @@ echo "==> fault sweeps byte-identical across worker counts"
 echo "==> trace smoke: critical-path table + Perfetto export, --jobs 1 vs --jobs 8"
 trace1=$(mktemp -d)
 trace8=$(mktemp -d)
-trap 'rm -rf "$out1" "$out2" "$outm" "$fault1" "$fault2" "$n64a" "$n64b" "$micro_out" "$guard" "$trace1" "$trace8"' EXIT
+trap 'rm -rf "$out1" "$out2" "$bench1" "$fault1" "$fault2" "$n64a" "$n64b" "$micro_out" "$guard" "$trace1" "$trace8"' EXIT
 cargo run --release -p vcoma-experiments -- trace --scale 0.01 \
     --out "$trace1" --trace-out "$trace1/trace.json" --jobs 1
 cargo run --release -p vcoma-experiments -- trace --scale 0.01 \
@@ -172,7 +172,7 @@ echo "==> sweep server: crash resume, 100% cache-hit resubmission, byte-diff vs 
 sw=$(mktemp -d)
 sweepd_pid=""
 sweepd_http="127.0.0.1:9188"
-trap 'kill "$sweepd_pid" 2>/dev/null || true; rm -rf "$out1" "$out2" "$outm" "$fault1" "$fault2" "$n64a" "$n64b" "$micro_out" "$guard" "$trace1" "$trace8" "$sw"' EXIT
+trap 'kill "$sweepd_pid" 2>/dev/null || true; rm -rf "$out1" "$out2" "$bench1" "$fault1" "$fault2" "$n64a" "$n64b" "$micro_out" "$guard" "$trace1" "$trace8" "$sw"' EXIT
 cargo build --release -p vcoma-server -p vcoma-experiments
 start_sweepd() {
     # A kill -9'd daemon leaves its socket file behind; clear it so the

@@ -1,6 +1,7 @@
-//! Streaming replay equivalence: pulling ops lazily from a workload's
+//! Streaming replay equivalence: a node's ops must not depend on the
+//! order in which nodes pull them, pulling ops lazily from a workload's
 //! [`OpSource`] cursors must be indistinguishable — down to the debug
-//! rendering of the whole report — from building the traces up front,
+//! rendering of the whole report — from replaying the generated traces,
 //! and the engine's trace-shape failures must surface as [`SimError`]
 //! values through the facade instead of panics.
 
@@ -20,17 +21,51 @@ fn every_workload() -> Vec<Box<dyn Workload>> {
     ws
 }
 
+/// Pulls up to `max` ops from `source` into `out`; `false` once the
+/// source is exhausted.
+fn pull(source: &mut Box<dyn OpSource>, out: &mut Vec<Op>, max: usize) -> bool {
+    for _ in 0..max {
+        match source.next_op() {
+            Some(op) => out.push(op),
+            None => return false,
+        }
+    }
+    true
+}
+
 #[test]
 fn sources_concatenate_to_the_generated_traces() {
     let cfg = MachineConfig::paper_baseline();
+    let n = cfg.nodes as usize;
     for w in every_workload() {
         let eager = w.generate(&cfg);
-        let streamed: Vec<Vec<Op>> = w
-            .sources(&cfg)
-            .iter_mut()
-            .map(|s| std::iter::from_fn(|| s.next_op()).collect())
-            .collect();
-        assert_eq!(eager, streamed, "{}", w.name());
+
+        let mut sources = w.sources(&cfg);
+        let mut reverse = vec![Vec::new(); n];
+        for i in (0..n).rev() {
+            pull(&mut sources[i], &mut reverse[i], usize::MAX);
+        }
+        assert_eq!(eager, reverse, "{}: reverse node order", w.name());
+
+        let mut sources = w.sources(&cfg);
+        let mut round_robin = vec![Vec::new(); n];
+        let mut live = vec![true; n];
+        while live.contains(&true) {
+            for i in 0..n {
+                if live[i] {
+                    live[i] = pull(&mut sources[i], &mut round_robin[i], 1);
+                }
+            }
+        }
+        assert_eq!(eager, round_robin, "{}: round-robin, one op at a time", w.name());
+
+        let mut sources = w.sources(&cfg);
+        let mut node0_first = vec![Vec::new(); n];
+        pull(&mut sources[0], &mut node0_first[0], eager[0].len() / 2);
+        for i in (1..n).chain([0]) {
+            pull(&mut sources[i], &mut node0_first[i], usize::MAX);
+        }
+        assert_eq!(eager, node0_first, "{}: node 0 partly before the others", w.name());
     }
 }
 
@@ -39,7 +74,7 @@ fn streaming_reports_match_materialized_reports_for_every_workload() {
     for w in every_workload() {
         let sim = Simulator::new(Scheme::V_COMA).seed(42).warmup();
         let streamed = sim.run(w.as_ref());
-        let built = sim.clone().materialized().run(w.as_ref());
+        let built = sim.run_traces(w.generate(&sim.config().machine));
         assert_eq!(format!("{streamed:?}"), format!("{built:?}"), "{}", w.name());
     }
 }
@@ -50,7 +85,7 @@ fn streaming_matches_materialized_for_every_scheme() {
     for scheme in all_schemes() {
         let sim = Simulator::new(scheme).entries(8).seed(7);
         let streamed = sim.run(&w);
-        let built = sim.clone().materialized().run(&w);
+        let built = sim.run_traces(w.generate(&sim.config().machine));
         assert_eq!(format!("{streamed:?}"), format!("{built:?}"), "{scheme}");
     }
 }
@@ -81,9 +116,10 @@ impl Workload for Unbalanced {
 
 #[test]
 fn missing_barrier_participant_surfaces_as_a_deadlock_error() {
-    for sim in [Simulator::new(Scheme::L0_TLB).tiny(), Simulator::new(Scheme::L0_TLB).tiny().materialized()]
-    {
-        match sim.try_run(&Unbalanced) {
+    let sim = Simulator::new(Scheme::L0_TLB).tiny();
+    let built = sim.try_run_traces(Unbalanced.generate(&sim.config().machine));
+    for result in [sim.try_run(&Unbalanced), built] {
+        match result {
             Err(SimError::Deadlock { parked }) => assert_eq!(parked, vec![0]),
             other => panic!("expected a deadlock error, got {other:?}"),
         }
@@ -113,9 +149,10 @@ impl Workload for WrongArity {
 
 #[test]
 fn wrong_source_count_surfaces_as_bad_traces() {
-    for sim in [Simulator::new(Scheme::V_COMA).tiny(), Simulator::new(Scheme::V_COMA).tiny().materialized()]
-    {
-        match sim.try_run(&WrongArity) {
+    let sim = Simulator::new(Scheme::V_COMA).tiny();
+    let built = sim.try_run_traces(WrongArity.generate(&sim.config().machine));
+    for result in [sim.try_run(&WrongArity), built] {
+        match result {
             Err(SimError::BadTraces { got, want }) => {
                 assert_eq!((got, want), (1, 4));
             }
