@@ -1,74 +1,57 @@
-//! Hot-path micro-benchmarks: TLB lookup, the TLB bank, FLC/SLC probe,
-//! page-table mapping, and the full per-reference access path, isolated
-//! from artifact generation.
+//! Hot-path micro-benchmarks: op generation, TLB lookup, the TLB bank,
+//! FLC/SLC probe, page-table mapping, a coherence transaction, and the
+//! full per-reference access path, isolated from artifact generation.
 //!
-//! These track the cost of the struct-of-arrays cache layout and the
-//! precomputed per-scheme path tables. Compare against `cargo run -p
-//! vcoma-experiments -- bench` (whole-sweep cycles/s) when evaluating a
-//! hot-path change: the sweep gives the end-to-end number, these show
-//! which layer moved.
+//! These show which layer moved. The end-to-end figure for the same
+//! change is the whole-sweep simulated cycles/s that
+//! `cargo run --release -p vcoma-experiments -- table2 fig8 --jobs 1`
+//! writes to `BENCH_sweep.json`; `scripts/perf_ab.sh` compares it between
+//! the parent commit and the head commit.
 
-#[cfg(feature = "criterion-benches")]
-use criterion::{criterion_group, criterion_main, Criterion};
 use vcoma::Scheme;
-use vcoma_bench::micro;
+use vcoma_bench::{micro, plain_bench};
 
+const OP_GEN_OPS: u64 = 200_000;
 const TLB_ITERS: u64 = 200_000;
 const BANK_ITERS: u64 = 1_000_000;
 const CACHE_ITERS: u64 = 200_000;
 const MAP_ITERS: u64 = 200_000;
+const COHERENCE_ITERS: u64 = 200_000;
 const E2E_REFS: u64 = 20_000;
 
-fn print_artifact() {
+fn main() {
     println!("\n=== Hot-path micro checksums ===");
+    println!("op_gen({OP_GEN_OPS}) = {}", micro::op_gen(OP_GEN_OPS));
     println!("tlb_lookup({TLB_ITERS}) = {}", micro::tlb_lookup(TLB_ITERS));
     println!("tlb_bank({BANK_ITERS}) = {}", micro::tlb_bank(BANK_ITERS));
     println!("cache_probe({CACHE_ITERS}) = {}", micro::cache_probe(CACHE_ITERS));
     println!("page_table_map({MAP_ITERS}) = {}", micro::page_table_map(MAP_ITERS));
+    println!("coherence_txn({COHERENCE_ITERS}) = {}", micro::coherence_txn(COHERENCE_ITERS));
     println!("end_to_end({E2E_REFS}, v_coma) = {}", micro::end_to_end(E2E_REFS, Scheme::V_COMA));
     println!("end_to_end({E2E_REFS}, l0_tlb) = {}", micro::end_to_end(E2E_REFS, Scheme::L0_TLB));
-}
 
-#[cfg(feature = "criterion-benches")]
-fn bench(c: &mut Criterion) {
-    print_artifact();
-
-    let mut g = c.benchmark_group("hotpath_micro");
-    g.sample_size(20);
-    g.bench_function("tlb_lookup", |b| b.iter(|| micro::tlb_lookup(TLB_ITERS)));
-    g.bench_function("tlb_bank", |b| b.iter(|| micro::tlb_bank(BANK_ITERS)));
-    g.bench_function("cache_probe", |b| b.iter(|| micro::cache_probe(CACHE_ITERS)));
-    g.bench_function("page_table_map", |b| b.iter(|| micro::page_table_map(MAP_ITERS)));
-    g.bench_function("access_v_coma", |b| b.iter(|| micro::end_to_end(E2E_REFS, Scheme::V_COMA)));
-    g.bench_function("access_l0_tlb", |b| b.iter(|| micro::end_to_end(E2E_REFS, Scheme::L0_TLB)));
-    g.finish();
-}
-
-#[cfg(feature = "criterion-benches")]
-criterion_group!(benches, bench);
-#[cfg(feature = "criterion-benches")]
-criterion_main!(benches);
-
-#[cfg(not(feature = "criterion-benches"))]
-fn main() {
-    print_artifact();
-
-    vcoma_bench::plain_bench("hotpath_micro/tlb_lookup", 20, || {
+    plain_bench("hotpath_micro/op_gen", 20, || {
+        std::hint::black_box(micro::op_gen(OP_GEN_OPS));
+    });
+    plain_bench("hotpath_micro/tlb_lookup", 20, || {
         std::hint::black_box(micro::tlb_lookup(TLB_ITERS));
     });
-    vcoma_bench::plain_bench("hotpath_micro/tlb_bank", 20, || {
+    plain_bench("hotpath_micro/tlb_bank", 20, || {
         std::hint::black_box(micro::tlb_bank(BANK_ITERS));
     });
-    vcoma_bench::plain_bench("hotpath_micro/cache_probe", 20, || {
+    plain_bench("hotpath_micro/cache_probe", 20, || {
         std::hint::black_box(micro::cache_probe(CACHE_ITERS));
     });
-    vcoma_bench::plain_bench("hotpath_micro/page_table_map", 20, || {
+    plain_bench("hotpath_micro/page_table_map", 20, || {
         std::hint::black_box(micro::page_table_map(MAP_ITERS));
     });
-    vcoma_bench::plain_bench("hotpath_micro/access_v_coma", 20, || {
+    plain_bench("hotpath_micro/coherence_txn", 20, || {
+        std::hint::black_box(micro::coherence_txn(COHERENCE_ITERS));
+    });
+    plain_bench("hotpath_micro/access_v_coma", 20, || {
         std::hint::black_box(micro::end_to_end(E2E_REFS, Scheme::V_COMA));
     });
-    vcoma_bench::plain_bench("hotpath_micro/access_l0_tlb", 20, || {
+    plain_bench("hotpath_micro/access_l0_tlb", 20, || {
         std::hint::black_box(micro::end_to_end(E2E_REFS, Scheme::L0_TLB));
     });
 }

@@ -1,28 +1,12 @@
-//! Shared helpers for the Criterion benchmarks.
+//! Host-time micro-benchmarks for the simulator's per-reference layers.
 //!
-//! Each bench in `benches/` regenerates one of the paper's tables or
-//! figures through the `vcoma-experiments` entry points, prints the
-//! rendered artifact once (so `cargo bench` output doubles as a miniature
-//! reproduction report), and then measures the regeneration time at a
-//! reduced scale.
+//! [`micro`] holds one deterministic kernel per layer; the
+//! `hotpath_micro` bench target times them with [`plain_bench`].
+//! Whole-artifact timings come from the `vcoma-experiments` CLI, which
+//! writes each run's sweep throughput to `BENCH_sweep.json`.
 
-use vcoma_experiments::ExperimentConfig;
-
-/// The configuration used by the benches: the paper machine at a very
-/// small workload scale, so a full `cargo bench --workspace` stays within
-/// minutes.
-pub fn bench_config() -> ExperimentConfig {
-    ExperimentConfig::smoke().with_scale(0.004)
-}
-
-/// A slightly larger configuration for the one-shot artifact print.
-pub fn print_config() -> ExperimentConfig {
-    ExperimentConfig::smoke()
-}
-
-/// Minimal wall-clock harness used when the `criterion-benches` feature is
-/// off: one warmup run, then `samples` timed runs, printing mean/min/max
-/// milliseconds in the same spirit as the Criterion output.
+/// Minimal wall-clock harness: one warmup run, then `samples` timed runs,
+/// printing mean/min/max milliseconds.
 pub fn plain_bench<F: FnMut()>(label: &str, samples: u32, mut f: F) {
     f();
     let mut times = Vec::with_capacity(samples as usize);
@@ -40,19 +24,47 @@ pub fn plain_bench<F: FnMut()>(label: &str, samples: u32, mut f: F) {
 /// Micro-benchmark kernels for the per-access hot path.
 ///
 /// Each kernel is a deterministic closed loop over one layer of the
-/// simulator — TLB lookup, the TLB bank, FLC/SLC probe, page-table
-/// mapping, and the full `Machine::access` path — returning a checksum
-/// so the optimizer cannot discard the work and so the smoke test can pin
-/// the result.
+/// simulator — op generation, TLB lookup, the TLB bank, FLC/SLC probe,
+/// page-table mapping, a coherence transaction, and the full
+/// `Machine::access` path — returning a checksum so the optimizer cannot
+/// discard the work and so the smoke test can pin the result.
 /// The `hotpath_micro` bench target times them; `cargo test` runs them
 /// once at a small iteration count.
 pub mod micro {
     use vcoma::cachesim::{Flc, Slc};
+    use vcoma::coherence::{NullTranslation, Protocol};
+    use vcoma::net::Crossbar;
     use vcoma::vm::{PageTable, RoundRobinAllocator};
+    use vcoma::workloads::by_name;
     use vcoma::{
-        AccessKind, DetRng, Machine, MachineConfig, Op, Scheme, SimConfig, Tlb, TlbBank, TlbOrg,
-        VAddr, VPage,
+        AccessKind, DetRng, Machine, MachineConfig, NodeId, Op, Scheme, SimConfig, Tlb, TlbBank,
+        TlbOrg, VAddr, VPage,
     };
+
+    /// Pulls up to `ops` ops from FFT's per-node sources on the paper
+    /// machine, one node at a time in turn, skipping nodes whose stream
+    /// has ended. At scale 0.1 FFT has about 614k references, so the
+    /// bench target's count never runs the streams dry. Returns the op
+    /// count plus the sum of every accessed address.
+    pub fn op_gen(ops: u64) -> u64 {
+        let w = by_name("FFT", 0.1).expect("FFT is a paper benchmark");
+        let mut sources = w.sources(&MachineConfig::paper_baseline());
+        let (mut pulled, mut addrs, mut n) = (0u64, 0u64, 0usize);
+        while pulled < ops && !sources.is_empty() {
+            n %= sources.len();
+            match sources[n].next_op() {
+                Some(op) => {
+                    pulled += 1;
+                    addrs = addrs.wrapping_add(op.addr().map_or(0, VAddr::raw));
+                    n += 1;
+                }
+                None => {
+                    sources.remove(n);
+                }
+            }
+        }
+        pulled + addrs
+    }
 
     /// Pages in the TLB kernel's working set: 1.5x the TLB's capacity,
     /// so the stream mixes hits, capacity misses, and refills.
@@ -142,6 +154,38 @@ pub mod micro {
         hits
     }
 
+    /// Blocks in the coherence kernel's shared set: an eighth of one
+    /// tiny-machine attraction memory, so every transaction comes from
+    /// sharing (cold fills, remote reads, upgrades, invalidations) rather
+    /// than from capacity.
+    const SHARED_BLOCKS: usize = 64;
+
+    /// `Protocol::read`/`write` from the tiny machine's nodes over a
+    /// small shared block set, through a crossbar and free home lookups;
+    /// one access in four is a write. Returns local hits plus remote
+    /// transactions plus invalidations.
+    pub fn coherence_txn(iters: u64) -> u64 {
+        let m = MachineConfig::tiny();
+        let mut protocol = Protocol::new(&m, 5);
+        let mut net = Crossbar::new(m.nodes, m.timing);
+        let mut xl = NullTranslation;
+        let mut rng = DetRng::new(45);
+        let mut now = 0u64;
+        for i in 0..iters {
+            let node = NodeId::new(rng.gen_index(m.nodes as usize) as u16);
+            let block = rng.gen_index(SHARED_BLOCKS) as u64;
+            let home = NodeId::new((block % m.nodes) as u16);
+            let out = if i % 4 == 0 {
+                protocol.write(node, block, home, &mut net, &mut xl, now)
+            } else {
+                protocol.read(node, block, home, &mut net, &mut xl, now)
+            };
+            now += out.latency + 1;
+        }
+        let s = protocol.stats();
+        s.local_read_hits + s.local_write_hits + s.remote_transactions() + s.invalidations
+    }
+
     /// The full `Machine::access` path on the tiny 4-node machine: every
     /// node replays a trace mixing a hot shared region with a private
     /// strided region. Returns simulated exec time plus total refs.
@@ -182,16 +226,10 @@ mod tests {
     use vcoma::Scheme;
 
     #[test]
-    fn configs_are_small() {
-        assert!(bench_config().scale < print_config().scale);
-        assert_eq!(bench_config().machine.nodes, 32);
-    }
-
-    #[test]
     fn micro_kernels_run_and_are_deterministic() {
-        // Smoke for the plain-timer fallback path: every kernel the
-        // hotpath_micro bench target times must run and give the same
-        // checksum twice (the harness relies on run-to-run determinism).
+        // Every kernel the hotpath_micro bench target times must run and
+        // give the same checksum twice (the harness relies on run-to-run
+        // determinism).
         let tlb = micro::tlb_lookup(20_000);
         assert!(tlb >= 20_000, "hits + misses covers every lookup");
         assert_eq!(tlb, micro::tlb_lookup(20_000));
@@ -207,6 +245,14 @@ mod tests {
         let cache = micro::cache_probe(20_000);
         assert!(cache > 0);
         assert_eq!(cache, micro::cache_probe(20_000));
+
+        let ops = micro::op_gen(20_000);
+        assert!(ops > 20_000, "op count plus a nonzero address sum");
+        assert_eq!(ops, micro::op_gen(20_000));
+
+        let coherence = micro::coherence_txn(20_000);
+        assert!(coherence >= 20_000, "local hits plus remote transactions cover every access");
+        assert_eq!(coherence, micro::coherence_txn(20_000));
 
         let e2e = micro::end_to_end(1_000, Scheme::V_COMA);
         assert!(e2e > 4_000, "exec time plus 4 nodes x 1000 refs");

@@ -3,9 +3,9 @@
 //!
 //! Each module owns one artifact and exposes a `run(&ExperimentConfig)`
 //! returning plain data plus a `render(..)` producing the paper-style
-//! table. The CLI binary (`cargo run -p vcoma-experiments`) and the
-//! Criterion benches in `vcoma-bench` both call these entry points, so the
-//! numbers in `EXPERIMENTS.md` are regenerable from either.
+//! table. The CLI binary (`cargo run -p vcoma-experiments`) calls these
+//! entry points, so the numbers in `EXPERIMENTS.md` are regenerable from
+//! it.
 //!
 //! | Module | Paper artifact |
 //! |---|---|

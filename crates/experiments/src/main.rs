@@ -380,11 +380,6 @@ fn main() {
     // worker counts, while wall-clock figures never are.
     let stats = sweep::take_stats();
     if !stats.is_empty() {
-        // Carry the cycles/s trajectory forward: each run appends its
-        // point to the existing file's history instead of erasing it.
-        let prior = std::fs::read_to_string("BENCH_sweep.json")
-            .map(|s| sweep::prior_history(&s))
-            .unwrap_or_default();
         let json = sweep::bench_json(
             &stats,
             sweep::BenchContext {
@@ -392,7 +387,6 @@ fn main() {
                 nodes: cfg.machine.nodes,
                 code_fingerprint: cache::code_fingerprint(),
             },
-            &prior,
         );
         write_output_file(Path::new("BENCH_sweep.json"), &json);
         let total_wall: f64 = stats.iter().map(|s| s.wall_seconds).sum();

@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::progress::ProgressSink;
 
@@ -229,36 +229,6 @@ pub struct BenchContext {
     pub code_fingerprint: &'static str,
 }
 
-/// One point of the cross-PR throughput trajectory: which build produced
-/// it, how fast it ran, and how much memory it peaked at. Every run of
-/// the CLI appends one of these to `BENCH_sweep.json`'s `history` array
-/// (deduplicated per fingerprint, latest wins), so the file carries the
-/// cycles/s trend across revisions instead of only the latest number.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BenchHistoryEntry {
-    /// Code fingerprint of the build that produced the figure.
-    pub fingerprint: String,
-    /// Aggregate simulated cycles per wall-clock second of the run.
-    pub cycles_per_sec: f64,
-    /// Peak RSS of the run in kilobytes.
-    pub peak_rss_kb: u64,
-}
-
-/// The slice of a previously written `BENCH_sweep.json` the next run
-/// carries forward (every other field is regenerated).
-#[derive(Deserialize)]
-struct PriorBench {
-    history: Vec<BenchHistoryEntry>,
-}
-
-/// Extracts the `history` array from a previously written
-/// `BENCH_sweep.json`. Files without the array and malformed files yield
-/// an empty trajectory (a corrupt bench report should never fail a
-/// sweep, it just restarts the trend).
-pub fn prior_history(json: &str) -> Vec<BenchHistoryEntry> {
-    vcoma::metrics::json::from_json_str::<PriorBench>(json).map(|p| p.history).unwrap_or_default()
-}
-
 /// The `BENCH_sweep.json` document, in key order.
 #[derive(Serialize)]
 struct BenchDoc {
@@ -271,7 +241,6 @@ struct BenchDoc {
     total_cycles_per_second: f64,
     max_peak_rss_kb: u64,
     sweeps: Vec<SweepRecord>,
-    history: Vec<BenchHistoryEntry>,
 }
 
 /// One `sweeps` record of [`BenchDoc`]: a [`SweepStats`] with its rates.
@@ -288,27 +257,12 @@ struct SweepRecord {
 }
 
 /// Renders sweep stats as the `BENCH_sweep.json` document: the run
-/// context, overall wall-clock, one record per sweep, plus the carried
-/// `history` trajectory with this run appended.
-pub fn bench_json(stats: &[SweepStats], ctx: BenchContext, prior: &[BenchHistoryEntry]) -> String {
+/// context, overall wall-clock and one record per sweep.
+pub fn bench_json(stats: &[SweepStats], ctx: BenchContext) -> String {
     let total_wall: f64 = stats.iter().map(|s| s.wall_seconds).sum();
     let total_cycles: u64 = stats.iter().map(|s| s.simulated_cycles).sum();
     let cycles_per_sec = if total_wall > 0.0 { total_cycles as f64 / total_wall } else { 0.0 };
     let max_rss: u64 = stats.iter().map(|s| s.peak_rss_kb).max().unwrap_or(0);
-    // The trajectory: prior entries (minus any from this same build —
-    // re-running a build updates its point rather than duplicating it)
-    // with this run appended.
-    let current = BenchHistoryEntry {
-        fingerprint: ctx.code_fingerprint.to_string(),
-        cycles_per_sec,
-        peak_rss_kb: max_rss,
-    };
-    let history = prior
-        .iter()
-        .filter(|e| e.fingerprint != ctx.code_fingerprint)
-        .cloned()
-        .chain(std::iter::once(current))
-        .collect();
     let doc = BenchDoc {
         jobs: ctx.jobs,
         nodes: ctx.nodes,
@@ -331,7 +285,6 @@ pub fn bench_json(stats: &[SweepStats], ctx: BenchContext, prior: &[BenchHistory
                 peak_rss_kb: s.peak_rss_kb,
             })
             .collect(),
-        history,
     };
     vcoma::metrics::json::to_json_pretty(&doc).expect("bench document has no maps")
 }
@@ -442,7 +395,6 @@ mod tests {
                 nodes: 64,
                 code_fingerprint: crate::cache::code_fingerprint(),
             },
-            &[],
         );
         assert!(j.contains("\"sweeps\": ["));
         assert!(j.contains("\"nodes\": 64"));
@@ -457,57 +409,7 @@ mod tests {
         assert!(j.contains("\"peak_rss_kb\": 18000"));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches("\"sweep\":").count(), 2);
-    }
-
-    #[test]
-    fn bench_history_accumulates_across_runs() {
-        let stats = vec![SweepStats {
-            sweep: "fig8".into(),
-            points: 10,
-            jobs: 2,
-            wall_seconds: 2.0,
-            simulated_cycles: 1_000_000,
-            peak_rss_kb: 5_000,
-        }];
-        let ctx = BenchContext {
-            jobs: 2,
-            nodes: 32,
-            code_fingerprint: crate::cache::code_fingerprint(),
-        };
-        let older = vec![BenchHistoryEntry {
-            fingerprint: "0.0.9-deadbeef".into(),
-            cycles_per_sec: 123_456.0,
-            peak_rss_kb: 9_000,
-        }];
-        let first = bench_json(&stats, ctx, &older);
-        let after_first = prior_history(&first);
-        assert_eq!(after_first.len(), 2, "prior entry carried, this run appended");
-        assert_eq!(after_first[0], older[0]);
-        assert_eq!(after_first[1].fingerprint, crate::cache::code_fingerprint());
-        assert_eq!(after_first[1].cycles_per_sec, 500_000.0);
-        assert_eq!(after_first[1].peak_rss_kb, 5_000);
-
-        // A second run of the same build replaces its own point instead
-        // of duplicating it; foreign fingerprints are never dropped.
-        let second = bench_json(&stats, ctx, &after_first);
-        let after_second = prior_history(&second);
-        assert_eq!(after_second, after_first);
-
-        // History-less or malformed files restart the trajectory.
-        assert!(prior_history("{\"jobs\": 4, \"total_cycles_per_second\": 1.5}").is_empty());
-        assert!(prior_history("not json at all").is_empty());
-    }
-
-    #[test]
-    fn committed_bench_file_history_is_readable() {
-        let text = include_str!("../../../BENCH_sweep.json");
-        let history = prior_history(text);
-        assert!(history.len() >= 2, "the committed trajectory has two points: {history:?}");
-        assert_eq!(history.len(), text.matches("\"fingerprint\"").count());
-        assert_eq!(history[0].fingerprint, "0.1.0-2d87dcfe096838942817dd671f53cf01");
-        assert_eq!(history[0].cycles_per_sec, 61_077_289.63);
-        assert_eq!(history[0].peak_rss_kb, 615_476);
-        assert_eq!(history[1].fingerprint, "0.2.0-ee14d614749d4a1793ddabc305f69f82");
+        assert!(!j.contains("\"history\""), "each run's file stands alone");
     }
 
     #[test]

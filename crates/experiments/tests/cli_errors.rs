@@ -57,8 +57,10 @@ fn missing_flag_values_fail_with_exit_2() {
 fn nested_out_directories_are_created_on_demand() {
     let base = std::env::temp_dir().join(format!("vcoma-cli-out-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
+    std::fs::create_dir_all(&base).expect("test dir");
     let dest = base.join("deep").join("nested");
     let output = bin()
+        .current_dir(&base)
         .args(["table1", "--scale", "0.002", "--out"])
         .arg(&dest)
         .output()
@@ -67,5 +69,6 @@ fn nested_out_directories_are_created_on_demand() {
     let csv = dest.join("table1.csv");
     let contents = std::fs::read_to_string(&csv).expect("table1.csv written");
     assert!(contents.contains("RADIX"));
+    assert!(base.join("BENCH_sweep.json").exists(), "the throughput report lands in the cwd");
     let _ = std::fs::remove_dir_all(&base);
 }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 build+test, the golden-report regression suite,
-# and a CLI-level check that parallel sweeps are byte-deterministic.
+# a CLI-level check that parallel sweeps are byte-deterministic, and the
+# parent-vs-head perf A/B (scripts/perf_ab.sh).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -95,44 +96,17 @@ grep -q '"peak_rss_kb"' BENCH_sweep.json
 echo "==> jobs-1 and jobs-2 sweeps byte-identical; BENCH_sweep.json written"
 
 echo "==> hot-path micro-benchmarks: plain-timer harness must run every kernel"
-guard=""
 micro_out=$(mktemp)
 trap 'rm -rf "$out1" "$out2" "$bench1" "$fault1" "$fault2" "$n64a" "$n64b" "$micro_out"' EXIT
 cargo bench -p vcoma-bench --bench hotpath_micro | tee "$micro_out"
-for label in tlb_lookup cache_probe access_v_coma access_l0_tlb; do
+for label in op_gen tlb_lookup cache_probe coherence_txn access_v_coma access_l0_tlb; do
     grep -q "bench hotpath_micro/${label}:" "$micro_out" \
         || { echo "hotpath_micro never ran ${label}"; exit 1; }
 done
 echo "==> all micro-bench kernels ran under the plain-timer fallback"
 
-echo "==> perf guard: smoke-sweep cycles/s vs the committed baseline"
-# Compare a fresh run of the reference sweep against the committed
-# BENCH_sweep.json and fail on a >=30% cycles/s regression. The coarse
-# threshold absorbs machine-to-machine variance; it exists to catch the
-# hot path falling off a cliff, not a few percent of drift.
-if baseline=$(git show HEAD:BENCH_sweep.json 2>/dev/null \
-        | grep -o '"total_cycles_per_second": [0-9.]*' | awk '{print $2}') \
-        && [ -n "$baseline" ]; then
-    guard=$(mktemp -d)
-    trap 'rm -rf "$out1" "$out2" "$bench1" "$fault1" "$fault2" "$n64a" "$n64b" "$micro_out" "$guard"' EXIT
-    cargo run --release -p vcoma-experiments -- table2 fig8 \
-        --scale 0.1 --jobs 8 --out "$guard"
-    current=$(grep -o '"total_cycles_per_second": [0-9.]*' BENCH_sweep.json | awk '{print $2}')
-    awk -v b="$baseline" -v c="$current" 'BEGIN {
-        if (c < 0.7 * b) {
-            printf "perf guard: %.0f cycles/s is a >=30%% regression from the committed %.0f\n", c, b
-            exit 1
-        }
-        printf "perf guard ok: %.0f cycles/s vs committed baseline %.0f (%.1f%%)\n", c, b, 100 * c / b
-    }'
-    grep -q '"history"' BENCH_sweep.json
-    # The history trajectory must parse as JSON and end with a complete
-    # point for this run.
-    python3 -c 'import json; h = json.load(open("BENCH_sweep.json"))["history"]; \
-    assert h and all(k in h[-1] for k in ("fingerprint", "cycles_per_sec", "peak_rss_kb")), h'
-else
-    echo "no committed BENCH_sweep.json baseline; skipping the guard"
-fi
+echo "==> perf A/B: parent commit vs head, same host, --jobs 1"
+scripts/perf_ab.sh
 
 echo "==> fault-matrix smoke: every scheme under a lossy crossbar, auditor on"
 cargo run --release -p vcoma-experiments -- faults --scale 0.01 \
@@ -147,7 +121,7 @@ echo "==> fault sweeps byte-identical across worker counts"
 echo "==> trace smoke: critical-path table + Perfetto export, --jobs 1 vs --jobs 8"
 trace1=$(mktemp -d)
 trace8=$(mktemp -d)
-trap 'rm -rf "$out1" "$out2" "$bench1" "$fault1" "$fault2" "$n64a" "$n64b" "$micro_out" "$guard" "$trace1" "$trace8"' EXIT
+trap 'rm -rf "$out1" "$out2" "$bench1" "$fault1" "$fault2" "$n64a" "$n64b" "$micro_out" "$trace1" "$trace8"' EXIT
 cargo run --release -p vcoma-experiments -- trace --scale 0.01 \
     --out "$trace1" --trace-out "$trace1/trace.json" --jobs 1
 cargo run --release -p vcoma-experiments -- trace --scale 0.01 \
@@ -172,7 +146,7 @@ echo "==> sweep server: crash resume, 100% cache-hit resubmission, byte-diff vs 
 sw=$(mktemp -d)
 sweepd_pid=""
 sweepd_http="127.0.0.1:9188"
-trap 'kill "$sweepd_pid" 2>/dev/null || true; rm -rf "$out1" "$out2" "$bench1" "$fault1" "$fault2" "$n64a" "$n64b" "$micro_out" "$guard" "$trace1" "$trace8" "$sw"' EXIT
+trap 'kill "$sweepd_pid" 2>/dev/null || true; rm -rf "$out1" "$out2" "$bench1" "$fault1" "$fault2" "$n64a" "$n64b" "$micro_out" "$trace1" "$trace8" "$sw"' EXIT
 cargo build --release -p vcoma-server -p vcoma-experiments
 start_sweepd() {
     # A kill -9'd daemon leaves its socket file behind; clear it so the
