@@ -1,6 +1,7 @@
 //! Hot-path micro-benchmarks: op generation, TLB lookup, the TLB bank,
-//! FLC/SLC probe, page-table mapping, a coherence transaction, and the
-//! full per-reference access path, isolated from artifact generation.
+//! FLC/SLC probe, page-table mapping, a coherence transaction, the full
+//! per-reference access path, and the store codec's encode plus decode,
+//! isolated from artifact generation.
 //!
 //! These show which layer moved. The end-to-end figure for the same
 //! change is the whole-sweep simulated cycles/s that
@@ -18,6 +19,7 @@ const CACHE_ITERS: u64 = 200_000;
 const MAP_ITERS: u64 = 200_000;
 const COHERENCE_ITERS: u64 = 200_000;
 const E2E_REFS: u64 = 20_000;
+const CODEC_ITERS: u64 = 100;
 
 fn main() {
     println!("\n=== Hot-path micro checksums ===");
@@ -29,6 +31,8 @@ fn main() {
     println!("coherence_txn({COHERENCE_ITERS}) = {}", micro::coherence_txn(COHERENCE_ITERS));
     println!("end_to_end({E2E_REFS}, v_coma) = {}", micro::end_to_end(E2E_REFS, Scheme::V_COMA));
     println!("end_to_end({E2E_REFS}, l0_tlb) = {}", micro::end_to_end(E2E_REFS, Scheme::L0_TLB));
+    let report = micro::codec_report();
+    println!("codec_roundtrip({CODEC_ITERS}) = {}", micro::codec_roundtrip(&report, CODEC_ITERS));
 
     plain_bench("hotpath_micro/op_gen", 20, || {
         std::hint::black_box(micro::op_gen(OP_GEN_OPS));
@@ -53,5 +57,8 @@ fn main() {
     });
     plain_bench("hotpath_micro/access_l0_tlb", 20, || {
         std::hint::black_box(micro::end_to_end(E2E_REFS, Scheme::L0_TLB));
+    });
+    plain_bench("hotpath_micro/codec_roundtrip", 20, || {
+        std::hint::black_box(micro::codec_roundtrip(&report, CODEC_ITERS));
     });
 }

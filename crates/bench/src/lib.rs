@@ -25,9 +25,10 @@ pub fn plain_bench<F: FnMut()>(label: &str, samples: u32, mut f: F) {
 ///
 /// Each kernel is a deterministic closed loop over one layer of the
 /// simulator — op generation, TLB lookup, the TLB bank, FLC/SLC probe,
-/// page-table mapping, a coherence transaction, and the full
-/// `Machine::access` path — returning a checksum so the optimizer cannot
-/// discard the work and so the smoke test can pin the result.
+/// page-table mapping, a coherence transaction, the full
+/// `Machine::access` path, and the store codec — returning a checksum so
+/// the optimizer cannot discard the work and so the smoke test can pin
+/// the result.
 /// The `hotpath_micro` bench target times them; `cargo test` runs them
 /// once at a small iteration count.
 pub mod micro {
@@ -35,10 +36,10 @@ pub mod micro {
     use vcoma::coherence::{NullTranslation, Protocol};
     use vcoma::net::Crossbar;
     use vcoma::vm::{PageTable, RoundRobinAllocator};
-    use vcoma::workloads::by_name;
+    use vcoma::workloads::{by_name, UniformRandom};
     use vcoma::{
-        AccessKind, DetRng, Machine, MachineConfig, NodeId, Op, Scheme, SimConfig, Tlb, TlbBank,
-        TlbOrg, VAddr, VPage,
+        codec, AccessKind, DetRng, Machine, MachineConfig, NodeId, Op, Scheme, SimConfig,
+        SimReport, Simulator, Tlb, TlbBank, TlbOrg, VAddr, VPage,
     };
 
     /// Pulls up to `ops` ops from FFT's per-node sources on the paper
@@ -218,6 +219,28 @@ pub mod micro {
         let report = Machine::new(cfg).run(traces).expect("micro-bench trace replays");
         report.exec_time() + report.total_refs()
     }
+
+    /// The report [`codec_roundtrip`] stores: a short V-COMA run of
+    /// `UniformRandom` on the paper's 32-node machine, the shape of one
+    /// sweep point in the daemon's store.
+    #[must_use]
+    pub fn codec_report() -> SimReport {
+        let w = UniformRandom { pages: 64, refs_per_node: 200, write_fraction: 0.3 };
+        Simulator::new(Scheme::V_COMA).machine(MachineConfig::paper_baseline()).seed(9).run(&w)
+    }
+
+    /// Encodes `report` into a store envelope and decodes it back, `iters`
+    /// times: one store write plus one store hit, without the file I/O.
+    /// Returns the envelope bytes plus the decoded references, summed.
+    pub fn codec_roundtrip(report: &SimReport, iters: u64) -> u64 {
+        let mut sum = 0u64;
+        for _ in 0..iters {
+            let text = codec::encode(report, "fingerprint", "key");
+            let decoded = codec::decode(&text, report.config().clone()).expect("own envelope");
+            sum += text.len() as u64 + decoded.report.total_refs();
+        }
+        sum
+    }
 }
 
 #[cfg(test)]
@@ -258,6 +281,11 @@ mod tests {
         assert!(e2e > 4_000, "exec time plus 4 nodes x 1000 refs");
         assert_eq!(e2e, micro::end_to_end(1_000, Scheme::V_COMA));
         assert!(micro::end_to_end(1_000, Scheme::L0_TLB) > 4_000);
+
+        let report = micro::codec_report();
+        let codec = micro::codec_roundtrip(&report, 2);
+        assert!(codec > 2 * report.total_refs(), "envelope bytes plus refs, twice");
+        assert_eq!(codec, micro::codec_roundtrip(&report, 2));
     }
 
     #[test]

@@ -48,8 +48,8 @@ options:
   --out DIR          also write each artifact as CSV into DIR
   --breakdown        print the fine latency-attribution table (scheme x benchmark;
                      per-row totals equal the run's simulated cycles exactly)
-  --metrics-out FILE write the merged metrics snapshot (counters, histograms,
-                     traced events) of the breakdown runs as JSON to FILE
+  --metrics-out FILE write the merged metrics snapshot (counters, gauges,
+                     histograms) of the breakdown runs as JSON to FILE
   --fault-plan SPEC  base fault plan for the faults artifact, e.g.
                      drop=0.01,dup=0.005,delay=32,nack=0.02 (that is the
                      default when faults runs without this flag)
@@ -322,13 +322,6 @@ fn main() {
                 }
                 if let Some(path) = &metrics_out {
                     let merged = breakdown::merged_metrics(&rows);
-                    if merged.dropped_events > 0 {
-                        eprintln!(
-                            "warning: event ring overflowed; {} oldest events were dropped \
-                             (counters and histograms stay exact, the event list is partial)",
-                            merged.dropped_events
-                        );
-                    }
                     let json = vcoma::metrics::json::to_json_pretty(&merged)
                         .expect("metrics snapshot serializes");
                     write_output_file(path, &json);

@@ -295,7 +295,7 @@ impl de::Error for JsonParseError {
 /// Returns [`JsonParseError`] on malformed JSON, trailing input, or a
 /// shape the target type rejects.
 pub fn from_json_str<T: Deserialize>(input: &str) -> Result<T, JsonParseError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     let value = T::deserialize(JsonDeserializer { p: &mut p })?;
     p.skip_ws();
     if p.pos < p.bytes.len() {
@@ -304,12 +304,29 @@ pub fn from_json_str<T: Deserialize>(input: &str) -> Result<T, JsonParseError> {
     Ok(value)
 }
 
+/// Deepest array/object nesting the reader accepts. The reader recurses
+/// once per level, so without a cap a hostile document of nothing but
+/// `[` would exhaust the stack instead of failing to parse.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
+    /// Steps into an array or object, failing past [`MAX_DEPTH`].
+    fn enter(&mut self) -> Result<(), JsonParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        self.pos += 1;
+        Ok(())
+    }
+
     fn err(&self, message: &str) -> JsonParseError {
         JsonParseError { message: message.to_string(), offset: self.pos.max(1) }
     }
@@ -453,12 +470,18 @@ impl de::Deserializer for JsonDeserializer<'_, '_> {
     fn deserialize_any<V: Visitor>(self, visitor: V) -> Result<V::Value, JsonParseError> {
         match self.p.peek() {
             Some(b'{') => {
-                self.p.pos += 1;
-                visitor.visit_map(JsonMapAccess { p: self.p, first: true })
+                let p = self.p;
+                p.enter()?;
+                let value = visitor.visit_map(JsonMapAccess { p: &mut *p, first: true });
+                p.depth -= 1;
+                value
             }
             Some(b'[') => {
-                self.p.pos += 1;
-                visitor.visit_seq(JsonSeqAccess { p: self.p, first: true })
+                let p = self.p;
+                p.enter()?;
+                let value = visitor.visit_seq(JsonSeqAccess { p: &mut *p, first: true });
+                p.depth -= 1;
+                value
             }
             Some(b'"') => {
                 let s = self.p.parse_string()?;
@@ -747,6 +770,21 @@ mod tests {
     }
 
     #[test]
+    fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+        // An unknown field nested `arrays` deep inside a `Round` object.
+        let with_extra = |arrays: usize| {
+            let line = to_json_line(&round_sample()).unwrap();
+            format!("{{\"extra\":{}{},{}", "[".repeat(arrays), "]".repeat(arrays), &line[1..])
+        };
+        // The object is one level, so MAX_DEPTH - 1 arrays reach the cap.
+        assert_eq!(from_json_str::<Round>(&with_extra(MAX_DEPTH - 1)).unwrap(), round_sample());
+        let err = from_json_str::<Round>(&with_extra(MAX_DEPTH)).unwrap_err();
+        assert!(err.to_string().contains("nesting too deep"), "{err}");
+        let err = from_json_str::<Round>(&with_extra(1_000_000)).unwrap_err();
+        assert!(err.to_string().contains("nesting too deep"), "{err}");
+    }
+
+    #[test]
     fn metrics_snapshot_serializes_end_to_end() {
         let mut reg = MetricsRegistry::new(4);
         reg.count("reads", 3);
@@ -755,8 +793,9 @@ mod tests {
         let json = to_json_pretty(&reg.snapshot()).unwrap();
         assert!(json.contains("\"reads\": 3"));
         assert!(json.contains("\"latency\""));
-        assert!(json.contains("\"tlb_miss\""));
-        assert!(json.contains("\"dropped_events\": 0"));
+        // The event ring stays in the registry; snapshots never carry it.
+        assert!(!json.contains("tlb_miss"));
+        assert!(!json.contains("events"));
         // Deterministic: serializing twice yields identical bytes.
         assert_eq!(json, to_json_pretty(&reg.snapshot()).unwrap());
     }

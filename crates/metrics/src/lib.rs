@@ -14,7 +14,8 @@
 //!   with an overwrite-oldest policy and a drop counter.
 //! * [`MetricsRegistry`] — named counters, gauges and histograms keyed by
 //!   `&'static str`, snapshotted into the serializable
-//!   [`MetricsSnapshot`].
+//!   [`MetricsSnapshot`], plus the event ring, which stays live in the
+//!   registry and is never snapshotted.
 //! * [`Span`] / [`SpanBuffer`] / [`SpanSampler`] — causal span trees for
 //!   deterministically sampled transactions, with the
 //!   [`critical_paths`] analyzer and a Chrome-trace/Perfetto JSON

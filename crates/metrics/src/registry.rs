@@ -1,6 +1,6 @@
 //! Named counters, gauges and histograms, and the serializable snapshot.
 
-use crate::{Event, EventRing, EventSnapshot, Histogram, HistogramSnapshot, Mergeable};
+use crate::{Event, EventRing, Histogram, HistogramSnapshot, Mergeable};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -126,7 +126,9 @@ impl MetricsRegistry {
         self.events.clear();
     }
 
-    /// Converts into the serializable, mergeable snapshot form.
+    /// Converts into the serializable, mergeable snapshot form. The event
+    /// ring stays behind: it is a live flight recorder, read through
+    /// [`events`](Self::events), and no snapshot carries it.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -136,8 +138,6 @@ impl MetricsRegistry {
                 .recorded_histograms()
                 .map(|(k, h)| (k.to_string(), h.snapshot()))
                 .collect(),
-            events: self.events.snapshot(),
-            dropped_events: self.events.dropped(),
         }
     }
 }
@@ -159,13 +159,12 @@ impl Mergeable for MetricsRegistry {
             let slot = self.histogram_slot(name);
             self.histograms[slot.0].merge(h);
         }
-        for e in other.events.iter() {
-            self.events.push(*e);
-        }
+        Mergeable::merge(&mut self.events, &other.events);
     }
 }
 
-/// Serializable snapshot of a [`MetricsRegistry`].
+/// Serializable snapshot of a [`MetricsRegistry`]'s counters, gauges and
+/// histograms (not its event ring).
 ///
 /// This is what lands in `SimReport` and in `--metrics-out` JSON files.
 /// Snapshots from parallel sweep jobs fold together through
@@ -178,10 +177,6 @@ pub struct MetricsSnapshot {
     pub gauges: BTreeMap<String, i64>,
     /// Cycle histograms by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-    /// Structured trace events, oldest first.
-    pub events: Vec<EventSnapshot>,
-    /// Events lost to ring overflow.
-    pub dropped_events: u64,
 }
 
 impl MetricsSnapshot {
@@ -208,8 +203,6 @@ impl Mergeable for MetricsSnapshot {
             }
         }
         Mergeable::merge(&mut self.histograms, &other.histograms);
-        Mergeable::merge(&mut self.events, &other.events);
-        self.dropped_events += other.dropped_events;
     }
 }
 
@@ -236,25 +229,30 @@ mod tests {
         let snap = reg.snapshot();
         assert_eq!(snap.counters.keys().collect::<Vec<_>>(), vec!["a", "b"]);
         assert_eq!(snap.histogram("lat").unwrap().count, 1);
-        assert_eq!(snap.events.len(), 1);
-        assert_eq!(snap.dropped_events, 0);
+        assert_eq!(reg.events().len(), 1, "the event stays in the registry's ring");
     }
 
     #[test]
     fn merge_folds_counters_histograms_and_drops() {
-        let mut a = MetricsRegistry::new(8).snapshot();
-        let mut reg_b = MetricsRegistry::new(1);
-        reg_b.count("x", 5);
-        reg_b.observe("lat", 10);
-        reg_b.trace(Event { cycle: 1, node: 0, kind: "e", addr: 0 });
-        reg_b.trace(Event { cycle: 2, node: 0, kind: "e", addr: 0 });
-        let b = reg_b.snapshot();
-        assert_eq!(b.dropped_events, 1);
+        let mut a = MetricsRegistry::new(8);
+        let mut b = MetricsRegistry::new(1);
+        b.count("x", 5);
+        b.observe("lat", 10);
+        b.trace(Event { cycle: 1, node: 0, kind: "e", addr: 0 });
+        b.trace(Event { cycle: 2, node: 0, kind: "e", addr: 0 });
+        assert_eq!(b.events().dropped(), 1);
         a.merge(&b);
         a.merge(&b);
         assert_eq!(a.counter("x"), 10);
-        assert_eq!(a.histogram("lat").unwrap().count, 2);
-        assert_eq!(a.dropped_events, 2);
+        assert_eq!(a.histogram("lat").unwrap().count(), 2);
+        assert_eq!(a.events().dropped(), 2);
+        assert_eq!(a.events().len(), 2);
+        // Snapshots fold the same way, minus the ring.
+        let mut s = MetricsRegistry::new(8).snapshot();
+        s.merge(&b.snapshot());
+        s.merge(&b.snapshot());
+        assert_eq!(s.counter("x"), 10);
+        assert_eq!(s.histogram("lat").unwrap().count, 2);
     }
 
     #[test]
@@ -298,7 +296,7 @@ mod tests {
         let snap = reg.snapshot();
         assert!(snap.counters.is_empty());
         assert!(snap.histograms.is_empty());
-        assert!(snap.events.is_empty());
-        assert_eq!(snap.dropped_events, 0);
+        assert!(reg.events().is_empty());
+        assert_eq!(reg.events().dropped(), 0);
     }
 }

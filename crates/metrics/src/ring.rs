@@ -1,7 +1,6 @@
 //! Bounded, cycle-stamped structured event ring.
 
 use crate::Mergeable;
-use serde::{Deserialize, Serialize};
 
 /// One structured trace event.
 ///
@@ -105,8 +104,8 @@ impl EventRing {
     }
 }
 
-/// Serializable (owned) form of an [`Event`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Owned form of an [`Event`], as error reports carry it.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EventSnapshot {
     /// Simulated cycle at which the event occurred.
     pub cycle: u64,
@@ -118,12 +117,19 @@ pub struct EventSnapshot {
     pub addr: u64,
 }
 
-impl Mergeable for Vec<EventSnapshot> {
-    /// Concatenates then re-sorts by cycle (stable on ties), so merging
-    /// per-job traces yields one coherent timeline.
+impl Mergeable for EventRing {
+    /// Interleaves both rings' events by cycle (stable on ties, `self`'s
+    /// first) into one timeline and keeps the newest `capacity` of them.
+    /// The drop count adds both rings' drops and whatever the merge sheds.
     fn merge(&mut self, other: &Self) {
-        self.extend(other.iter().cloned());
-        self.sort_by_key(|e| e.cycle);
+        let mut events: Vec<Event> = self.iter().chain(other.iter()).copied().collect();
+        events.sort_by_key(|e| e.cycle);
+        let dropped = self.dropped + other.dropped;
+        self.clear();
+        for e in events {
+            self.push(e);
+        }
+        self.dropped += dropped;
     }
 }
 
@@ -205,8 +211,9 @@ mod tests {
         for c in [1u64, 5, 9] {
             ring_b.push(ev(c));
         }
-        let mut merged = ring_a.snapshot();
-        merged.merge(&ring_b.snapshot());
+        ring_a.merge(&ring_b);
+        let merged = ring_a.snapshot();
         assert_eq!(merged.iter().map(|e| e.cycle).collect::<Vec<_>>(), vec![0, 1, 4, 5, 8, 9]);
+        assert_eq!(ring_a.dropped(), 0);
     }
 }

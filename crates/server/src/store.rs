@@ -132,8 +132,8 @@ impl ReportCache for DiskStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vcoma::workloads::UniformRandom;
-    use vcoma::{Scheme, Simulator};
+    use vcoma::workloads::{UniformRandom, Workload};
+    use vcoma::{Machine, Scheme, Simulator};
     use vcoma_experiments::cache::point_key;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -174,6 +174,23 @@ mod tests {
     }
 
     #[test]
+    fn a_run_whose_event_ring_overflowed_loads_identically() {
+        // A 4-entry ring overflows under this TLB-thrashing workload; a
+        // store hit must still equal the fresh run.
+        let dir = tmpdir("overflow");
+        let store = DiskStore::open(&dir).expect("open");
+        let w = UniformRandom { pages: 200, refs_per_node: 1000, write_fraction: 0.3 };
+        let cfg =
+            Simulator::new(Scheme::L0_TLB).tiny().seed(9).config().clone().with_event_capacity(4);
+        let key = point_key(&cfg, &w, 1.0, code_fingerprint());
+        let report = Machine::new(cfg.clone()).run(w.generate(&cfg.machine)).expect("runs");
+        store.store(&key, &report);
+        let loaded = store.load(&key, &cfg).expect("hit after store");
+        assert_eq!(format!("{loaded:?}"), format!("{report:?}"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn foreign_entries_are_misses_not_errors() {
         let dir = tmpdir("foreign");
         let store = DiskStore::open(&dir).expect("open");
@@ -185,8 +202,8 @@ mod tests {
         // Corrupt: a future schema version must be ignored, not served.
         let path = store.entry_path(&key.digest);
         let text = std::fs::read_to_string(&path).expect("entry");
-        let current = format!("\"version\": {}", codec::VERSION);
-        std::fs::write(&path, text.replace(&current, "\"version\": 999")).expect("rewrite");
+        let current = format!("\"version\":{}", codec::VERSION);
+        std::fs::write(&path, text.replace(&current, "\"version\":999")).expect("rewrite");
         assert!(store.load(&key, sim.config()).is_none());
 
         // Truncated file: also a miss.

@@ -11,16 +11,21 @@
 //! report through [`SimReport::builder`], so a decoded report is
 //! indistinguishable from a freshly simulated one.
 //!
-//! The encoding is byte-deterministic (all maps are `BTreeMap`s, the
-//! writer is the deterministic pretty-printer in `vcoma-metrics`), which
-//! is what lets the integration suite pin the format with a golden
-//! fixture and the CI byte-diff daemon-served artifacts against direct
-//! runs.
+//! An envelope is one line of compact JSON (`to_json_line` in
+//! `vcoma-metrics`: no whitespace, no trailing newline), since a store
+//! hit's cost is mostly reading and decoding it. The body carries the
+//! report's metrics snapshot, which holds counters, gauges and histograms
+//! but never the machine's event ring.
+//!
+//! The encoding is byte-deterministic (all maps are `BTreeMap`s and the
+//! writer is deterministic), which is what lets the integration suite
+//! pin the format with a golden fixture and the CI byte-diff
+//! daemon-served artifacts against direct runs.
 
 use crate::{NodeReport, SimConfig, SimReport};
 use serde::{Deserialize, Serialize};
 use vcoma_coherence::ProtocolStats;
-use vcoma_metrics::json::{from_json_str, to_json_pretty, JsonParseError};
+use vcoma_metrics::json::{from_json_str, to_json_line, JsonParseError};
 use vcoma_metrics::{MetricsSnapshot, TraceSnapshot};
 use vcoma_net::NetStats;
 use vcoma_vm::PressureProfile;
@@ -31,7 +36,7 @@ pub const FORMAT: &str = "vcoma-simreport";
 /// Current schema version. Bump on any change to the serialized shape of
 /// the envelope or any type reachable from the body; stores treat a
 /// version mismatch as a cache miss.
-pub const VERSION: u64 = 2;
+pub const VERSION: u64 = 3;
 
 #[derive(Serialize, Deserialize)]
 struct Envelope {
@@ -117,7 +122,7 @@ pub fn encode(report: &SimReport, fingerprint: &str, key: &str) -> String {
             trace: report.trace().cloned(),
         },
     };
-    to_json_pretty(&envelope).expect("report envelope has only string-keyed maps")
+    to_json_line(&envelope).expect("report envelope has only string-keyed maps")
 }
 
 /// Decodes an envelope produced by [`encode`], reassembling the report
@@ -194,8 +199,82 @@ mod tests {
             Err(CodecError::Format(f)) if f == "other-format"
         ));
         let wrong_version =
-            text.replace(&format!("\"version\": {VERSION}"), "\"version\": 999");
+            text.replace(&format!("\"version\":{VERSION}"), "\"version\":999");
         assert!(matches!(decode(&wrong_version, cfg.clone()), Err(CodecError::Version(999))));
-        assert!(matches!(decode("{not json", cfg), Err(CodecError::Json(_))));
+        assert!(matches!(decode("{not json", cfg.clone()), Err(CodecError::Json(_))));
+        // A hostile nesting depth fails to parse instead of exhausting the stack.
+        let deep = format!("{{\"x\":{}", "[".repeat(1 << 20));
+        assert!(matches!(decode(&deep, cfg), Err(CodecError::Json(_))));
+    }
+
+    #[cfg(feature = "proptest-tests")]
+    mod props {
+        use super::*;
+        use crate::{Machine, TraceConfig};
+        use proptest::prelude::*;
+        use vcoma_workloads::{UniformRandom, Workload};
+
+        fn cfg() -> SimConfig {
+            SimConfig::new(MachineConfig::tiny(), Scheme::V_COMA)
+                .with_seed(5)
+                .with_trace(TraceConfig { sample_every: 8, capacity: 16 })
+        }
+
+        /// The envelope of a small traced run: nodes, histograms and
+        /// trace spans all present, yet short enough to try every prefix.
+        fn real_envelope() -> String {
+            let cfg = cfg();
+            let w = UniformRandom { pages: 16, refs_per_node: 100, write_fraction: 0.3 };
+            let report = Machine::new(cfg.clone()).run(w.generate(&cfg.machine)).expect("runs");
+            encode(&report, "fp", "key")
+        }
+
+        #[test]
+        fn every_truncation_of_a_real_envelope_is_an_error() {
+            let text = real_envelope();
+            assert!(decode(&text, cfg()).is_ok(), "the whole envelope decodes");
+            assert!(text.contains("\"spans\":[{"), "the envelope carries trace spans");
+            for end in 0..text.len() {
+                if let Some(prefix) = text.get(..end) {
+                    assert!(decode(prefix, cfg()).is_err(), "a {end}-byte prefix decoded");
+                }
+            }
+        }
+
+        /// Bytes a corruption splices in: JSON punctuation, digits and
+        /// the letters of `true`/`false`/`null`, so edits reach past
+        /// the tokenizer into the envelope's shape.
+        const SPLICE: &[u8] = b"{}[]\":,.-+eE0123456789truefalsn \\/u\xff";
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+            #[test]
+            fn arbitrary_bytes_are_an_error(
+                bytes in proptest::collection::vec(0u8..=255, 0..512),
+            ) {
+                let text = String::from_utf8_lossy(&bytes);
+                prop_assert!(decode(&text, cfg()).is_err());
+            }
+
+            #[test]
+            fn corrupted_envelopes_never_panic(
+                edits in proptest::collection::vec((0usize..1 << 20, 0usize..64), 1..6),
+            ) {
+                let mut bytes = real_envelope().into_bytes();
+                for (at, pick) in edits {
+                    let at = at % bytes.len();
+                    match pick % 3 {
+                        0 => bytes[at] = SPLICE[pick % SPLICE.len()],
+                        1 => bytes.insert(at, SPLICE[pick % SPLICE.len()]),
+                        _ => {
+                            bytes.remove(at);
+                        }
+                    }
+                }
+                // Any outcome but a panic is fine: an edit inside a number
+                // can leave a valid envelope.
+                let _ = decode(&String::from_utf8_lossy(&bytes), cfg());
+            }
+        }
     }
 }

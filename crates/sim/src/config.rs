@@ -53,7 +53,9 @@ pub struct SimConfig {
     /// Capacity of the machine's structured-event ring: the newest
     /// `event_capacity` traced events (TLB/DLB misses, shootdowns,
     /// swap-outs) are kept; older ones are dropped and counted. Zero
-    /// disables event tracing entirely.
+    /// disables event tracing entirely. The ring's only reader is the
+    /// auditor's violation report ([`SimError::Audit`](crate::SimError));
+    /// the capacity never changes a [`SimReport`](crate::SimReport).
     pub event_capacity: usize,
     /// Deterministic fault plan: message drop/duplication/extra delay at
     /// the crossbar boundary, transient home-directory NACKs, node pause

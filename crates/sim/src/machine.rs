@@ -1383,6 +1383,11 @@ mod tests {
             SimError::Audit(audit) => {
                 assert_eq!(audit.cycle, 777);
                 assert!(audit.to_string().contains("coherence invariant violated"));
+                // The flight-recorder tail is the event ring's one reader:
+                // non-empty, bounded by the ring and oldest first.
+                assert!(!audit.trace.is_empty(), "the run traced events");
+                assert!(audit.trace.len() <= m.cfg.event_capacity);
+                assert!(audit.trace.windows(2).all(|w| w[0].cycle <= w[1].cycle));
             }
             other => panic!("expected an audit error, got {other}"),
         }

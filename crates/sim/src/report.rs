@@ -211,8 +211,9 @@ impl SimReport {
         self.net.bytes
     }
 
-    /// The merged metrics snapshot: counters, histograms and traced events
-    /// from the machine and protocol registries.
+    /// The merged metrics snapshot: counters, gauges and histograms from
+    /// the machine and protocol registries. Traced events stay in the
+    /// machine's ring and are not part of the report.
     pub fn metrics(&self) -> &MetricsSnapshot {
         &self.metrics
     }

@@ -21,6 +21,20 @@ cargo test --release -q --features proptest-tests \
 echo "==> golden-report regression suite"
 cargo test -q -p vcoma-integration --test golden_reports
 
+echo "==> report fixtures: v3 is v2 without the event ring"
+python3 - <<'PY'
+import json
+v2 = json.load(open("tests/golden/simreport_v2.json"))
+v3 = json.load(open("tests/golden/simreport_v3.json"))
+assert (v2["version"], v3["version"]) == (2, 3), (v2["version"], v3["version"])
+assert v3.keys() == v2.keys(), (v3.keys(), v2.keys())
+for field in ("format", "fingerprint", "key"):
+    assert v3[field] == v2[field], field
+metrics = v2["body"]["metrics"]
+del metrics["events"], metrics["dropped_events"]
+assert v3["body"] == v2["body"], "v3 body is not v2's minus metrics.events and dropped_events"
+PY
+
 echo "==> parallel determinism smoke sweep (--jobs 1 vs --jobs 2)"
 out1=$(mktemp -d)
 out2=$(mktemp -d)
@@ -99,7 +113,7 @@ echo "==> hot-path micro-benchmarks: plain-timer harness must run every kernel"
 micro_out=$(mktemp)
 trap 'rm -rf "$out1" "$out2" "$bench1" "$fault1" "$fault2" "$n64a" "$n64b" "$micro_out"' EXIT
 cargo bench -p vcoma-bench --bench hotpath_micro | tee "$micro_out"
-for label in op_gen tlb_lookup cache_probe coherence_txn access_v_coma access_l0_tlb; do
+for label in op_gen tlb_lookup cache_probe coherence_txn access_v_coma access_l0_tlb codec_roundtrip; do
     grep -q "bench hotpath_micro/${label}:" "$micro_out" \
         || { echo "hotpath_micro never ran ${label}"; exit 1; }
 done

@@ -1,10 +1,11 @@
 //! Event-ring overflow behaviour: the ring keeps the newest events, counts
-//! what it sheds, folds across parallel jobs, and surfaces overflow in a
-//! full simulation report.
+//! what it sheds and folds across registries. The ring lives in the
+//! `MetricsRegistry`, never in a `SimReport`, so its capacity cannot
+//! change what a full simulation reports.
 
-use vcoma::metrics::{Event, EventRing, EventSnapshot, Mergeable, MetricsRegistry};
+use vcoma::metrics::{Event, EventRing, Mergeable, MetricsRegistry};
 use vcoma::workloads::{UniformRandom, Workload};
-use vcoma::{Machine, MachineConfig, Scheme, SimConfig};
+use vcoma::{codec, Machine, MachineConfig, Scheme, SimConfig};
 
 fn event(cycle: u64) -> Event {
     Event { cycle, node: (cycle % 4) as u16, kind: "tlb_miss", addr: cycle * 64 }
@@ -35,35 +36,44 @@ fn zero_capacity_ring_drops_everything() {
 }
 
 #[test]
-fn registry_snapshot_carries_the_drop_count_through_merge() {
+fn registry_merge_carries_the_drop_count() {
     let mut a = MetricsRegistry::new(4);
     let mut b = MetricsRegistry::new(4);
     for c in 0..10 {
         a.trace(event(c));
         b.trace(event(100 + c));
     }
-    let mut sa = a.snapshot();
-    let sb = b.snapshot();
-    assert_eq!(sa.dropped_events, 6);
-    sa.merge(&sb);
-    assert_eq!(sa.dropped_events, 12);
-    assert_eq!(sa.events.len(), 8, "merge concatenates both retained tails");
+    assert_eq!(a.events().dropped(), 6);
+    a.merge(&b);
+    // Both retained tails meet in a 4-entry ring: b's newer four stay,
+    // and every one of the 20 events is either retained or counted.
+    let cycles: Vec<u64> = a.events().iter().map(|e| e.cycle).collect();
+    assert_eq!(cycles, (106..110).collect::<Vec<u64>>());
+    assert_eq!(a.events().dropped(), 16);
+    assert_eq!(a.events().len() as u64 + a.events().dropped(), 20);
 }
 
 #[test]
-fn event_snapshot_vectors_merge_in_order() {
-    let mut a: Vec<EventSnapshot> = EventRing::new(4).snapshot();
-    let mut ring = EventRing::new(4);
-    ring.push(event(7));
-    a.merge(&ring.snapshot());
-    assert_eq!(a.len(), 1);
-    assert_eq!(a[0].cycle, 7);
-    assert_eq!(a[0].kind, "tlb_miss");
+fn event_rings_merge_in_cycle_order() {
+    let mut a = EventRing::new(4);
+    let mut b = EventRing::new(4);
+    for c in [3, 9] {
+        a.push(event(c));
+    }
+    for c in [1, 7] {
+        b.push(event(c));
+    }
+    a.merge(&b);
+    let snap = a.snapshot();
+    assert_eq!(snap.iter().map(|e| e.cycle).collect::<Vec<_>>(), vec![1, 3, 7, 9]);
+    assert_eq!(snap[0].kind, "tlb_miss");
+    assert_eq!(a.dropped(), 0);
 }
 
 #[test]
 fn a_real_run_overflows_a_tiny_ring_without_losing_counters() {
-    // A 4-entry ring under a TLB-thrashing workload must shed events…
+    // A TLB-thrashing workload overflows a 4-entry ring and fits in a
+    // 2^20-entry one; the two runs must report exactly the same thing.
     let machine = MachineConfig::tiny();
     let w = UniformRandom { pages: 200, refs_per_node: 1000, write_fraction: 0.3 };
     let traces = w.generate(&machine);
@@ -74,18 +84,14 @@ fn a_real_run_overflows_a_tiny_ring_without_losing_counters() {
         Machine::new(cfg).run(traces.clone()).unwrap()
     };
     let small = run(4);
-    assert!(small.metrics().dropped_events > 0, "4-entry ring must overflow");
-    assert!(small.metrics().events.len() <= 4);
-
-    // …while a large ring on the same run drops nothing, and the small
-    // ring's drop count accounts exactly for the difference.
     let big = run(1 << 20);
-    assert_eq!(big.metrics().dropped_events, 0);
+    // The envelope holds everything a report carries except its config,
+    // and the configs differ only in the ring's capacity.
+    assert_eq!(codec::encode(&small, "fp", "k"), codec::encode(&big, "fp", "k"));
     assert_eq!(
-        big.metrics().events.len() as u64,
-        small.metrics().events.len() as u64 + small.metrics().dropped_events
+        format!("{:?}", small.config().clone().with_event_capacity(1 << 20)),
+        format!("{:?}", big.config())
     );
-    // Overflow touches only the ring: counters and histograms agree.
-    assert_eq!(big.metrics().counters, small.metrics().counters);
+    assert_eq!(small.metrics(), big.metrics());
     assert_eq!(big.exec_time(), small.exec_time());
 }

@@ -6,7 +6,7 @@
 //! snapshotted byte-exactly under `tests/golden/`. A change to any
 //! serialized shape fails here loudly, which is the contract that makes
 //! on-disk result stores trustworthy: stale stores must break visibly,
-//! not decode into subtly different reports. `simreport_v1.json` stays
+//! not decode into subtly different reports. `simreport_v2.json` stays
 //! as the previous version's envelope, which must fail the version check.
 //!
 //! To regenerate after an intentional format change (bump
@@ -19,7 +19,7 @@
 use std::fs;
 use std::path::PathBuf;
 use vcoma::workloads::UniformRandom;
-use vcoma::{codec, Scheme, SimReport, Simulator};
+use vcoma::{codec, MachineConfig, Scheme, SimReport, Simulator};
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden"))
@@ -56,14 +56,30 @@ fn traced_report() -> SimReport {
 fn encoded_report_matches_golden_fixture() {
     let report = traced_report();
     let text = codec::encode(&report, "golden-fingerprint", "golden-key");
-    check("simreport_v2.json", &text);
+    check("simreport_v3.json", &text);
 }
 
 #[test]
-fn stale_v1_envelope_fails_the_version_check() {
-    let v1 = fs::read_to_string(golden_dir().join("simreport_v1.json")).expect("v1 fixture");
+fn stale_v2_envelope_fails_the_version_check() {
+    let v2 = fs::read_to_string(golden_dir().join("simreport_v2.json")).expect("v2 fixture");
     let cfg = traced_report().config().clone();
-    assert!(matches!(codec::decode(&v1, cfg), Err(codec::CodecError::Version(1))));
+    assert!(matches!(codec::decode(&v2, cfg), Err(codec::CodecError::Version(2))));
+}
+
+#[test]
+fn paper_machine_envelope_is_one_compact_line() {
+    // A stored point of the paper's 32-node machine: one line of compact
+    // JSON without the event ring, small enough that a store hit is cheap.
+    let w = UniformRandom { pages: 64, refs_per_node: 200, write_fraction: 0.3 };
+    let report = Simulator::new(Scheme::V_COMA)
+        .machine(MachineConfig::paper_baseline())
+        .seed(9)
+        .run(&w);
+    assert_eq!(report.nodes().len(), 32);
+    let text = codec::encode(&report, "fp", "key");
+    assert!(!text.contains('\n'), "the envelope is one line");
+    assert!(!text.contains("\"events\""), "the event ring is not stored");
+    assert!(text.len() < 32 * 1024, "envelope is {} bytes", text.len());
 }
 
 #[test]
@@ -86,7 +102,7 @@ fn untraced_report_round_trips_with_null_trace() {
     let report = Simulator::new(Scheme::L0_TLB).tiny().seed(3).run(&workload());
     assert!(report.trace().is_none());
     let text = codec::encode(&report, "fp", "key");
-    assert!(text.contains("\"trace\": null"));
+    assert!(text.contains("\"trace\":null"));
     let decoded = codec::decode(&text, report.config().clone()).expect("decodes");
     assert!(decoded.report.trace().is_none());
     assert_eq!(format!("{:?}", decoded.report), format!("{report:?}"));
