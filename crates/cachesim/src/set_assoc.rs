@@ -203,31 +203,6 @@ impl<T> SetAssocArray<T> {
         Some(self.remove_slot(si, slot))
     }
 
-    /// Removes every entry for which `pred` returns `true`, returning the
-    /// removed `(block, payload)` pairs. Used for page-granularity flushes
-    /// (address-mapping changes, protection changes).
-    pub fn retain_or_collect(&mut self, mut pred: impl FnMut(u64, &T) -> bool) -> Vec<(u64, T)>
-    where
-        T: Default,
-    {
-        let mut removed = Vec::new();
-        for si in 0..self.num_sets {
-            let base = si * self.assoc;
-            let mut i = 0;
-            while i < self.lens[si] as usize {
-                let slot = base + i;
-                if pred(self.tags[slot], &self.data[slot]) {
-                    let tag = self.tags[slot];
-                    let data = self.remove_slot(si, slot);
-                    removed.push((tag, data));
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        removed
-    }
-
     /// Iterates over all resident `(block, payload)` pairs in unspecified
     /// order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
@@ -338,20 +313,6 @@ mod tests {
         assert_eq!(a.invalidate(5), Some(50));
         assert!(!a.contains(5));
         assert_eq!(a.invalidate(5), None);
-    }
-
-    #[test]
-    fn retain_or_collect_flushes_predicate_matches() {
-        let mut a = lru_array(8, 2);
-        for b in 0..8u64 {
-            a.insert(b, b as u32);
-        }
-        let removed = a.retain_or_collect(|b, _| b % 2 == 0);
-        assert_eq!(removed.len(), 4);
-        assert_eq!(a.len(), 4);
-        for b in 0..8u64 {
-            assert_eq!(a.contains(b), b % 2 == 1);
-        }
     }
 
     #[test]

@@ -99,17 +99,6 @@ impl Slc {
         SlcAccess { hit: false, evicted, writeback }
     }
 
-    /// Marks a resident line dirty without counting an access (used when a
-    /// write-through from the FLC updates a resident SLC line).
-    pub fn mark_dirty(&mut self, block: u64) -> bool {
-        if let Some(line) = self.array.peek_mut(block) {
-            line.dirty = true;
-            true
-        } else {
-            false
-        }
-    }
-
     /// Removes `block` (coherence or inclusion back-invalidation). Returns
     /// `Some(dirty)` if the line was resident.
     pub fn invalidate(&mut self, block: u64) -> Option<bool> {
@@ -229,15 +218,6 @@ mod tests {
         let r = c.access(2, AccessKind::Read);
         assert_eq!(r.evicted, Some(0));
         assert_eq!(r.writeback, None);
-    }
-
-    #[test]
-    fn mark_dirty_only_if_resident() {
-        let mut c = paper_slc();
-        assert!(!c.mark_dirty(5));
-        c.access(5, AccessKind::Read);
-        assert!(c.mark_dirty(5));
-        assert_eq!(c.state_of(5), Some(true));
     }
 
     #[test]

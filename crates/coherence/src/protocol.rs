@@ -51,9 +51,6 @@ pub struct Access {
     /// processor caches above those attraction memories to preserve
     /// inclusion.
     pub invalidations: Vec<(NodeId, u64)>,
-    /// `true` if this transaction obtained exclusive ownership (the hook
-    /// for the page-table modified bit, paper §4.3).
-    pub took_ownership: bool,
 }
 
 impl Access {
@@ -67,7 +64,6 @@ impl Access {
             queue_cycles: 0,
             fault_cycles: 0,
             invalidations: Vec::new(),
-            took_ownership: false,
         }
     }
 }
@@ -209,12 +205,7 @@ impl Path {
     }
 
     /// Finishes the transaction, packaging the attribution.
-    fn into_access(
-        self,
-        now: u64,
-        invalidations: Vec<(NodeId, u64)>,
-        took_ownership: bool,
-    ) -> Access {
+    fn into_access(self, now: u64, invalidations: Vec<(NodeId, u64)>) -> Access {
         let latency = self.t - now;
         debug_assert_eq!(
             latency,
@@ -230,7 +221,6 @@ impl Path {
             queue_cycles: self.queue,
             fault_cycles: self.fault,
             invalidations,
-            took_ownership,
         }
     }
 }
@@ -254,10 +244,10 @@ pub struct Protocol {
     /// Named state-transition counters (`transition.*`), alongside the
     /// fixed [`ProtocolStats`] counters.
     metrics: MetricsRegistry,
-    /// Transaction-level fault policy (home NACKs plus retry pacing);
-    /// `None` disables the retry path entirely, keeping fault-free runs on
-    /// the exact pre-fault code path.
-    faults: Option<TxnFaults>,
+    /// Transaction-level fault policy (home NACKs plus retry pacing). The
+    /// default zero plan never NACKs, and with no crossbar fault hook every
+    /// send is delivered exactly as [`Crossbar::send`] would deliver it.
+    faults: TxnFaults,
     /// Hop-capture log for the transaction in flight; `None` (the
     /// default) keeps untraced transactions on a zero-overhead path.
     /// Capture never influences timing or protocol decisions.
@@ -277,7 +267,7 @@ impl Protocol {
             policy: InjectionPolicy::RandomForward,
             stats: ProtocolStats::default(),
             metrics: MetricsRegistry::new(0),
-            faults: None,
+            faults: TxnFaults::new(FaultPlan::default(), cfg.nodes as usize),
             hops: None,
         }
     }
@@ -306,7 +296,7 @@ impl Protocol {
     /// per the plan and lost requests are detected by timeout, both
     /// recovered by bounded exponential-backoff retries.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(TxnFaults::new(plan, self.nodes as usize));
+        self.faults = TxnFaults::new(plan, self.nodes as usize);
         self
     }
 
@@ -344,11 +334,6 @@ impl Protocol {
         self.ams[node.index()].peek(block).copied()
     }
 
-    /// Number of blocks resident in one node's attraction memory.
-    pub fn am_occupancy(&self, node: NodeId) -> usize {
-        self.ams[node.index()].len()
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> &ProtocolStats {
         &self.stats
@@ -384,13 +369,7 @@ impl Protocol {
         home: NodeId,
         kind: MsgKind,
     ) {
-        let Self { faults, stats, metrics, hops, .. } = self;
-        let Some(fx) = faults.as_mut() else {
-            let depart = path.t;
-            path.send(net, requester, home, kind);
-            record_hop(hops, depart, path.t, requester, home, kind.label());
-            return;
-        };
+        let Self { faults: fx, stats, metrics, hops, .. } = self;
         let mut attempt = 0u32;
         loop {
             let depart = path.t;
@@ -450,13 +429,8 @@ impl Protocol {
         dst: NodeId,
         kind: MsgKind,
     ) {
-        let Self { faults, stats, metrics, hops, .. } = self;
+        let Self { faults: fx, stats, metrics, hops, .. } = self;
         let depart = path.t;
-        let Some(fx) = faults.as_mut() else {
-            path.send(net, src, dst, kind);
-            record_hop(hops, depart, path.t, src, dst, kind.label());
-            return;
-        };
         match net.send_faulty(src, dst, kind, path.t) {
             SendOutcome::Delivered { arrive, fault_delay } => {
                 path.absorb_delivery(net, kind, arrive, fault_delay);
@@ -486,11 +460,6 @@ impl Protocol {
         kind: MsgKind,
         t: u64,
     ) -> u64 {
-        if self.faults.is_none() {
-            let arrive = net.send(src, dst, kind, t);
-            record_hop(&mut self.hops, t, arrive, src, dst, kind.label());
-            return arrive;
-        }
         let arrive = match net.send_faulty(src, dst, kind, t) {
             SendOutcome::Delivered { arrive, .. } => arrive,
             SendOutcome::Dropped => {
@@ -562,7 +531,7 @@ impl Protocol {
             self.dir.get_mut(&block).expect("entry exists").add(requester);
             self.install(requester, block, AmState::Shared, net, path.t, &mut invals);
         }
-        path.into_access(now, invals, false)
+        path.into_access(now, invals)
     }
 
     /// A processor write of `block` by `requester`, whose home is `home`.
@@ -641,7 +610,7 @@ impl Protocol {
                 self.install(requester, block, AmState::Exclusive, net, path.t, &mut invals);
             }
         }
-        path.into_access(now, invals, true)
+        path.into_access(now, invals)
     }
 
     /// Invalidates every holder of `block` except `keep` (and except the
@@ -1065,8 +1034,7 @@ mod tests {
     #[test]
     fn cold_write_makes_requester_exclusive() {
         let (_, mut p, mut net, mut xl) = setup();
-        let out = p.write(N1, 10, N0, &mut net, &mut xl, 0);
-        assert!(out.took_ownership);
+        p.write(N1, 10, N0, &mut net, &mut xl, 0);
         assert_eq!(p.state_of(N1, 10), Some(AmState::Exclusive));
         assert!(p.probe(N1, 10, true));
         p.check_invariants().unwrap();
@@ -1088,7 +1056,6 @@ mod tests {
         p.read(N2, 10, N0, &mut net, &mut xl, 0); // N2 shared
         let out = p.write(N2, 10, N0, &mut net, &mut xl, 0);
         assert!(!out.local_hit);
-        assert!(out.took_ownership);
         assert!(out.invalidations.contains(&(N1, 10)));
         assert_eq!(p.state_of(N1, 10), None);
         assert_eq!(p.state_of(N2, 10), Some(AmState::Exclusive));

@@ -18,8 +18,8 @@
 //!
 //! The workspace builds every substrate from scratch: set-associative
 //! caches, the COMA-F write-invalidate protocol with replacement
-//! *injection*, a segmented virtual-memory system with page coloring and
-//! directory pages, an 8-bit crossbar model, and deterministic generators
+//! *injection*, a virtual-memory system with page coloring and directory
+//! pages, an 8-bit crossbar model, and deterministic generators
 //! reproducing the access structure of the paper's six SPLASH-2 workloads.
 //!
 //! ## Quick start
@@ -44,7 +44,7 @@
 
 pub use vcoma_sim::{
     codec, AuditError, LatencyBreakdown, Machine, NodeReport, SimConfig, SimError, SimReport,
-    SimReportBuilder, TimeBreakdown, TlbBank, TraceConfig, LATENCY_CATEGORIES,
+    TimeBreakdown, TlbBank, TraceConfig, LATENCY_CATEGORIES,
 };
 pub use vcoma_tlb::{
     all_schemes, paper_schemes, registry, AllocPolicy, BankModel, ModelParams, PageSize, Scheme,

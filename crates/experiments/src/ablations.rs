@@ -167,15 +167,6 @@ pub fn render(rows: &[AblationRow]) -> TextTable {
     t
 }
 
-/// Runs one benchmark (by workload) under every registered scheme and
-/// returns the execution times — a helper shared by examples and benches.
-pub fn exec_times_all_schemes(cfg: &ExperimentConfig, w: &dyn Workload) -> Vec<(Scheme, u64)> {
-    vcoma::all_schemes()
-        .into_iter()
-        .map(|s| (s, cfg.run_cached(cfg.simulator(s), w).exec_time()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -91,6 +91,25 @@ fn flag_value(flag: &str, value: Option<String>) -> String {
     })
 }
 
+/// Prints one `[sweep …]` line per sweep finished since the last call and
+/// keeps their stats for `BENCH_sweep.json`. The CLI prints these lines,
+/// not the sweep harness, so a daemon running sweeps keeps a quiet stdout.
+fn print_sweeps(ledger: &mut Vec<sweep::SweepStats>) {
+    for s in sweep::take_stats() {
+        println!(
+            "[sweep {}: {} points on {} jobs, {:.2}s wall, {} sim cycles, {:.1} points/s, {:.3e} cycles/s]",
+            s.sweep,
+            s.points,
+            s.jobs,
+            s.wall_seconds,
+            s.simulated_cycles,
+            s.points_per_second(),
+            s.cycles_per_second(),
+        );
+        ledger.push(s);
+    }
+}
+
 /// Writes a user-requested output file (`--out` CSVs, `--metrics-out`,
 /// `--trace-out`, `BENCH_sweep.json`), creating missing parent
 /// directories first. On failure prints a one-line error and exits with
@@ -300,12 +319,14 @@ fn main() {
         }
     };
 
+    let mut ledger = Vec::new();
     for a in &artifacts {
         let t0 = std::time::Instant::now();
         match a.as_str() {
             name if artifacts::STANDARD.contains(&name) => {
                 let output = artifacts::run_standard(name, &cfg)
                     .expect("STANDARD names dispatch");
+                print_sweeps(&mut ledger);
                 println!("{}", output.heading);
                 for (stem, t) in &output.tables {
                     println!("{}", t.render());
@@ -315,6 +336,7 @@ fn main() {
             "breakdown" => {
                 println!("== Fine latency attribution: scheme x benchmark ==");
                 let rows = breakdown::run(&cfg);
+                print_sweeps(&mut ledger);
                 if want_breakdown {
                     let t = breakdown::render(&rows);
                     println!("{}", t.render());
@@ -336,6 +358,7 @@ fn main() {
                     trace::CAPACITY
                 );
                 let rows = trace::run(&cfg);
+                print_sweeps(&mut ledger);
                 let t = trace::render(&rows);
                 println!("{}", t.render());
                 save("trace", t.to_csv());
@@ -351,7 +374,9 @@ fn main() {
                     base = base.with_seed(seed);
                 }
                 println!("base plan: {base} (seed {:#x})", base.seed);
-                match faults::run(&cfg, &base) {
+                let result = faults::run(&cfg, &base);
+                print_sweeps(&mut ledger);
+                match result {
                     Ok(rows) => {
                         let t = faults::render(&base, &rows);
                         println!("{}", t.render());
@@ -371,7 +396,7 @@ fn main() {
     // Sweep throughput summary. BENCH_sweep.json goes to the working
     // directory, not --out: the --out CSVs stay byte-identical across
     // worker counts, while wall-clock figures never are.
-    let stats = sweep::take_stats();
+    let stats = ledger;
     if !stats.is_empty() {
         let json = sweep::bench_json(
             &stats,

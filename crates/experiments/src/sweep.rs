@@ -9,8 +9,10 @@
 //! finished — `--jobs 1` and `--jobs 8` produce the same tables and CSVs.
 //!
 //! Each sweep also records a [`SweepStats`] entry (wall-clock, simulated
-//! cycles, throughput) in a process-wide ledger; the CLI drains it with
-//! [`take_stats`] and writes `BENCH_sweep.json`.
+//! cycles, throughput) in a process-wide ledger and prints nothing: the
+//! CLI drains the ledger with [`take_stats`], prints one `[sweep …]` line
+//! per entry and writes `BENCH_sweep.json`, while the sweep daemon keeps
+//! its stdout to its readiness line.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -123,8 +125,8 @@ pub fn take_stats() -> Vec<SweepStats> {
 /// input order. `jobs` is clamped to `[1, points.len()]`; the merged
 /// output is independent of the worker count.
 ///
-/// Prints one throughput line per sweep and appends a [`SweepStats`]
-/// record to the process-wide ledger.
+/// Appends a [`SweepStats`] record to the process-wide ledger; prints
+/// nothing.
 pub fn run<I, T, F>(name: &str, jobs: usize, points: Vec<SweepPoint<I>>, eval: F) -> Vec<T>
 where
     I: Sync,
@@ -199,16 +201,6 @@ where
         simulated_cycles,
         peak_rss_kb: peak_rss_kb(),
     };
-    println!(
-        "[sweep {}: {} points on {} jobs, {:.2}s wall, {} sim cycles, {:.1} points/s, {:.3e} cycles/s]",
-        stats.sweep,
-        stats.points,
-        stats.jobs,
-        stats.wall_seconds,
-        stats.simulated_cycles,
-        stats.points_per_second(),
-        stats.cycles_per_second(),
-    );
     LEDGER.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(stats);
     values
 }

@@ -104,12 +104,6 @@ impl Histogram {
         (self.count > 0).then(|| self.sum as f64 / self.count as f64)
     }
 
-    /// Per-bucket sample counts.
-    #[must_use]
-    pub fn bucket_counts(&self) -> &[u64; BUCKETS] {
-        &self.counts
-    }
-
     /// Returns the value at quantile `q` (clamped to `[0, 1]`), or `None`
     /// if the histogram is empty.
     ///
@@ -322,7 +316,7 @@ mod tests {
         assert_eq!(h.sum(), 353);
         assert_eq!(h.min(), Some(0));
         assert_eq!(h.max(), Some(272));
-        let counts = h.bucket_counts();
+        let counts = &h.counts;
         assert_eq!(counts[0], 1); // 0
         assert_eq!(counts[1], 1); // 1
         assert_eq!(counts[3], 1); // 6 in [4,7]

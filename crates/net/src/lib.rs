@@ -211,16 +211,6 @@ impl NetStats {
         self.msgs_by_kind.iter().sum()
     }
 
-    /// Messages sent by one node.
-    pub fn sent_by(&self, node: NodeId) -> u64 {
-        self.sent_per_node[node.index()]
-    }
-
-    /// Messages received by one node.
-    pub fn received_by(&self, node: NodeId) -> u64 {
-        self.recv_per_node[node.index()]
-    }
-
     /// Histogram of per-message output-port queue waits.
     pub fn queue_wait(&self) -> &Histogram {
         &self.queue_wait
@@ -352,11 +342,6 @@ impl Crossbar {
         self
     }
 
-    /// `true` if a fault hook is installed.
-    pub fn has_fault_hook(&self) -> bool {
-        self.fault_hook.is_some()
-    }
-
     /// Sends a message at time `now`; returns its arrival time at `dst`.
     ///
     /// A message from a node to itself (e.g. the local node is also the
@@ -474,8 +459,8 @@ mod tests {
         assert_eq!(x.stats().msgs_of(MsgKind::ReadReq), 2);
         assert_eq!(x.stats().msgs_of(MsgKind::BlockReply), 1);
         assert_eq!(x.stats().total_msgs(), 3);
-        assert_eq!(x.stats().sent_by(NodeId::new(0)), 2);
-        assert_eq!(x.stats().received_by(NodeId::new(0)), 1);
+        assert_eq!(x.stats().sent_per_node[0], 2);
+        assert_eq!(x.stats().recv_per_node[0], 1);
         assert_eq!(x.stats().bytes, 8 + 8 + 136);
     }
 
@@ -549,7 +534,7 @@ mod tests {
         assert_eq!(merged.msgs_of(MsgKind::BlockReply), 1);
         assert_eq!(merged.local_msgs, 1);
         assert_eq!(merged.bytes, 8 + 136);
-        assert_eq!(merged.sent_by(NodeId::new(1)), 1);
+        assert_eq!(merged.sent_per_node[1], 1);
         assert_eq!(merged.queue_wait().count(), 2);
     }
 
@@ -595,7 +580,7 @@ mod tests {
         assert_eq!(out, SendOutcome::Dropped);
         assert_eq!(x.stats().dropped_msgs, 1);
         assert_eq!(x.stats().msgs_of(MsgKind::ReadReq), 1, "the lost message was injected");
-        assert_eq!(x.stats().received_by(NodeId::new(1)), 0, "but never received");
+        assert_eq!(x.stats().recv_per_node[1], 0, "but never received");
         // The next message is clean again.
         let out = x.send_faulty(NodeId::new(0), NodeId::new(1), MsgKind::ReadReq, 0);
         assert_eq!(out, SendOutcome::Delivered { arrive: 16, fault_delay: 0 });

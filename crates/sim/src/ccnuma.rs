@@ -312,7 +312,7 @@ impl NumaMachine {
         let pa = self
             .page_table
             .frame_of(page)
-            .map(|f| f.base(m.page_size).raw() + va.page_offset(m.page_size));
+            .map(|f| f.raw() * m.page_size + va.page_offset(m.page_size));
         let byte = |virt: bool| {
             if virt || scheme == NumaScheme::SharedTlb {
                 va.raw()

@@ -8,7 +8,7 @@
 //! that have no canonical wire form, and every legitimate reader already
 //! holds the config — it computed the cache key from it. [`decode`]
 //! therefore takes the config back as an argument and reassembles the
-//! report through [`SimReport::builder`], so a decoded report is
+//! report as a struct literal over every field, so a decoded report is
 //! indistinguishable from a freshly simulated one.
 //!
 //! An envelope is one line of compact JSON (`to_json_line` in
@@ -141,18 +141,17 @@ pub fn decode(text: &str, cfg: SimConfig) -> Result<Decoded, CodecError> {
     if envelope.version != VERSION {
         return Err(CodecError::Version(envelope.version));
     }
-    let mut builder = SimReport::builder()
-        .config(cfg)
-        .nodes(envelope.body.nodes)
-        .protocol(envelope.body.protocol)
-        .net(envelope.body.net)
-        .pressure(envelope.body.pressure)
-        .swap_outs(envelope.body.swap_outs)
-        .metrics(envelope.body.metrics);
-    if let Some(trace) = envelope.body.trace {
-        builder = builder.trace(trace);
-    }
-    let report = builder.build().expect("all envelope fields supplied");
+    let body = envelope.body;
+    let report = SimReport {
+        cfg,
+        nodes: body.nodes,
+        protocol: body.protocol,
+        net: body.net,
+        pressure: body.pressure,
+        swap_outs: body.swap_outs,
+        metrics: body.metrics,
+        trace: body.trace,
+    };
     Ok(Decoded { report, fingerprint: envelope.fingerprint, key: envelope.key })
 }
 
@@ -163,16 +162,16 @@ mod tests {
     use vcoma_types::MachineConfig;
 
     fn small_report() -> SimReport {
-        SimReport::builder()
-            .config(SimConfig::new(MachineConfig::tiny(), Scheme::V_COMA))
-            .nodes(vec![])
-            .protocol(ProtocolStats::default())
-            .net(NetStats::default())
-            .pressure(PressureProfile::from_occupancy(&[2, 0], 4))
-            .swap_outs(3)
-            .metrics(MetricsSnapshot::default())
-            .build()
-            .expect("all fields set")
+        SimReport {
+            cfg: SimConfig::new(MachineConfig::tiny(), Scheme::V_COMA),
+            nodes: vec![],
+            protocol: ProtocolStats::default(),
+            net: NetStats::default(),
+            pressure: PressureProfile::from_occupancy(&[2, 0], 4),
+            swap_outs: 3,
+            metrics: MetricsSnapshot::default(),
+            trace: None,
+        }
     }
 
     #[test]

@@ -59,8 +59,8 @@ pub struct SimConfig {
     pub event_capacity: usize,
     /// Deterministic fault plan: message drop/duplication/extra delay at
     /// the crossbar boundary, transient home-directory NACKs, node pause
-    /// windows. `None` (the default) leaves the fault-free code paths
-    /// byte-identical to builds without a plan.
+    /// windows. `None` (the default) installs no crossbar fault hook and
+    /// leaves the protocol's plan at zero, so nothing is injected.
     pub fault_plan: Option<FaultPlan>,
     /// Run the coherence-invariant auditor: after every transaction the
     /// touched blocks are checked (single owner, no lost last copy,

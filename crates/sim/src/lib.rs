@@ -67,4 +67,4 @@ pub use breakdown::{LatencyBreakdown, TimeBreakdown, LATENCY_CATEGORIES};
 pub use config::{SimConfig, TraceConfig};
 pub use error::SimError;
 pub use machine::Machine;
-pub use report::{BuildError, NodeReport, SimReport, SimReportBuilder, TimeBreakdownF};
+pub use report::{NodeReport, SimReport, TimeBreakdownF};

@@ -454,8 +454,8 @@ impl Machine {
                     resumes.push((waiter, wresume));
                 }
             }
-            Op::Protect(va, prot) => {
-                let dt = self.protect(n, va, prot)?;
+            Op::Protect(va, _) => {
+                let dt = self.protect(n, va)?;
                 resumes.push((n, t + dt));
             }
         }
@@ -686,13 +686,6 @@ impl Machine {
             node.fine.queue += out.queue_cycles;
             node.fine.fault += out.fault_cycles;
         }
-        if out.home_lookup_cycles > 0 {
-            // A DLB refill touches the page-table entry (reference bit).
-            let _ = self.page_table.set_referenced(page);
-        }
-        if out.took_ownership {
-            let _ = self.page_table.set_modified(page);
-        }
         self.apply_invalidations(&out);
         if self.cfg.audit {
             self.audit_transaction(am_block, &out, t)?;
@@ -743,18 +736,14 @@ impl Machine {
         }))
     }
 
-    /// Changes a page's protection (paper §4.3): the page table is
-    /// updated, translation entries for the page are shot down — every
-    /// node's TLB in the private-TLB schemes, the home's DLB in V-COMA —
-    /// and, in V-COMA, the home's protocol engine sends update messages to
-    /// every node holding a block of the page. Returns the elapsed cycles,
-    /// charged as translation-maintenance time.
-    fn protect(
-        &mut self,
-        n: usize,
-        va: VAddr,
-        prot: vcoma_types::Protection,
-    ) -> Result<u64, SimError> {
+    /// Charges a change of a page's protection (paper §4.3): translation
+    /// entries for the page are shot down — every node's TLB in the
+    /// private-TLB schemes, the home's DLB in V-COMA — and, in V-COMA, the
+    /// home's protocol engine sends update messages to every node holding
+    /// a block of the page. The rights themselves are not recorded: nothing
+    /// enforces them. Returns the elapsed cycles, charged as
+    /// translation-maintenance time.
+    fn protect(&mut self, n: usize, va: VAddr) -> Result<u64, SimError> {
         let cfg = self.cfg.machine.clone();
         let page = va.page(cfg.page_size);
         let node_id = NodeId::new(n as u16);
@@ -764,7 +753,6 @@ impl Machine {
         self.nodes[n].fine.busy += 1;
         if self.path.virtual_protocol {
             self.ensure_directory_mapping(n, page)?;
-            let _ = self.page_table.protect(page, prot);
             let home = cfg.home_of_vpage(page);
             // Request to the home PE, which updates the page table and its
             // DLB entry…
@@ -793,7 +781,6 @@ impl Machine {
             t = arrive;
         } else {
             self.ensure_physical_mapping(n, page)?;
-            let _ = self.page_table.protect(page, prot);
             // TLB consistency: shoot the page down in every node's TLB and
             // charge one broadcast round trip.
             for node in &mut self.nodes {
@@ -989,7 +976,6 @@ impl Machine {
             if let Some(tr) = self.tracer.as_mut() {
                 tr.interval("tlb_miss", *t - penalty, *t, page.raw());
             }
-            let _ = self.page_table.set_referenced(page);
         }
     }
 
@@ -1014,33 +1000,29 @@ impl Machine {
             PressureProfile::from_pages(self.page_table.iter().map(|(p, _)| p), &self.cfg.machine);
         let mut metrics = self.metrics.snapshot();
         metrics.merge(&self.protocol.metrics().snapshot());
-        let trace = self.tracer.as_ref().map(Tracer::snapshot);
-        let mut builder = SimReport::builder()
-            .config(self.cfg)
-            .nodes(
-                self.nodes
-                    .into_iter()
-                    .map(|n| crate::report::NodeReport {
-                        time: n.time,
-                        fine: n.fine,
-                        refs: n.refs,
-                        reads: n.reads,
-                        writes: n.writes,
-                        translation: n.xlb.all_stats(),
-                        flc: *n.flc.stats(),
-                        slc: *n.slc.stats(),
-                    })
-                    .collect(),
-            )
-            .protocol(*self.protocol.stats())
-            .net(self.net.stats().clone())
-            .pressure(pressure)
-            .swap_outs(self.dir_alloc.swap_outs().max(self.page_faults))
-            .metrics(metrics);
-        if let Some(trace) = trace {
-            builder = builder.trace(trace);
+        SimReport {
+            cfg: self.cfg,
+            nodes: self
+                .nodes
+                .into_iter()
+                .map(|n| crate::report::NodeReport {
+                    time: n.time,
+                    fine: n.fine,
+                    refs: n.refs,
+                    reads: n.reads,
+                    writes: n.writes,
+                    translation: n.xlb.all_stats(),
+                    flc: *n.flc.stats(),
+                    slc: *n.slc.stats(),
+                })
+                .collect(),
+            protocol: *self.protocol.stats(),
+            net: self.net.stats().clone(),
+            pressure,
+            swap_outs: self.dir_alloc.swap_outs().max(self.page_faults),
+            metrics,
+            trace: self.tracer.as_ref().map(Tracer::snapshot),
         }
-        builder.build().expect("the simulator sets every report field")
     }
 }
 

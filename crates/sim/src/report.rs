@@ -1,4 +1,4 @@
-//! Simulation results and the [`SimReportBuilder`] that assembles them.
+//! Simulation results.
 
 use crate::breakdown::LatencyBreakdown;
 use crate::{SimConfig, TimeBreakdown};
@@ -34,153 +34,22 @@ pub struct NodeReport {
 
 /// Results of one simulation run.
 ///
-/// Built by the simulator through [`SimReport::builder`]; read through the
-/// getters and aggregate helpers.
+/// Built only inside this crate (by the machine at the end of a run and by
+/// [`codec::decode`](crate::codec::decode)); read through the getters and
+/// aggregate helpers.
 #[derive(Debug, Clone)]
 pub struct SimReport {
-    cfg: SimConfig,
-    nodes: Vec<NodeReport>,
-    protocol: ProtocolStats,
-    net: NetStats,
-    pressure: PressureProfile,
-    swap_outs: u64,
-    metrics: MetricsSnapshot,
-    trace: Option<TraceSnapshot>,
+    pub(crate) cfg: SimConfig,
+    pub(crate) nodes: Vec<NodeReport>,
+    pub(crate) protocol: ProtocolStats,
+    pub(crate) net: NetStats,
+    pub(crate) pressure: PressureProfile,
+    pub(crate) swap_outs: u64,
+    pub(crate) metrics: MetricsSnapshot,
+    pub(crate) trace: Option<TraceSnapshot>,
 }
-
-/// Staged construction of a [`SimReport`].
-///
-/// Every field has a typed setter; [`SimReportBuilder::build`] refuses to
-/// produce a report until all of them have been supplied, naming the
-/// missing ones. This replaces the old positional `assemble` constructor,
-/// whose seven same-typed arguments were easy to transpose silently.
-#[derive(Debug, Default)]
-pub struct SimReportBuilder {
-    cfg: Option<SimConfig>,
-    nodes: Option<Vec<NodeReport>>,
-    protocol: Option<ProtocolStats>,
-    net: Option<NetStats>,
-    pressure: Option<PressureProfile>,
-    swap_outs: Option<u64>,
-    metrics: Option<MetricsSnapshot>,
-    trace: Option<TraceSnapshot>,
-}
-
-impl SimReportBuilder {
-    /// Sets the run configuration.
-    pub fn config(mut self, cfg: SimConfig) -> Self {
-        self.cfg = Some(cfg);
-        self
-    }
-
-    /// Sets the per-node reports.
-    pub fn nodes(mut self, nodes: Vec<NodeReport>) -> Self {
-        self.nodes = Some(nodes);
-        self
-    }
-
-    /// Sets the machine-wide protocol statistics.
-    pub fn protocol(mut self, protocol: ProtocolStats) -> Self {
-        self.protocol = Some(protocol);
-        self
-    }
-
-    /// Sets the crossbar traffic statistics.
-    pub fn net(mut self, net: NetStats) -> Self {
-        self.net = Some(net);
-        self
-    }
-
-    /// Sets the end-of-run pressure profile.
-    pub fn pressure(mut self, pressure: PressureProfile) -> Self {
-        self.pressure = Some(pressure);
-        self
-    }
-
-    /// Sets the page-daemon swap-out count.
-    pub fn swap_outs(mut self, swap_outs: u64) -> Self {
-        self.swap_outs = Some(swap_outs);
-        self
-    }
-
-    /// Sets the merged metrics snapshot (machine + protocol registries).
-    pub fn metrics(mut self, metrics: MetricsSnapshot) -> Self {
-        self.metrics = Some(metrics);
-        self
-    }
-
-    /// Sets the merged transaction-trace snapshot. Optional: runs without
-    /// tracing simply never call it.
-    pub fn trace(mut self, trace: TraceSnapshot) -> Self {
-        self.trace = Some(trace);
-        self
-    }
-
-    /// Finishes the report.
-    ///
-    /// # Errors
-    ///
-    /// Returns the names of the fields that were never set.
-    pub fn build(self) -> Result<SimReport, BuildError> {
-        let mut missing = Vec::new();
-        if self.cfg.is_none() {
-            missing.push("config");
-        }
-        if self.nodes.is_none() {
-            missing.push("nodes");
-        }
-        if self.protocol.is_none() {
-            missing.push("protocol");
-        }
-        if self.net.is_none() {
-            missing.push("net");
-        }
-        if self.pressure.is_none() {
-            missing.push("pressure");
-        }
-        if self.swap_outs.is_none() {
-            missing.push("swap_outs");
-        }
-        if self.metrics.is_none() {
-            missing.push("metrics");
-        }
-        if !missing.is_empty() {
-            return Err(BuildError { missing });
-        }
-        Ok(SimReport {
-            cfg: self.cfg.expect("checked"),
-            nodes: self.nodes.expect("checked"),
-            protocol: self.protocol.expect("checked"),
-            net: self.net.expect("checked"),
-            pressure: self.pressure.expect("checked"),
-            swap_outs: self.swap_outs.expect("checked"),
-            metrics: self.metrics.expect("checked"),
-            trace: self.trace,
-        })
-    }
-}
-
-/// A [`SimReportBuilder::build`] call was missing required fields.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BuildError {
-    /// Names of the unset fields, in declaration order.
-    pub missing: Vec<&'static str>,
-}
-
-impl std::fmt::Display for BuildError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SimReport is missing fields: {}", self.missing.join(", "))
-    }
-}
-
-impl std::error::Error for BuildError {}
 
 impl SimReport {
-    /// Starts building a report.
-    pub fn builder() -> SimReportBuilder {
-        SimReportBuilder::default()
-    }
-
     /// The configuration of the run.
     pub fn config(&self) -> &SimConfig {
         &self.cfg
@@ -358,17 +227,21 @@ mod tests {
     use vcoma_tlb::Scheme;
     use vcoma_types::MachineConfig;
 
+    fn report(nodes: Vec<NodeReport>, pressure: PressureProfile) -> SimReport {
+        SimReport {
+            cfg: SimConfig::new(MachineConfig::tiny(), Scheme::L0_TLB),
+            nodes,
+            protocol: ProtocolStats::default(),
+            net: NetStats::default(),
+            pressure,
+            swap_outs: 0,
+            metrics: MetricsSnapshot::default(),
+            trace: None,
+        }
+    }
+
     fn empty_report() -> SimReport {
-        SimReport::builder()
-            .config(SimConfig::new(MachineConfig::tiny(), Scheme::L0_TLB))
-            .nodes(vec![])
-            .protocol(ProtocolStats::default())
-            .net(NetStats::default())
-            .pressure(PressureProfile::from_occupancy(&[0, 0], 4))
-            .swap_outs(0)
-            .metrics(MetricsSnapshot::default())
-            .build()
-            .expect("all fields set")
+        report(vec![], PressureProfile::from_occupancy(&[0, 0], 4))
     }
 
     #[test]
@@ -395,18 +268,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_reports_missing_fields_by_name() {
-        let err = SimReport::builder()
-            .protocol(ProtocolStats::default())
-            .swap_outs(0)
-            .build()
-            .expect_err("incomplete builder must fail");
-        assert_eq!(err.missing, vec!["config", "nodes", "net", "pressure", "metrics"]);
-        let msg = err.to_string();
-        assert!(msg.contains("config") && msg.contains("metrics"), "bad message: {msg}");
-    }
-
-    #[test]
     fn aggregation_over_nodes() {
         let mk_node = |time, refs, misses| NodeReport {
             time,
@@ -418,16 +279,10 @@ mod tests {
             flc: CacheStats::default(),
             slc: CacheStats::default(),
         };
-        let r = SimReport::builder()
-            .config(SimConfig::new(MachineConfig::tiny(), Scheme::L0_TLB))
-            .nodes(vec![mk_node(100, 50, 5), mk_node(200, 50, 15)])
-            .protocol(ProtocolStats::default())
-            .net(NetStats::default())
-            .pressure(PressureProfile::from_occupancy(&[0], 1))
-            .swap_outs(0)
-            .metrics(MetricsSnapshot::default())
-            .build()
-            .expect("all fields set");
+        let r = report(
+            vec![mk_node(100, 50, 5), mk_node(200, 50, 15)],
+            PressureProfile::from_occupancy(&[0], 1),
+        );
         assert_eq!(r.exec_time(), 200);
         assert_eq!(r.simulated_cycles(), 300);
         assert_eq!(r.total_refs(), 100);

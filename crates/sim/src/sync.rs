@@ -47,12 +47,6 @@ impl Barriers {
                 .collect(),
         )
     }
-
-    /// Number of barriers currently holding parked nodes.
-    #[allow(dead_code)] // engine diagnostics + tests
-    pub fn open_barriers(&self) -> usize {
-        self.waiting.len()
-    }
 }
 
 /// One lock's state: the holder (if held) plus the FIFO of waiting
@@ -123,12 +117,6 @@ impl Locks {
         let resume = t.max(arrival) + self.acquire_cost;
         (own, Some((next, resume, resume - arrival)))
     }
-
-    /// Returns `true` if any lock is held or contended.
-    #[allow(dead_code)] // engine diagnostics + tests
-    pub fn any_active(&self) -> bool {
-        self.state.values().any(|(h, q)| h.is_some() || !q.is_empty())
-    }
 }
 
 #[cfg(test)]
@@ -140,9 +128,9 @@ mod tests {
         let mut b = Barriers::new(3, 32);
         assert!(b.arrive(SyncId(0), 0, 100).is_none());
         assert!(b.arrive(SyncId(0), 1, 200).is_none());
-        assert_eq!(b.open_barriers(), 1);
+        assert_eq!(b.waiting.len(), 1);
         let rel = b.arrive(SyncId(0), 2, 150).unwrap();
-        assert_eq!(b.open_barriers(), 0);
+        assert_eq!(b.waiting.len(), 0);
         // Release at max(100,200,150)+32 = 232 for everyone.
         let mut rel = rel;
         rel.sort();
@@ -154,7 +142,7 @@ mod tests {
         let mut b = Barriers::new(2, 0);
         assert!(b.arrive(SyncId(0), 0, 10).is_none());
         assert!(b.arrive(SyncId(1), 1, 20).is_none());
-        assert_eq!(b.open_barriers(), 2);
+        assert_eq!(b.waiting.len(), 2);
         assert!(b.arrive(SyncId(0), 1, 30).is_some());
         assert!(b.arrive(SyncId(1), 0, 40).is_some());
     }
@@ -165,7 +153,7 @@ mod tests {
         let (resume, sync) = l.acquire(SyncId(5), 0, 100).unwrap();
         assert_eq!(resume, 132);
         assert_eq!(sync, 32);
-        assert!(l.any_active());
+        assert!(l.acquire(SyncId(5), 1, 100).is_none(), "the lock is now held");
     }
 
     #[test]
@@ -202,7 +190,6 @@ mod tests {
         l.acquire(SyncId(5), 0, 0).unwrap();
         let (_, next) = l.release(SyncId(5), 0, 100);
         assert!(next.is_none());
-        assert!(!l.any_active());
         // Re-acquire works.
         assert!(l.acquire(SyncId(5), 2, 200).is_some());
     }
@@ -232,7 +219,7 @@ mod tests {
         }
         let (_, next) = l.release(id, 31, t);
         assert!(next.is_none());
-        assert!(!l.any_active());
+        assert!(l.acquire(id, 0, t).is_some(), "the last release frees the lock");
     }
 
     #[test]

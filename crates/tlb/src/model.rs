@@ -243,9 +243,6 @@ pub enum PageSize {
 }
 
 impl PageSize {
-    /// All sizes, smallest first.
-    pub const ALL: [PageSize; 3] = [PageSize::Base4K, PageSize::Large2M, PageSize::Huge1G];
-
     /// Nominal size in bytes (`Base4K` stands for the machine's base page
     /// whatever its actual size).
     pub const fn bytes(self) -> u64 {
@@ -560,7 +557,10 @@ mod tests {
         assert_eq!(PageSize::Large2M.span(4096), 512);
         assert_eq!(PageSize::Huge1G.span(4096), 262_144);
         assert_eq!(PageSize::Huge1G.span(1 << 31), 1, "clamped to one page");
-        let labels: Vec<String> = PageSize::ALL.iter().map(|s| s.to_string()).collect();
+        let labels: Vec<String> = [PageSize::Base4K, PageSize::Large2M, PageSize::Huge1G]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
         assert_eq!(labels, ["4K", "2M", "1G"]);
     }
 

@@ -1,21 +1,10 @@
 //! Address newtypes.
 //!
-//! The simulator distinguishes four address spaces that the paper treats as
-//! distinct concepts:
-//!
-//! * [`VAddr`] — a byte address in the global, segmented (synonym-free)
-//!   virtual address space that the processors issue.
-//! * [`PAddr`] — a byte address in the linear physical address space used by
-//!   the `L0`–`L3` schemes. V-COMA has no physical addresses at all.
-//! * [`DirAddr`] — an address in the *directory address space* of V-COMA: the
-//!   index of a directory entry inside the home node's directory memory.
-//! * [`BlockAddr`] — an address quantised to an attraction-memory block,
-//!   tagged with the address space it came from; the coherence protocol is
-//!   generic over which space it runs in.
-//!
-//! Page- and block-number newtypes ([`VPage`], [`PFrame`]) avoid mixing up
-//! byte addresses with page indices, which was a recurring source of bugs in
-//! early COMA simulators.
+//! [`VAddr`] is a byte address in the global, synonym-free virtual address
+//! space that the processors issue. The page-number newtypes ([`VPage`],
+//! [`PFrame`]) keep virtual pages and physical frames (`L0`–`L3` schemes
+//! only; V-COMA has no physical addresses) from being mixed up with byte
+//! addresses or with each other. Block numbers are plain `u64`s.
 
 /// A byte address in the global virtual address space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -53,12 +42,6 @@ impl VAddr {
         self.0 / block_size
     }
 
-    /// Returns the address rounded down to a multiple of `align`.
-    pub fn align_down(self, align: u64) -> VAddr {
-        debug_assert!(align.is_power_of_two());
-        VAddr(self.0 & !(align - 1))
-    }
-
     /// Returns the address advanced by `bytes`.
     pub const fn offset(self, bytes: u64) -> VAddr {
         VAddr(self.0 + bytes)
@@ -80,57 +63,6 @@ impl std::fmt::LowerHex for VAddr {
 impl From<u64> for VAddr {
     fn from(raw: u64) -> Self {
         VAddr(raw)
-    }
-}
-
-/// A byte address in the linear physical address space (L0–L3 schemes only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct PAddr(u64);
-
-impl PAddr {
-    /// Creates a physical address from a raw 64-bit value.
-    pub const fn new(raw: u64) -> Self {
-        PAddr(raw)
-    }
-
-    /// Returns the raw 64-bit value.
-    pub const fn raw(self) -> u64 {
-        self.0
-    }
-
-    /// Returns the physical frame number for frames of `page_size` bytes.
-    pub fn frame(self, page_size: u64) -> PFrame {
-        debug_assert!(page_size.is_power_of_two());
-        PFrame(self.0 / page_size)
-    }
-
-    /// Returns the byte offset within the frame.
-    pub fn page_offset(self, page_size: u64) -> u64 {
-        self.0 & (page_size - 1)
-    }
-
-    /// Returns the block number for blocks of `block_size` bytes.
-    pub fn block(self, block_size: u64) -> u64 {
-        debug_assert!(block_size.is_power_of_two());
-        self.0 / block_size
-    }
-}
-
-impl std::fmt::Display for PAddr {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "p:{:#x}", self.0)
-    }
-}
-
-impl std::fmt::LowerHex for PAddr {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        std::fmt::LowerHex::fmt(&self.0, f)
-    }
-}
-
-impl From<u64> for PAddr {
-    fn from(raw: u64) -> Self {
-        PAddr(raw)
     }
 }
 
@@ -175,115 +107,11 @@ impl PFrame {
     pub const fn raw(self) -> u64 {
         self.0
     }
-
-    /// Returns the base physical address of the frame.
-    pub fn base(self, page_size: u64) -> PAddr {
-        PAddr(self.0 * page_size)
-    }
 }
 
 impl std::fmt::Display for PFrame {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "pf:{:#x}", self.0)
-    }
-}
-
-/// An address in V-COMA's directory address space.
-///
-/// The directory memory is organised in *directory pages*; a directory
-/// address identifies one directory entry (one attraction-memory block of one
-/// page) at the page's home node. See paper §4.2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct DirAddr(u64);
-
-impl DirAddr {
-    /// Creates a directory address from a directory-page number and the entry
-    /// index within the page.
-    pub const fn new(dir_page: u64, entry: u64, entries_per_page: u64) -> Self {
-        DirAddr(dir_page * entries_per_page + entry)
-    }
-
-    /// Creates a directory address from its raw linear value.
-    pub const fn from_raw(raw: u64) -> Self {
-        DirAddr(raw)
-    }
-
-    /// Returns the raw linear directory-entry index.
-    pub const fn raw(self) -> u64 {
-        self.0
-    }
-
-    /// Returns the directory-page number this entry belongs to.
-    pub const fn dir_page(self, entries_per_page: u64) -> u64 {
-        self.0 / entries_per_page
-    }
-
-    /// Returns the entry index within its directory page.
-    pub const fn entry(self, entries_per_page: u64) -> u64 {
-        self.0 % entries_per_page
-    }
-}
-
-impl std::fmt::Display for DirAddr {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "d:{:#x}", self.0)
-    }
-}
-
-/// A block-granularity address tagged with its address space.
-///
-/// The COMA-F coherence protocol is identical whether it runs on physical
-/// addresses (L0–L3) or on virtual addresses (V-COMA); `BlockAddr` lets the
-/// protocol code be written once. Two `BlockAddr`s are equal only if they
-/// are in the same space *and* name the same block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum BlockAddr {
-    /// A block named by its physical block number.
-    Physical(u64),
-    /// A block named by its virtual block number.
-    Virtual(u64),
-}
-
-impl BlockAddr {
-    /// Creates a physical block address from a byte [`PAddr`].
-    pub fn from_paddr(pa: PAddr, block_size: u64) -> Self {
-        BlockAddr::Physical(pa.block(block_size))
-    }
-
-    /// Creates a virtual block address from a byte [`VAddr`].
-    pub fn from_vaddr(va: VAddr, block_size: u64) -> Self {
-        BlockAddr::Virtual(va.block(block_size))
-    }
-
-    /// Returns the raw block number, discarding the space tag.
-    pub const fn number(self) -> u64 {
-        match self {
-            BlockAddr::Physical(n) | BlockAddr::Virtual(n) => n,
-        }
-    }
-
-    /// Returns `true` if this is a virtual-space block address.
-    pub const fn is_virtual(self) -> bool {
-        matches!(self, BlockAddr::Virtual(_))
-    }
-
-    /// Returns the page number containing this block.
-    pub const fn page(self, blocks_per_page: u64) -> u64 {
-        self.number() / blocks_per_page
-    }
-
-    /// Returns the block index within its page.
-    pub const fn block_in_page(self, blocks_per_page: u64) -> u64 {
-        self.number() % blocks_per_page
-    }
-}
-
-impl std::fmt::Display for BlockAddr {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BlockAddr::Physical(n) => write!(f, "pb:{n:#x}"),
-            BlockAddr::Virtual(n) => write!(f, "vb:{n:#x}"),
-        }
     }
 }
 
@@ -304,69 +132,19 @@ mod tests {
     #[test]
     fn vaddr_align_and_offset() {
         let va = VAddr::new(0x1234);
-        assert_eq!(va.align_down(0x1000), VAddr::new(0x1000));
         assert_eq!(va.offset(0x10), VAddr::new(0x1244));
-    }
-
-    #[test]
-    fn paddr_frame_decomposition() {
-        let pa = PAddr::new(7 * PAGE + 12);
-        assert_eq!(pa.frame(PAGE), PFrame::new(7));
-        assert_eq!(pa.page_offset(PAGE), 12);
     }
 
     #[test]
     fn page_base_roundtrip() {
         let vp = VPage::new(42);
         assert_eq!(vp.base(PAGE).page(PAGE), vp);
-        let pf = PFrame::new(42);
-        assert_eq!(pf.base(PAGE).frame(PAGE), pf);
-    }
-
-    #[test]
-    fn dir_addr_decomposition() {
-        // 4 KB pages of 128-byte blocks => 32 entries per directory page.
-        let d = DirAddr::new(5, 17, 32);
-        assert_eq!(d.raw(), 5 * 32 + 17);
-        assert_eq!(d.dir_page(32), 5);
-        assert_eq!(d.entry(32), 17);
-        assert_eq!(DirAddr::from_raw(d.raw()), d);
-    }
-
-    #[test]
-    fn block_addr_spaces_are_distinct() {
-        let p = BlockAddr::Physical(10);
-        let v = BlockAddr::Virtual(10);
-        assert_ne!(p, v);
-        assert_eq!(p.number(), v.number());
-        assert!(v.is_virtual());
-        assert!(!p.is_virtual());
-    }
-
-    #[test]
-    fn block_addr_page_math() {
-        // 32 blocks per 4 KB page with 128-byte blocks.
-        let b = BlockAddr::Virtual(32 * 7 + 5);
-        assert_eq!(b.page(32), 7);
-        assert_eq!(b.block_in_page(32), 5);
-    }
-
-    #[test]
-    fn block_addr_from_byte_addresses() {
-        let va = VAddr::new(0x2080);
-        assert_eq!(BlockAddr::from_vaddr(va, 128), BlockAddr::Virtual(0x41));
-        let pa = PAddr::new(0x2080);
-        assert_eq!(BlockAddr::from_paddr(pa, 128), BlockAddr::Physical(0x41));
     }
 
     #[test]
     fn display_formats() {
         assert_eq!(VAddr::new(0x10).to_string(), "v:0x10");
-        assert_eq!(PAddr::new(0x10).to_string(), "p:0x10");
         assert_eq!(VPage::new(0x10).to_string(), "vp:0x10");
         assert_eq!(PFrame::new(0x10).to_string(), "pf:0x10");
-        assert_eq!(DirAddr::from_raw(0x10).to_string(), "d:0x10");
-        assert_eq!(BlockAddr::Virtual(1).to_string(), "vb:0x1");
-        assert_eq!(BlockAddr::Physical(1).to_string(), "pb:0x1");
     }
 }

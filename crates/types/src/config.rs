@@ -6,7 +6,7 @@
 //! attraction memory (128-byte blocks), 4 KB pages, and the latency charges
 //! of the paper's timing model.
 
-use crate::{ConfigError, NodeId, VAddr, VPage};
+use crate::{ConfigError, NodeId, VPage};
 
 /// Geometry of one set-associative memory structure (cache or attraction
 /// memory).
@@ -67,11 +67,6 @@ impl CacheGeometry {
     /// Number of sets.
     pub const fn sets(&self) -> u64 {
         self.lines() / self.assoc
-    }
-
-    /// Set index for a block number (blocks in *this* geometry's block size).
-    pub const fn set_of_block(&self, block: u64) -> u64 {
-        block % self.sets()
     }
 }
 
@@ -268,25 +263,10 @@ impl MachineConfig {
         NodeId::new((vpage.raw() % self.nodes) as u16)
     }
 
-    /// Home node of a virtual byte address.
-    pub fn home_of_vaddr(&self, va: VAddr) -> NodeId {
-        self.home_of_vpage(va.page(self.page_size))
-    }
-
     /// Home node of a physical frame: round-robin on the frame number,
     /// matching the paper's round-robin physical page assignment.
     pub const fn home_of_pframe(&self, frame: u64) -> NodeId {
         NodeId::new((frame % self.nodes) as u16)
-    }
-
-    /// AM set index of an AM-block number.
-    pub const fn am_set_of_block(&self, block: u64) -> u64 {
-        block % self.am.sets()
-    }
-
-    /// Iterator over all node identifiers.
-    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
-        (0..self.nodes as u16).map(NodeId::new)
     }
 }
 
@@ -399,7 +379,6 @@ mod tests {
             let vp = VPage::new(p);
             assert_eq!(cfg.home_of_vpage(vp).index() as u64, p % 32);
         }
-        assert_eq!(cfg.home_of_vaddr(VAddr::new(33 * 4096 + 5)).index(), 1);
     }
 
     #[test]
@@ -463,8 +442,5 @@ mod tests {
     fn set_of_block_wraps_at_sets() {
         let g = CacheGeometry::new(1024, 2, 64).unwrap();
         assert_eq!(g.sets(), 8);
-        assert_eq!(g.set_of_block(0), 0);
-        assert_eq!(g.set_of_block(8), 0);
-        assert_eq!(g.set_of_block(9), 1);
     }
 }

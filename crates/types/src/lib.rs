@@ -1,8 +1,8 @@
 //! Core types shared by every crate of the V-COMA simulator workspace.
 //!
 //! This crate reproduces the vocabulary of *Options for Dynamic Address
-//! Translation in COMAs* (Qiu & Dubois, 1998): virtual and physical
-//! addresses, node identifiers, the simulated machine's geometry
+//! Translation in COMAs* (Qiu & Dubois, 1998): virtual addresses, virtual
+//! pages and physical frames, node identifiers, the simulated machine's geometry
 //! ([`MachineConfig`]), the fixed-latency timing model ([`Timing`]), the
 //! memory operations replayed by the simulator ([`Op`]), and a deterministic
 //! pseudo-random number generator ([`DetRng`]) so that every simulation run
@@ -16,8 +16,8 @@
 //! let cfg = MachineConfig::paper_baseline();
 //! assert_eq!(cfg.nodes, 32);
 //! // The home node of a virtual page is given by its low page-number bits.
-//! let va = VAddr::new(0x4000); // page 4
-//! assert_eq!(cfg.home_of_vaddr(va), NodeId::new(4));
+//! let page = VAddr::new(0x4000).page(cfg.page_size); // page 4
+//! assert_eq!(cfg.home_of_vpage(page), NodeId::new(4));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -32,7 +32,7 @@ mod protection;
 mod rng;
 mod source;
 
-pub use addr::{BlockAddr, DirAddr, PAddr, PFrame, VAddr, VPage};
+pub use addr::{PFrame, VAddr, VPage};
 pub use config::{CacheGeometry, MachineConfig, MachineConfigBuilder, Timing};
 pub use error::ConfigError;
 pub use hash::{IntBuildHasher, IntHasher, IntMap};
@@ -107,7 +107,6 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<NodeId>();
         assert_send_sync::<VAddr>();
-        assert_send_sync::<PAddr>();
         assert_send_sync::<MachineConfig>();
         assert_send_sync::<DetRng>();
         assert_send_sync::<Op>();

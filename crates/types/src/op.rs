@@ -73,20 +73,6 @@ impl Op {
             _ => None,
         }
     }
-
-    /// Returns the access kind for `Read`/`Write`, otherwise `None`.
-    pub const fn access_kind(self) -> Option<AccessKind> {
-        match self {
-            Op::Read(_) => Some(AccessKind::Read),
-            Op::Write(_) => Some(AccessKind::Write),
-            _ => None,
-        }
-    }
-
-    /// Returns `true` if this op references memory.
-    pub const fn is_memory(self) -> bool {
-        matches!(self, Op::Read(_) | Op::Write(_))
-    }
 }
 
 impl std::fmt::Display for Op {
@@ -113,11 +99,6 @@ mod tests {
         assert_eq!(Op::Read(a).addr(), Some(a));
         assert_eq!(Op::Write(a).addr(), Some(a));
         assert_eq!(Op::Compute(5).addr(), None);
-        assert_eq!(Op::Read(a).access_kind(), Some(AccessKind::Read));
-        assert_eq!(Op::Write(a).access_kind(), Some(AccessKind::Write));
-        assert_eq!(Op::Barrier(SyncId(1)).access_kind(), None);
-        assert!(Op::Read(a).is_memory());
-        assert!(!Op::Lock(SyncId(0)).is_memory());
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! Page- and segment-level access rights.
+//! Page-level access rights.
 
-/// Access rights for a page or segment.
+/// Access rights for a page, as carried by [`Op::Protect`](crate::Op::Protect).
 ///
-/// The paper's system checks rights at segment granularity in the common
-/// case (§2.2.4) and supports page-level protection through the home node
-/// (§4.3); both layers share this type.
+/// The paper changes page-level protection through the home node (§4.3).
+/// The simulator charges the cost of that change and enforces nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Protection {
     /// Loads allowed.
@@ -22,15 +21,6 @@ impl Protection {
     /// Read-only.
     pub const fn read_only() -> Self {
         Protection { read: true, write: false }
-    }
-
-    /// Returns `true` if an access of the given kind is permitted.
-    pub const fn allows(self, write: bool) -> bool {
-        if write {
-            self.write
-        } else {
-            self.read
-        }
     }
 }
 
@@ -58,9 +48,9 @@ mod tests {
     #[test]
     fn constructors_and_allows() {
         let rw = Protection::read_write();
-        assert!(rw.allows(false) && rw.allows(true));
+        assert!(rw.read && rw.write);
         let ro = Protection::read_only();
-        assert!(ro.allows(false) && !ro.allows(true));
+        assert!(ro.read && !ro.write);
         assert_eq!(Protection::default(), rw);
     }
 

@@ -25,13 +25,6 @@ impl DetRng {
         DetRng { state: seed }
     }
 
-    /// Derives an independent generator for a sub-component, mixing a label
-    /// into the seed so sibling components get uncorrelated streams.
-    pub fn fork(&mut self, label: u64) -> DetRng {
-        let mixed = self.next_u64() ^ label.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        DetRng::new(mixed)
-    }
-
     /// Returns the next 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -156,21 +149,6 @@ mod tests {
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
         // And with a reasonable seed it actually permutes something.
         assert_ne!(v, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn fork_streams_are_uncorrelated_with_parent() {
-        let mut parent = DetRng::new(13);
-        let mut child = parent.fork(1);
-        let a = parent.next_u64();
-        let b = child.next_u64();
-        assert_ne!(a, b);
-        // Forks with different labels from the same parent state differ.
-        let mut p2 = DetRng::new(13);
-        let mut c1 = p2.fork(1);
-        let mut p3 = DetRng::new(13);
-        let mut c2 = p3.fork(2);
-        assert_ne!(c1.next_u64(), c2.next_u64());
     }
 
     #[test]

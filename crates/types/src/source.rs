@@ -39,11 +39,6 @@ impl Materialized {
     pub fn new(ops: Vec<Op>) -> Self {
         Materialized { ops: ops.into_iter() }
     }
-
-    /// Ops not yet pulled.
-    pub fn remaining(&self) -> usize {
-        self.ops.len()
-    }
 }
 
 impl OpSource for Materialized {
@@ -86,10 +81,8 @@ mod tests {
     #[test]
     fn materialized_yields_in_order_then_none() {
         let mut s = Materialized::new(ops());
-        assert_eq!(s.remaining(), 3);
         assert_eq!(s.next_op(), Some(Op::Read(VAddr::new(0x40))));
         assert_eq!(s.next_op(), Some(Op::Compute(3)));
-        assert_eq!(s.remaining(), 1);
         assert_eq!(s.next_op(), Some(Op::Barrier(SyncId(0))));
         assert_eq!(s.next_op(), None);
         assert_eq!(s.next_op(), None, "exhausted sources stay exhausted");

@@ -96,11 +96,6 @@ impl ColoringAllocator {
     pub fn color_of_frame(&self, frame: PFrame) -> u64 {
         frame.raw() % self.colors
     }
-
-    /// Frames still free for one color.
-    pub fn free_in_color(&self, color: u64) -> u64 {
-        self.free[color as usize % self.free.len()].len() as u64
-    }
 }
 
 impl FrameAllocator for ColoringAllocator {
@@ -185,13 +180,12 @@ mod tests {
         for i in 0..per_color {
             a.allocate(VPage::new(i * colors), &cfg).unwrap();
         }
-        assert_eq!(a.free_in_color(0), 0);
         assert_eq!(
             a.allocate(VPage::new(per_color * colors), &cfg),
             Err(VmError::OutOfColoredFrames { color: 0 })
         );
         // Other colors unaffected.
-        assert_eq!(a.free_in_color(1), per_color);
+        assert_eq!(a.free_frames(), cfg.total_page_frames() - per_color);
         a.allocate(VPage::new(1), &cfg).unwrap();
     }
 
@@ -200,10 +194,12 @@ mod tests {
         let cfg = MachineConfig::tiny();
         let mut a = ColoringAllocator::new(&cfg);
         let f = a.allocate(VPage::new(3), &cfg).unwrap();
-        let color = a.color_of_frame(f);
-        let before = a.free_in_color(color);
+        let before = a.free_frames();
         a.release(f);
-        assert_eq!(a.free_in_color(color), before + 1);
+        assert_eq!(a.free_frames(), before + 1);
+        // The next page of the same color gets the released frame back.
+        let colors = cfg.global_page_sets();
+        assert_eq!(a.allocate(VPage::new(3 + colors), &cfg).unwrap(), f);
     }
 
     #[test]

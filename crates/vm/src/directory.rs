@@ -13,7 +13,7 @@
 //! page of the same set out (§3.4, §6).
 
 use crate::VmError;
-use vcoma_types::{MachineConfig, NodeId, VPage};
+use vcoma_types::{MachineConfig, VPage};
 
 /// Allocator of V-COMA directory pages, tracking global-page-set occupancy.
 #[derive(Debug, Clone)]
@@ -27,32 +27,17 @@ pub struct DirectoryAllocator {
     slots_per_set: u64,
     /// Pages swapped out due to set saturation (monotone counter).
     swap_outs: u64,
-    /// Pressure threshold in `[0, 1]` above which the page daemon starts
-    /// swapping (paper §4.3). `1.0` means swap only when completely full.
-    threshold: f64,
 }
 
 impl DirectoryAllocator {
-    /// Creates an allocator for the machine, with a swap threshold of 1.0
-    /// (swap only when a set is completely full).
+    /// Creates an allocator for the machine with every global page set empty.
     pub fn new(cfg: &MachineConfig) -> Self {
         DirectoryAllocator {
             next_dir_page: vec![0; cfg.nodes as usize],
             occupancy: vec![0; cfg.global_page_sets() as usize],
             slots_per_set: cfg.page_slots_per_global_set(),
             swap_outs: 0,
-            threshold: 1.0,
         }
-    }
-
-    /// Sets the page-daemon pressure threshold in `[0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threshold` is not in `[0, 1]`.
-    pub fn set_threshold(&mut self, threshold: f64) {
-        assert!((0.0..=1.0).contains(&threshold), "threshold must be in [0, 1]");
-        self.threshold = threshold;
     }
 
     /// Allocates a directory page at `page`'s home node.
@@ -97,11 +82,6 @@ impl DirectoryAllocator {
         self.occupancy[set as usize % self.occupancy.len()] as f64 / self.slots_per_set as f64
     }
 
-    /// Returns `true` if the page daemon should start evicting in this set.
-    pub fn above_threshold(&self, set: u64) -> bool {
-        self.pressure(set) > self.threshold
-    }
-
     /// Occupancy (resident pages) per global page set.
     pub fn occupancy(&self) -> &[u64] {
         &self.occupancy
@@ -110,11 +90,6 @@ impl DirectoryAllocator {
     /// Total pages swapped out so far.
     pub fn swap_outs(&self) -> u64 {
         self.swap_outs
-    }
-
-    /// Total directory pages allocated at one home node so far.
-    pub fn allocated_at(&self, home: NodeId) -> u64 {
-        self.next_dir_page[home.index()]
     }
 }
 
@@ -133,8 +108,6 @@ mod tests {
         assert_eq!(d4, 1);
         // Page 1 is at home 1 and gets that node's first directory page.
         assert_eq!(a.allocate(VPage::new(1), &cfg).unwrap(), 0);
-        assert_eq!(a.allocated_at(NodeId::new(0)), 2);
-        assert_eq!(a.allocated_at(NodeId::new(1)), 1);
     }
 
     #[test]
@@ -186,23 +159,6 @@ mod tests {
         assert_eq!(a.pressure(0), 0.0);
         a.allocate(VPage::new(0), &cfg).unwrap();
         assert!((a.pressure(0) - 1.0 / slots).abs() < 1e-12);
-        assert!(!a.above_threshold(0));
-    }
-
-    #[test]
-    fn threshold_check() {
-        let cfg = MachineConfig::tiny();
-        let mut a = DirectoryAllocator::new(&cfg);
-        a.set_threshold(0.0);
-        a.allocate(VPage::new(0), &cfg).unwrap();
-        assert!(a.above_threshold(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "threshold must be in [0, 1]")]
-    fn bad_threshold_panics() {
-        let cfg = MachineConfig::tiny();
-        DirectoryAllocator::new(&cfg).set_threshold(1.5);
     }
 
     #[test]

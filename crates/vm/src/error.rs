@@ -22,8 +22,6 @@ pub enum VmError {
     },
     /// The page is not mapped.
     NotMapped(VPage),
-    /// The page is already mapped; re-mapping requires an explicit unmap.
-    AlreadyMapped(VPage),
     /// The virtual address space region overflows or collides.
     LayoutOverflow {
         /// Region name that could not be placed.
@@ -42,7 +40,6 @@ impl std::fmt::Display for VmError {
                 write!(f, "global page set {set} is full and nothing could be evicted")
             }
             VmError::NotMapped(p) => write!(f, "page {p} is not mapped"),
-            VmError::AlreadyMapped(p) => write!(f, "page {p} is already mapped"),
             VmError::LayoutOverflow { region } => {
                 write!(f, "address-space layout cannot place region {region}")
             }
@@ -62,7 +59,6 @@ mod tests {
         assert!(VmError::OutOfColoredFrames { color: 3 }.to_string().contains('3'));
         assert!(VmError::GlobalSetFull { set: 9 }.to_string().contains('9'));
         assert!(VmError::NotMapped(VPage::new(1)).to_string().contains("not mapped"));
-        assert!(VmError::AlreadyMapped(VPage::new(1)).to_string().contains("already"));
         assert!(VmError::LayoutOverflow { region: "heap" }.to_string().contains("heap"));
     }
 

@@ -9,6 +9,9 @@
 use crate::VmError;
 use vcoma_types::VAddr;
 
+/// Regions must end at or below this address (a 48-bit virtual space).
+const LIMIT: u64 = 1 << 48;
+
 /// A named, contiguous region of the global virtual address space.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Region {
@@ -56,7 +59,6 @@ impl Region {
 #[derive(Debug, Clone)]
 pub struct AddressSpaceLayout {
     cursor: u64,
-    limit: u64,
     regions: Vec<Region>,
 }
 
@@ -64,20 +66,15 @@ impl AddressSpaceLayout {
     /// Creates a layout starting at `base` with the full 48-bit space above
     /// it available.
     pub fn new(base: u64) -> Self {
-        AddressSpaceLayout { cursor: base, limit: 1 << 48, regions: Vec::new() }
-    }
-
-    /// Restricts the layout to addresses below `limit`.
-    pub fn with_limit(base: u64, limit: u64) -> Self {
-        AddressSpaceLayout { cursor: base, limit, regions: Vec::new() }
+        AddressSpaceLayout { cursor: base, regions: Vec::new() }
     }
 
     /// Carves a region of `size` bytes aligned to `align` bytes.
     ///
     /// # Errors
     ///
-    /// Returns [`VmError::LayoutOverflow`] if the region does not fit below
-    /// the limit.
+    /// Returns [`VmError::LayoutOverflow`] if the region does not end at or
+    /// below 2^48.
     ///
     /// # Panics
     ///
@@ -92,7 +89,7 @@ impl AddressSpaceLayout {
         assert!(size > 0, "region size must be positive");
         let base = self.cursor.div_ceil(align) * align;
         let end = base.checked_add(size).ok_or(VmError::LayoutOverflow { region: name })?;
-        if end > self.limit {
+        if end > LIMIT {
             return Err(VmError::LayoutOverflow { region: name });
         }
         self.cursor = end;
@@ -158,8 +155,8 @@ mod tests {
 
     #[test]
     fn overflow_is_detected() {
-        let mut l = AddressSpaceLayout::with_limit(0, 1000);
-        assert!(l.region("big", 2000, 1).is_err());
+        let mut l = AddressSpaceLayout::new(0);
+        assert!(l.region("big", LIMIT + 1, 1).is_err());
         // Cursor must be unchanged after a failed carve.
         let ok = l.region("small", 500, 1).unwrap();
         assert_eq!(ok.base.raw(), 0);

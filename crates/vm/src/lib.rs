@@ -1,14 +1,13 @@
 //! Virtual-memory subsystem for the V-COMA simulator.
 //!
-//! This crate models everything the paper's five schemes need from the
-//! operating system's memory manager:
+//! This crate models what the paper's five schemes need from the operating
+//! system's memory manager. The paper preloads every data set (§5.1), so
+//! nothing here models paging, reference/modify bits or protection checks:
 //!
-//! * a **segmented global virtual address space** without synonyms
-//!   ([`AddressSpaceLayout`], [`SegmentTable`]) — the paper assumes a
-//!   PowerPC-like segmented system (§2.2.1);
+//! * a **global virtual address space** without synonyms, carved into named
+//!   regions by [`AddressSpaceLayout`];
 //! * a **page table** ([`PageTable`]) holding, per virtual page, the
-//!   physical frame (L0–L3), the V-COMA *directory page*, and the
-//!   referenced/modified/protection bits (§4.3);
+//!   physical frame (L0–L3) or the V-COMA *directory page* (§4.3);
 //! * **physical frame allocators**: round-robin assignment for the physical
 //!   COMA baseline and a page-coloring allocator for `L3-TLB`, where the
 //!   virtual and physical page must agree on their attraction-memory global
@@ -42,7 +41,6 @@ mod error;
 mod layout;
 mod page_table;
 mod pressure;
-mod segment;
 mod tag_overhead;
 
 pub use alloc::{ColoringAllocator, FrameAllocator, RoundRobinAllocator};
@@ -50,7 +48,5 @@ pub use directory::DirectoryAllocator;
 pub use error::VmError;
 pub use layout::{AddressSpaceLayout, Region};
 pub use page_table::{PageEntry, PageTable};
-pub use vcoma_types::Protection;
 pub use pressure::PressureProfile;
-pub use segment::{SegmentId, SegmentTable};
 pub use tag_overhead::TagOverhead;

@@ -1,7 +1,7 @@
 //! The global page table.
 
 use crate::{DirectoryAllocator, FrameAllocator, VmError};
-use vcoma_types::{DirAddr, IntMap, MachineConfig, PFrame, Protection, VPage};
+use vcoma_types::{IntMap, MachineConfig, PFrame, VPage};
 
 /// One page-table entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -10,12 +10,6 @@ pub struct PageEntry {
     pub frame: Option<PFrame>,
     /// Directory page allocated to the page (V-COMA). `None` in L0–L3.
     pub dir_page: Option<u64>,
-    /// Referenced bit, maintained by the TLB/DLB refill path.
-    pub referenced: bool,
-    /// Modified bit (paper §4.3: set on first write-ownership request).
-    pub modified: bool,
-    /// Page-level protection.
-    pub prot: Protection,
 }
 
 /// The machine-wide page table.
@@ -52,16 +46,6 @@ impl PageTable {
         self.entries.is_empty()
     }
 
-    /// Returns the entry for a page, if mapped.
-    pub fn entry(&self, page: VPage) -> Option<&PageEntry> {
-        self.entries.get(&page)
-    }
-
-    /// Returns a mutable entry for a page, if mapped.
-    pub fn entry_mut(&mut self, page: VPage) -> Option<&mut PageEntry> {
-        self.entries.get_mut(&page)
-    }
-
     /// Returns the physical frame of a mapped page.
     pub fn frame_of(&self, page: VPage) -> Option<PFrame> {
         self.entries.get(&page).and_then(|e| e.frame)
@@ -70,14 +54,6 @@ impl PageTable {
     /// Returns the directory page of a mapped page (V-COMA).
     pub fn dir_page_of(&self, page: VPage) -> Option<u64> {
         self.entries.get(&page).and_then(|e| e.dir_page)
-    }
-
-    /// Returns the directory address of a block within a mapped page
-    /// (V-COMA): `dir_page × blocks_per_page + block_in_page`.
-    pub fn dir_addr_of(&self, page: VPage, block_in_page: u64) -> Option<DirAddr> {
-        let bpp = self.cfg.blocks_per_page();
-        debug_assert!(block_in_page < bpp);
-        self.dir_page_of(page).map(|dp| DirAddr::new(dp, block_in_page, bpp))
     }
 
     /// Maps a page to a physical frame drawn from `alloc` (L0–L3 schemes).
@@ -97,13 +73,7 @@ impl PageTable {
             }
         }
         let frame = alloc.allocate(page, &self.cfg)?;
-        let e = self.entries.entry(page).or_insert(PageEntry {
-            frame: None,
-            dir_page: None,
-            referenced: false,
-            modified: false,
-            prot: Protection::read_write(),
-        });
+        let e = self.entries.entry(page).or_insert(PageEntry { frame: None, dir_page: None });
         e.frame = Some(frame);
         Ok(frame)
     }
@@ -127,13 +97,7 @@ impl PageTable {
             }
         }
         let dir_page = alloc.allocate(page, &self.cfg)?;
-        let e = self.entries.entry(page).or_insert(PageEntry {
-            frame: None,
-            dir_page: None,
-            referenced: false,
-            modified: false,
-            prot: Protection::read_write(),
-        });
+        let e = self.entries.entry(page).or_insert(PageEntry { frame: None, dir_page: None });
         e.dir_page = Some(dir_page);
         Ok(dir_page)
     }
@@ -145,46 +109,6 @@ impl PageTable {
     /// Returns [`VmError::NotMapped`] if the page was not mapped.
     pub fn unmap(&mut self, page: VPage) -> Result<PageEntry, VmError> {
         self.entries.remove(&page).ok_or(VmError::NotMapped(page))
-    }
-
-    /// Sets the referenced bit, returning the previous value.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VmError::NotMapped`] if the page was not mapped.
-    pub fn set_referenced(&mut self, page: VPage) -> Result<bool, VmError> {
-        let e = self.entries.get_mut(&page).ok_or(VmError::NotMapped(page))?;
-        Ok(std::mem::replace(&mut e.referenced, true))
-    }
-
-    /// Sets the modified bit (paper §4.3: at the home, when a node first
-    /// requests exclusive ownership of any block of the page), returning the
-    /// previous value.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VmError::NotMapped`] if the page was not mapped.
-    pub fn set_modified(&mut self, page: VPage) -> Result<bool, VmError> {
-        let e = self.entries.get_mut(&page).ok_or(VmError::NotMapped(page))?;
-        Ok(std::mem::replace(&mut e.modified, true))
-    }
-
-    /// Clears every referenced bit (the periodic page-daemon sweep the PE
-    /// could perform — paper §4.1).
-    pub fn clear_referenced_bits(&mut self) {
-        for e in self.entries.values_mut() {
-            e.referenced = false;
-        }
-    }
-
-    /// Changes a page's protection, returning the old protection.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VmError::NotMapped`] if the page was not mapped.
-    pub fn protect(&mut self, page: VPage, prot: Protection) -> Result<Protection, VmError> {
-        let e = self.entries.get_mut(&page).ok_or(VmError::NotMapped(page))?;
-        Ok(std::mem::replace(&mut e.prot, prot))
     }
 
     /// Iterates over all mapped `(page, entry)` pairs in unspecified order.
@@ -233,42 +157,13 @@ mod tests {
     }
 
     #[test]
-    fn referenced_and_modified_bits() {
-        let (mut pt, mut alloc) = setup();
-        let p = VPage::new(5);
-        pt.map_physical(p, &mut alloc).unwrap();
-        assert_eq!(pt.set_referenced(p), Ok(false));
-        assert_eq!(pt.set_referenced(p), Ok(true));
-        assert_eq!(pt.set_modified(p), Ok(false));
-        assert_eq!(pt.set_modified(p), Ok(true));
-        pt.clear_referenced_bits();
-        assert!(!pt.entry(p).unwrap().referenced);
-        assert!(pt.entry(p).unwrap().modified); // sweep leaves modified alone
-        assert_eq!(pt.set_referenced(VPage::new(99)), Err(VmError::NotMapped(VPage::new(99))));
-    }
-
-    #[test]
-    fn protect_replaces_rights() {
-        let (mut pt, mut alloc) = setup();
-        let p = VPage::new(5);
-        pt.map_physical(p, &mut alloc).unwrap();
-        let old = pt.protect(p, Protection::read_only()).unwrap();
-        assert_eq!(old, Protection::read_write());
-        assert_eq!(pt.entry(p).unwrap().prot, Protection::read_only());
-    }
-
-    #[test]
-    fn dir_addr_of_combines_page_and_block() {
+    fn map_directory_is_idempotent() {
         let cfg = MachineConfig::tiny();
-        let bpp = cfg.blocks_per_page();
         let mut pt = PageTable::new(cfg.clone());
         let mut dalloc = DirectoryAllocator::new(&cfg);
         let p = VPage::new(9);
         let dp = pt.map_directory(p, &mut dalloc).unwrap();
-        let da = pt.dir_addr_of(p, 3).unwrap();
-        assert_eq!(da.raw(), dp * bpp + 3);
         assert_eq!(pt.dir_page_of(p), Some(dp));
-        // Idempotent.
         assert_eq!(pt.map_directory(p, &mut dalloc).unwrap(), dp);
     }
 

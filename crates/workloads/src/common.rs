@@ -134,11 +134,6 @@ impl TraceBuilder {
     pub fn take_phase(&mut self) -> Vec<Vec<Op>> {
         self.traces.iter_mut().map(std::mem::take).collect()
     }
-
-    /// Total ops across all nodes so far.
-    pub fn total_ops(&self) -> usize {
-        self.traces.iter().map(Vec::len).sum()
-    }
 }
 
 /// Scales an iteration count by `scale`, flooring at 1.
@@ -228,6 +223,6 @@ mod tests {
         b.think = 0;
         b.read(0, VAddr::new(0));
         b.barrier();
-        assert_eq!(b.total_ops(), 3);
+        assert_eq!(b.into_traces().iter().map(Vec::len).sum::<usize>(), 3);
     }
 }

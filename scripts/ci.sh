@@ -1,7 +1,11 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 build+test, the golden-report regression suite,
-# a CLI-level check that parallel sweeps are byte-deterministic, and the
-# parent-vs-head perf A/B (scripts/perf_ab.sh).
+# The one CI definition (.github/workflows/ci.yml only runs this and
+# uploads its artifacts): clippy, tier-1 build+test, property tests, the
+# golden-report regression suite, CLI-level checks that parallel sweeps are
+# byte-deterministic, the micro benches, the parent-vs-head perf A/B
+# (scripts/perf_ab.sh), the fault matrix, the trace smoke and the sweep
+# server's crash-resume run. Leaves BENCH_sweep.json,
+# BENCH_sweep_64node.json and trace.json in the repository root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -141,6 +145,8 @@ cargo run --release -p vcoma-experiments -- trace --scale 0.01 \
 cargo run --release -p vcoma-experiments -- trace --scale 0.01 \
     --out "$trace8" --trace-out "$trace8/trace.json" --jobs 8 --progress
 diff -r "$trace1" "$trace8"
+# The workflow uploads this copy as the Perfetto trace artifact.
+cp "$trace1/trace.json" trace.json
 if command -v python3 >/dev/null 2>&1; then
     python3 - "$trace1/trace.json" <<'EOF'
 import json, sys
@@ -167,7 +173,7 @@ start_sweepd() {
     # readiness probe below only sees the new daemon's bind.
     rm -f "$sw/sweepd.sock"
     target/release/vcoma-sweepd --listen "unix:$sw/sweepd.sock" --store "$sw/store" \
-        --jobs 2 --http "$sweepd_http" &
+        --jobs 2 --http "$sweepd_http" > "$sw/sweepd.stdout" &
     sweepd_pid=$!
     for _ in $(seq 1 100); do [ -S "$sw/sweepd.sock" ] && return 0; sleep 0.1; done
     echo "vcoma-sweepd never started listening"; exit 1
@@ -196,6 +202,15 @@ for series in ("vcoma_store_hits_total", "vcoma_queue_depth",
 print(f"scrape OK: {len(lines)} lines")
 EOF
 }
+# The daemon's stdout must hold only its `listening on …` readiness line,
+# however many sweeps it has run; logs go to stderr.
+check_quiet_stdout() {
+    test "$(wc -l < "$sw/sweepd.stdout")" -eq 1 || {
+        echo "vcoma-sweepd stdout holds more than its readiness line:"
+        cat "$sw/sweepd.stdout"
+        exit 1
+    }
+}
 # The value of a single un-labelled metric in the latest scrape.
 metric() { awk -v m="$1" '$1 == m { print $2 }' "$sw/scrape.txt"; }
 # Daemon 1 populates the store with table2, then dies hard: the on-disk
@@ -222,6 +237,7 @@ echo "$status"
 echo "$status" | grep -q " done " || { echo "resumed sweep did not finish"; exit 1; }
 echo "$status" | grep -q " 0 store hits, " && { echo "resume simulated table2 instead of hitting the store"; exit 1; }
 echo "$status" | grep -q ", 0 simulated)" && { echo "fig8/table5 should have simulated fresh points"; exit 1; }
+check_quiet_stdout
 kill -9 "$sweepd_pid"; wait "$sweepd_pid" 2>/dev/null || true
 # Daemon 3: the identical resubmission must be served 100% from the
 # store, and the scrape's store-hit counter must climb while it does.
@@ -246,8 +262,9 @@ sweepd_pid=""
 diff -r "$sw/daemon-csvs" "$sw/resume-csvs"
 diff -r "$sw/daemon-csvs" "$sw/fetch-csvs"
 # The daemon's CSVs must be byte-identical to a direct single-worker run.
-target/release/vcoma-experiments table2 fig8 table5 --scale 0.01 \
-    --out "$sw/direct-csvs" --jobs 1
+# It runs in "$sw" so its BENCH_sweep.json leaves the uploaded one alone.
+cli="$PWD/target/release/vcoma-experiments"
+(cd "$sw" && "$cli" table2 fig8 table5 --scale 0.01 --out "$sw/direct-csvs" --jobs 1)
 diff -r "$sw/daemon-csvs" "$sw/direct-csvs"
 echo "==> sweep server resumes from its store and matches direct runs byte-for-byte"
 

@@ -18,7 +18,7 @@ use std::fs;
 use std::path::PathBuf;
 use vcoma::workloads::UniformRandom;
 use vcoma::{all_schemes, paper_schemes, MachineConfig, Scheme, SimReport, Simulator};
-use vcoma_experiments::{fig10, fig8, table2, ExperimentConfig};
+use vcoma_experiments::{ccnuma, fig10, fig8, table2, ExperimentConfig};
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden"))
@@ -76,6 +76,14 @@ fn fig10_matches_golden() {
         out.push('\n');
     }
     check("fig10_smoke.txt", &out);
+}
+
+/// The §2 CC-NUMA argument: exec cycles, translation misses and remote
+/// fraction for the four Figure-1 options on the private-working-set
+/// workload.
+#[test]
+fn ccnuma_matches_golden() {
+    check("ccnuma_smoke.txt", &ccnuma::render(&ccnuma::run(&cfg())).render());
 }
 
 /// One compact, fully deterministic line per scheme: enough to pin the
