@@ -3,7 +3,6 @@
 use crate::{AmState, CopySet, DirEntry, HomeTranslation, ProtocolStats};
 use vcoma_cachesim::SetAssocArray;
 use vcoma_faults::{FaultPlan, TxnFaults};
-use vcoma_metrics::MetricsRegistry;
 use vcoma_net::{Crossbar, MsgKind, SendOutcome};
 use vcoma_types::{DetRng, IntMap, MachineConfig, NodeId, Timing};
 
@@ -241,9 +240,6 @@ pub struct Protocol {
     rng: DetRng,
     policy: InjectionPolicy,
     stats: ProtocolStats,
-    /// Named state-transition counters (`transition.*`), alongside the
-    /// fixed [`ProtocolStats`] counters.
-    metrics: MetricsRegistry,
     /// Transaction-level fault policy (home NACKs plus retry pacing). The
     /// default zero plan never NACKs, and with no crossbar fault hook every
     /// send is delivered exactly as [`Crossbar::send`] would deliver it.
@@ -266,7 +262,6 @@ impl Protocol {
             rng: DetRng::new(seed ^ 0xC0A_0C0A),
             policy: InjectionPolicy::RandomForward,
             stats: ProtocolStats::default(),
-            metrics: MetricsRegistry::new(0),
             faults: TxnFaults::new(FaultPlan::default(), cfg.nodes as usize),
             hops: None,
         }
@@ -339,16 +334,10 @@ impl Protocol {
         &self.stats
     }
 
-    /// Named state-transition counters (`transition.*` keys).
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
-
     /// Zeroes the statistics counters, keeping all attraction-memory and
     /// directory state (used between a warm-up pass and the measured pass).
     pub fn reset_stats(&mut self) {
         self.stats = ProtocolStats::default();
-        self.metrics.reset();
     }
 
     /// Sends the transaction's opening request with end-to-end recovery.
@@ -369,7 +358,7 @@ impl Protocol {
         home: NodeId,
         kind: MsgKind,
     ) {
-        let Self { faults: fx, stats, metrics, hops, .. } = self;
+        let Self { faults: fx, stats, hops, .. } = self;
         let mut attempt = 0u32;
         loop {
             let depart = path.t;
@@ -380,8 +369,6 @@ impl Protocol {
                     if attempt < fx.max_attempts() && fx.nack(home) {
                         stats.nacks += 1;
                         stats.retries += 1;
-                        metrics.incr("fault.nack");
-                        metrics.incr("fault.retry");
                         let nack_depart = path.t;
                         path.send(net, home, requester, MsgKind::Nack);
                         record_hop(hops, nack_depart, path.t, home, requester, MsgKind::Nack.label());
@@ -396,10 +383,8 @@ impl Protocol {
                 }
                 SendOutcome::Dropped => {
                     stats.timeouts += 1;
-                    metrics.incr("fault.timeout");
                     if attempt + 1 >= fx.max_attempts() {
                         stats.retry_exhausted += 1;
-                        metrics.incr("fault.exhausted");
                         path.fault_wait(fx.timeout());
                         record_window(hops, depart, path.t, requester, "timeout");
                         let resend = path.t;
@@ -408,7 +393,6 @@ impl Protocol {
                         return;
                     }
                     stats.retries += 1;
-                    metrics.incr("fault.retry");
                     path.fault_wait(fx.timeout() + fx.backoff(attempt));
                     record_window(hops, depart, path.t, requester, "timeout");
                     record_window(hops, path.t, path.t, requester, "retry");
@@ -429,7 +413,7 @@ impl Protocol {
         dst: NodeId,
         kind: MsgKind,
     ) {
-        let Self { faults: fx, stats, metrics, hops, .. } = self;
+        let Self { faults: fx, stats, hops, .. } = self;
         let depart = path.t;
         match net.send_faulty(src, dst, kind, path.t) {
             SendOutcome::Delivered { arrive, fault_delay } => {
@@ -438,7 +422,6 @@ impl Protocol {
             }
             SendOutcome::Dropped => {
                 stats.link_retries += 1;
-                metrics.incr("fault.link_retry");
                 path.fault_wait(fx.timeout());
                 record_window(hops, depart, path.t, src, "timeout");
                 let resend = path.t;
@@ -464,7 +447,6 @@ impl Protocol {
             SendOutcome::Delivered { arrive, .. } => arrive,
             SendOutcome::Dropped => {
                 self.stats.link_retries += 1;
-                self.metrics.incr("fault.link_retry");
                 net.send(src, dst, kind, t)
             }
         };
@@ -502,7 +484,6 @@ impl Protocol {
             // Cold fill: the home materialises the block from its backing
             // store; the requester becomes the master.
             self.stats.cold_fills += 1;
-            self.metrics.incr("transition.uncached_to_master_shared");
             path.mem(self.timing.am_hit);
             self.path_send_ft(&mut path, net, home, requester, MsgKind::BlockReply);
             self.dir.get_mut(&block).expect("just inserted").add(requester);
@@ -522,12 +503,10 @@ impl Protocol {
             if let Some(s) = self.ams[master.index()].peek_mut(block) {
                 if *s == AmState::Exclusive {
                     *s = AmState::MasterShared;
-                    self.metrics.incr("transition.exclusive_to_master_shared");
                 }
             } else {
                 debug_assert!(false, "directory master {master} does not hold {block:#x}");
             }
-            self.metrics.incr("transition.install_shared");
             self.dir.get_mut(&block).expect("entry exists").add(requester);
             self.install(requester, block, AmState::Shared, net, path.t, &mut invals);
         }
@@ -565,7 +544,6 @@ impl Protocol {
             Some(_) => {
                 // Upgrade: invalidate every other copy, then grant.
                 self.stats.upgrades += 1;
-                self.metrics.incr("transition.upgrade_to_exclusive");
                 let ack_path = self.invalidate_others(block, requester, home, net, path, &mut invals);
                 let mut grant_path = path;
                 self.path_send_ft(&mut grant_path, net, home, requester, MsgKind::Ack);
@@ -580,7 +558,6 @@ impl Protocol {
             None if entry.is_uncached() => {
                 // Cold write fill: requester becomes the exclusive owner.
                 self.stats.cold_fills += 1;
-                self.metrics.incr("transition.uncached_to_exclusive");
                 path.mem(self.timing.am_hit);
                 self.path_send_ft(&mut path, net, home, requester, MsgKind::BlockReply);
                 let e = self.dir.get_mut(&block).expect("entry exists");
@@ -592,7 +569,6 @@ impl Protocol {
                 // Write miss served by the current master; all other copies
                 // are invalidated in parallel.
                 self.stats.remote_writes += 1;
-                self.metrics.incr("transition.ownership_transfer");
                 let master = entry.master.expect("cached block must have a master");
                 let ack_path = self.invalidate_others(block, requester, home, net, path, &mut invals);
                 let mut data_path = path;
@@ -637,7 +613,6 @@ impl Protocol {
                 continue;
             }
             self.stats.invalidations += 1;
-            self.metrics.incr("transition.invalidated");
             let mut branch = from;
             self.path_send_ft(&mut branch, net, home, holder, MsgKind::Invalidate);
             if self.ams[holder.index()].invalidate(block).is_some() {
@@ -679,7 +654,6 @@ impl Protocol {
                 // Dropping a Shared copy: hint the home so the copy set
                 // stays exact.
                 self.stats.shared_drops += 1;
-                self.metrics.incr("transition.shared_dropped");
                 let vhome = self.dir.get(&victim).expect("resident block has an entry").home;
                 self.lossy_send_offpath(net, node, vhome, MsgKind::Ack, now);
                 self.dir.get_mut(&victim).expect("entry exists").remove(node);
@@ -730,7 +704,6 @@ impl Protocol {
                 *s = AmState::MasterShared;
                 self.dir.get_mut(&block).expect("entry exists").master = Some(home);
                 self.stats.injections_home += 1;
-                self.metrics.incr("transition.shared_to_master_shared");
                 return;
             }
             if self.ams[home.index()].set_has_room(block) {
@@ -765,7 +738,6 @@ impl Protocol {
                 *s = AmState::MasterShared;
                 self.dir.get_mut(&block).expect("entry exists").master = Some(cand);
                 self.stats.injections_forwarded += 1;
-                self.metrics.incr("transition.shared_to_master_shared");
                 return;
             }
             if self.ams[cand.index()].set_has_room(block) {
@@ -784,14 +756,12 @@ impl Protocol {
         // store; the next access will cold-fill it. With memory pressure
         // below one this is rare; it is counted so experiments can see it.
         self.stats.spills += 1;
-        self.metrics.incr("transition.spilled");
         if self.dir.get(&block).expect("entry exists").is_uncached() {
             self.dir.get_mut(&block).expect("entry exists").master = None;
         }
     }
 
     fn accept_injection(&mut self, node: NodeId, block: u64) {
-        self.metrics.incr("transition.inject_accepted");
         self.ams[node.index()].insert(block, AmState::MasterShared);
         let e = self.dir.get_mut(&block).expect("entry exists");
         e.add(node);

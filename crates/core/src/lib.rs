@@ -43,8 +43,8 @@
 #![warn(missing_docs)]
 
 pub use vcoma_sim::{
-    codec, AuditError, LatencyBreakdown, Machine, NodeReport, SimConfig, SimError, SimReport,
-    TimeBreakdown, TlbBank, TraceConfig, LATENCY_CATEGORIES,
+    codec, AuditError, LatencyBreakdown, LockMisuse, Machine, NodeReport, SimConfig, SimError,
+    SimReport, TimeBreakdown, TlbBank, TraceConfig, LATENCY_CATEGORIES,
 };
 pub use vcoma_tlb::{
     all_schemes, paper_schemes, registry, AllocPolicy, BankModel, ModelParams, PageSize, Scheme,
@@ -244,7 +244,8 @@ impl Simulator {
     /// Returns [`SimError::Vm`] if the virtual-memory system hits an
     /// unrecoverable condition, [`SimError::Audit`] if auditing is enabled
     /// and a coherence invariant is violated, [`SimError::BadTraces`] if
-    /// the workload yields the wrong number of per-node sources, and
+    /// the workload yields the wrong number of per-node sources,
+    /// [`SimError::Lock`] if a trace misuses a lock, and
     /// [`SimError::Deadlock`] if replay stalls with nodes parked at a
     /// barrier that can never fill.
     pub fn try_run(&self, workload: &dyn Workload) -> Result<SimReport, SimError> {

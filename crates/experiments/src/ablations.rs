@@ -50,7 +50,7 @@ where
 {
     let points =
         cfg.benchmarks().into_iter().map(|w| SweepPoint::new(w.name(), w)).collect();
-    sweep::run_progress(name, cfg.effective_jobs(), cfg.progress.as_deref(), points, |w| {
+    sweep::run(cfg, name, points, |w| {
         let (base, variant) = eval(w.as_ref());
         let cycles = base.simulated_cycles().saturating_add(variant.simulated_cycles());
         SweepResult::new(

@@ -1,5 +1,5 @@
-//! Fine-grained latency breakdown (`--breakdown`) and the merged metrics
-//! snapshot behind `--metrics-out`.
+//! Fine-grained latency breakdown (`--breakdown`) and the merged protocol
+//! counts and latency histograms behind `--metrics-out`.
 //!
 //! Runs every translation scheme over every benchmark with the paper's
 //! default 8-entry fully-associative TLB/DLB and attributes **every**
@@ -13,7 +13,10 @@
 use crate::render::TextTable;
 use crate::sweep::{self, SweepPoint, SweepResult};
 use crate::ExperimentConfig;
-use vcoma::metrics::{Mergeable, MetricsSnapshot};
+use serde::Serialize;
+use std::collections::BTreeMap;
+use vcoma::coherence::ProtocolStats;
+use vcoma::metrics::{HistogramSnapshot, Mergeable, MetricsSnapshot};
 use vcoma::workloads::Workload;
 use vcoma::{paper_schemes, LatencyBreakdown, Scheme, SimReport, LATENCY_CATEGORIES};
 
@@ -28,7 +31,9 @@ pub struct BreakdownRow {
     pub fine: LatencyBreakdown,
     /// Total simulated cycles of the run; equals `fine.total()`.
     pub simulated_cycles: u64,
-    /// The run's merged metrics snapshot (machine + protocol).
+    /// The run's protocol event counts.
+    pub protocol: ProtocolStats,
+    /// The run's metrics snapshot (latency histograms).
     pub metrics: MetricsSnapshot,
 }
 
@@ -39,6 +44,7 @@ impl BreakdownRow {
             scheme,
             fine: report.aggregate_fine(),
             simulated_cycles: report.simulated_cycles(),
+            protocol: *report.protocol(),
             metrics: report.metrics().clone(),
         }
     }
@@ -55,7 +61,7 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<BreakdownRow> {
             points.push(SweepPoint::new(format!("{}/{scheme}", w.name()), (scheme, w.as_ref())));
         }
     }
-    sweep::run_progress("breakdown", cfg.effective_jobs(), cfg.progress.as_deref(), points, |&(scheme, wl)| {
+    sweep::run(cfg, "breakdown", points, |&(scheme, wl)| {
         let report = cfg.run_cached(cfg.simulator(scheme), wl);
         SweepResult::new(
             BreakdownRow::from_report(wl.name(), scheme, &report),
@@ -80,14 +86,26 @@ pub fn render(rows: &[BreakdownRow]) -> TextTable {
     t
 }
 
-/// Folds every row's metrics snapshot into one machine-readable document
-/// (the payload of `--metrics-out`).
-pub fn merged_metrics(rows: &[BreakdownRow]) -> MetricsSnapshot {
-    let mut merged = MetricsSnapshot::default();
+/// The `--metrics-out` document: every row's protocol counts and latency
+/// histograms, each summed over the rows.
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+pub struct MergedMetrics {
+    /// Protocol event counts summed over the rows.
+    pub protocol: ProtocolStats,
+    /// Latency histograms merged over the rows, by name.
+    pub histograms: BTreeMap<String, HistogramSnapshot>,
+}
+
+/// Folds every row's protocol counts and metrics snapshot into one
+/// machine-readable document (the payload of `--metrics-out`).
+pub fn merged_metrics(rows: &[BreakdownRow]) -> MergedMetrics {
+    let mut protocol = ProtocolStats::default();
+    let mut metrics = MetricsSnapshot::default();
     for r in rows {
-        merged.merge(&r.metrics);
+        protocol.merge(&r.protocol);
+        metrics.merge(&r.metrics);
     }
-    merged
+    MergedMetrics { protocol, histograms: metrics.histograms }
 }
 
 #[cfg(test)]
@@ -120,6 +138,23 @@ mod tests {
             assert!(table.contains(c), "missing column {c}");
         }
         let merged = merged_metrics(&rows);
-        assert!(merged.histogram("latency.read").is_some());
+        assert!(merged.histograms.contains_key("latency.read"));
+    }
+
+    #[test]
+    fn metrics_out_protocol_is_the_sum_over_rows() {
+        use vcoma::metrics::json::{from_json_str, to_json_pretty};
+        // Every `ProtocolStats` field, by name, through its serialized form.
+        let fields = |p: &ProtocolStats| -> BTreeMap<String, u64> {
+            from_json_str(&to_json_pretty(p).expect("serializes")).expect("flat map")
+        };
+        let rows = run(&ExperimentConfig::smoke());
+        let mut expected = BTreeMap::new();
+        for (k, v) in rows.iter().flat_map(|r| fields(&r.protocol)) {
+            *expected.entry(k).or_insert(0) += v;
+        }
+        let merged = merged_metrics(&rows);
+        assert_eq!(fields(&merged.protocol), expected);
+        assert!(merged.protocol.remote_transactions() > 0);
     }
 }

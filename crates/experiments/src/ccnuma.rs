@@ -60,7 +60,7 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<CcNumaRow> {
         NUMA_SCHEMES.iter().map(|&s| SweepPoint::new(s.label(), s)).collect();
     let traces = &traces;
     let sim_cfg = &sim_cfg;
-    sweep::run_progress("ccnuma", cfg.effective_jobs(), cfg.progress.as_deref(), points, |&scheme| {
+    sweep::run(cfg, "ccnuma", points, |&scheme| {
         let report = NumaMachine::new(sim_cfg.clone(), scheme).run(traces.clone());
         SweepResult::new(
             CcNumaRow {

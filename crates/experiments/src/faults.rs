@@ -68,7 +68,7 @@ pub fn run(cfg: &ExperimentConfig, base: &FaultPlan) -> Result<Vec<FaultRow>, Si
             ));
         }
     }
-    let results = sweep::run_progress("faults", cfg.effective_jobs(), cfg.progress.as_deref(), points, |&(scheme, intensity)| {
+    let results = sweep::run(cfg, "faults", points, |&(scheme, intensity)| {
         let mut sim = cfg.simulator(scheme).audit();
         let plan = base.scaled(intensity);
         if !plan.is_zero() {

@@ -66,7 +66,7 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<Fig10Panel> {
             points.push(SweepPoint::new(format!("{}/{}", w.name(), bar.0), bar));
         }
     }
-    let bars = sweep::run_progress("fig10", cfg.effective_jobs(), cfg.progress.as_deref(), points, |&(label, scheme, specs, wl)| {
+    let bars = sweep::run(cfg, "fig10", points, |&(label, scheme, specs, wl)| {
         let report = cfg.run_cached(cfg.simulator(scheme).specs(specs.to_vec()).warmup(), wl);
         SweepResult::new(Bar::from_report(label, &report), report.simulated_cycles())
     });

@@ -25,7 +25,7 @@ pub struct Fig11Row {
 pub fn run(cfg: &ExperimentConfig) -> Vec<Fig11Row> {
     let points =
         cfg.benchmarks().into_iter().map(|w| SweepPoint::new(w.name(), w)).collect();
-    sweep::run_progress("fig11", cfg.effective_jobs(), cfg.progress.as_deref(), points, |w| {
+    sweep::run(cfg, "fig11", points, |w| {
         let report = cfg.run_cached(cfg.simulator(Scheme::V_COMA), w.as_ref());
         let p = report.pressure();
         SweepResult::new(

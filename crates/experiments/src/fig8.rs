@@ -57,7 +57,7 @@ pub fn run_schemes(cfg: &ExperimentConfig, schemes: &[Scheme]) -> Vec<Fig8Panel>
         })
         .collect();
     let specs = &specs;
-    let curves = sweep::run_progress("fig8", cfg.effective_jobs(), cfg.progress.as_deref(), points, |&(w, scheme)| {
+    let curves = sweep::run(cfg, "fig8", points, |&(w, scheme)| {
         let report = cfg.run_cached(cfg.simulator(scheme).specs(specs.clone()), w);
         SweepResult::new(
             Curve {

@@ -54,7 +54,7 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<Fig9Panel> {
         })
         .collect();
     let specs = &specs;
-    let curves = sweep::run_progress("fig9", cfg.effective_jobs(), cfg.progress.as_deref(), points, |&(w, scheme)| {
+    let curves = sweep::run(cfg, "fig9", points, |&(w, scheme)| {
         let report = cfg.run_cached(cfg.simulator(scheme).specs(specs.clone()), w);
         SweepResult::new(
             DmFaCurves {

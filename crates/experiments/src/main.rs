@@ -48,8 +48,8 @@ options:
   --out DIR          also write each artifact as CSV into DIR
   --breakdown        print the fine latency-attribution table (scheme x benchmark;
                      per-row totals equal the run's simulated cycles exactly)
-  --metrics-out FILE write the merged metrics snapshot (counters, gauges,
-                     histograms) of the breakdown runs as JSON to FILE
+  --metrics-out FILE write the breakdown runs' summed protocol counts and
+                     merged latency histograms as JSON to FILE
   --fault-plan SPEC  base fault plan for the faults artifact, e.g.
                      drop=0.01,dup=0.005,delay=32,nack=0.02 (that is the
                      default when faults runs without this flag)

@@ -20,7 +20,7 @@ use std::time::Instant;
 
 use serde::Serialize;
 
-use crate::progress::ProgressSink;
+use crate::ExperimentConfig;
 
 /// One point of a sweep grid: a display label plus the evaluator input.
 #[derive(Debug, Clone)]
@@ -121,33 +121,16 @@ pub fn take_stats() -> Vec<SweepStats> {
     std::mem::take(&mut *LEDGER.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
 }
 
-/// Evaluates `points` on `jobs` worker threads and returns the values in
-/// input order. `jobs` is clamped to `[1, points.len()]`; the merged
-/// output is independent of the worker count.
+/// Evaluates `points` on [`ExperimentConfig::effective_jobs`] worker
+/// threads (clamped to `[1, points.len()]`) and returns the values in
+/// input order, independent of the worker count. `cfg`'s progress sink, if
+/// any, hears `sweep_started(name, points)` before evaluation begins and
+/// one `point_done(label)` per finished point, from whichever worker
+/// thread finished it; the values and stdout are the same without one.
 ///
 /// Appends a [`SweepStats`] record to the process-wide ledger; prints
 /// nothing.
-pub fn run<I, T, F>(name: &str, jobs: usize, points: Vec<SweepPoint<I>>, eval: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&I) -> SweepResult<T> + Sync,
-{
-    run_progress(name, jobs, None, points, eval)
-}
-
-/// [`run`] with an optional [`ProgressSink`]: the sink hears
-/// `sweep_started(name, points)` before evaluation begins and one
-/// `point_done(label)` per finished point, from whichever worker thread
-/// finished it. The returned values — and every byte of stdout — are
-/// identical with and without a sink.
-pub fn run_progress<I, T, F>(
-    name: &str,
-    jobs: usize,
-    sink: Option<&dyn ProgressSink>,
-    points: Vec<SweepPoint<I>>,
-    eval: F,
-) -> Vec<T>
+pub fn run<I, T, F>(cfg: &ExperimentConfig, name: &str, points: Vec<SweepPoint<I>>, eval: F) -> Vec<T>
 where
     I: Sync,
     T: Send,
@@ -155,7 +138,8 @@ where
 {
     let t0 = Instant::now();
     let n = points.len();
-    let jobs = jobs.clamp(1, n.max(1));
+    let jobs = cfg.effective_jobs().clamp(1, n.max(1));
+    let sink = cfg.progress.as_deref();
     if let Some(sink) = sink {
         sink.sweep_started(name, n as u64);
     }
@@ -289,10 +273,14 @@ mod tests {
         (0..n).map(|i| SweepPoint::new(format!("p{i}"), i)).collect()
     }
 
+    fn jobs(n: usize) -> ExperimentConfig {
+        ExperimentConfig::new().with_jobs(n)
+    }
+
     #[test]
     fn results_come_back_in_input_order() {
         for jobs in [1, 2, 7, 64] {
-            let out = run("test_order", jobs, square_points(23), |&i| {
+            let out = run(&self::jobs(jobs), "test_order", square_points(23), |&i| {
                 // Skew the per-point latency so completion order differs
                 // from input order under real parallelism.
                 if i % 3 == 0 {
@@ -306,8 +294,8 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_agree() {
-        let serial = run("test_serial", 1, square_points(17), |&i| SweepResult::new(i * 7, 0));
-        let parallel = run("test_parallel", 8, square_points(17), |&i| SweepResult::new(i * 7, 0));
+        let serial = run(&jobs(1), "test_serial", square_points(17), |&i| SweepResult::new(i * 7, 0));
+        let parallel = run(&jobs(8), "test_parallel", square_points(17), |&i| SweepResult::new(i * 7, 0));
         assert_eq!(serial, parallel);
     }
 
@@ -329,10 +317,9 @@ mod tests {
             }
         }
 
-        let sink = Sink::default();
-        let out = run_progress("test_sink", 4, Some(&sink), square_points(9), |&i| {
-            SweepResult::new(i + 1, 0)
-        });
+        let sink = std::sync::Arc::new(Sink::default());
+        let cfg = jobs(4).with_progress(sink.clone());
+        let out = run(&cfg, "test_sink", square_points(9), |&i| SweepResult::new(i + 1, 0));
         assert_eq!(out, (1..=9).collect::<Vec<u64>>());
         assert_eq!(*sink.started.lock().unwrap(), vec![("test_sink".to_string(), 9)]);
         let labels = sink.labels.lock().unwrap();
@@ -342,7 +329,7 @@ mod tests {
 
     #[test]
     fn empty_sweep_is_fine() {
-        let out: Vec<u64> = run("test_empty", 4, Vec::<SweepPoint<u64>>::new(), |&i| {
+        let out: Vec<u64> = run(&jobs(4), "test_empty", Vec::<SweepPoint<u64>>::new(), |&i| {
             SweepResult::new(i, 0)
         });
         assert!(out.is_empty());
@@ -351,7 +338,7 @@ mod tests {
     #[test]
     fn stats_accumulate_cycles() {
         take_stats(); // other tests share the process-wide ledger
-        let _ = run("test_stats", 2, square_points(5), |&i| SweepResult::new(i, 100));
+        let _ = run(&jobs(2), "test_stats", square_points(5), |&i| SweepResult::new(i, 100));
         let stats = take_stats();
         let s = stats.iter().find(|s| s.sweep == "test_stats").expect("ledger entry");
         assert_eq!(s.points, 5);

@@ -33,7 +33,7 @@ pub struct Table1Row {
 pub fn run(cfg: &ExperimentConfig) -> Vec<Table1Row> {
     let points =
         cfg.benchmarks().into_iter().map(|w| SweepPoint::new(w.name(), w)).collect();
-    sweep::run_progress("table1", cfg.effective_jobs(), cfg.progress.as_deref(), points, |w| {
+    sweep::run(cfg, "table1", points, |w| {
         let a = TraceAnalysis::of_sources(w.sources(&cfg.machine), &cfg.machine);
         SweepResult::new(
             Table1Row {

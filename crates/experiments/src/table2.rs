@@ -42,7 +42,7 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<Table2Row> {
         })
         .collect();
     let specs = &specs;
-    let by_scheme = sweep::run_progress("table2", cfg.effective_jobs(), cfg.progress.as_deref(), points, |&(w, scheme)| {
+    let by_scheme = sweep::run(cfg, "table2", points, |&(w, scheme)| {
         let report = cfg.run_cached(cfg.simulator(scheme).specs(specs.clone()), w);
         SweepResult::new(
             (0..TABLE2_SIZES.len())

@@ -54,7 +54,7 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<Table3Row> {
         }
     }
     let specs = &specs;
-    let probes = sweep::run_progress("table3", cfg.effective_jobs(), cfg.progress.as_deref(), points, |&(w, scheme)| {
+    let probes = sweep::run(cfg, "table3", points, |&(w, scheme)| {
         match scheme {
             None => {
                 let vc = cfg.run_cached(cfg.simulator(Scheme::V_COMA).entries(8), w);

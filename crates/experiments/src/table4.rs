@@ -39,7 +39,7 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<Table4Col> {
             }
         }
     }
-    let ratios = sweep::run_progress("table4", cfg.effective_jobs(), cfg.progress.as_deref(), points, |&(w, scheme, entries)| {
+    let ratios = sweep::run(cfg, "table4", points, |&(w, scheme, entries)| {
         let report = cfg.run_cached(cfg.simulator(scheme).entries(entries).warmup(), w);
         SweepResult::new(
             report.aggregate_breakdown().translation_over_stall(),

@@ -59,7 +59,7 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<Table5Row> {
             })
         })
         .collect();
-    let cells = sweep::run_progress("table5", cfg.effective_jobs(), cfg.progress.as_deref(), points, |&(w, scheme)| {
+    let cells = sweep::run(cfg, "table5", points, |&(w, scheme)| {
         let report = cfg.run_cached(cfg.simulator(scheme), w);
         SweepResult::new(
             (

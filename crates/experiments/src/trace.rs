@@ -70,7 +70,7 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<TraceRow> {
         .into_iter()
         .map(|scheme| SweepPoint::new(format!("{}/{scheme}", w.name()), scheme))
         .collect();
-    sweep::run_progress("trace", cfg.effective_jobs(), cfg.progress.as_deref(), points, |&scheme| {
+    sweep::run(cfg, "trace", points, |&scheme| {
         let report =
             cfg.run_cached(cfg.simulator(scheme).trace(SAMPLE_EVERY, CAPACITY), w.as_ref());
         let snapshot = report.trace().expect("traced run carries a snapshot").clone();

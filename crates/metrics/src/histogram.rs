@@ -135,38 +135,6 @@ impl Histogram {
     }
 }
 
-impl Serialize for Histogram {
-    /// Serializes as its [`HistogramSnapshot`] form.
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        self.snapshot().serialize(serializer)
-    }
-}
-
-impl serde::de::Deserialize for Histogram {
-    /// Deserializes from the [`HistogramSnapshot`] form, inverting
-    /// [`Histogram::snapshot`] exactly (trimmed trailing buckets read
-    /// back as zero; the empty histogram's `min`/`max` sentinels are
-    /// restored from the snapshot's `None`s).
-    fn deserialize<D: serde::de::Deserializer>(d: D) -> Result<Self, D::Error> {
-        let snap = HistogramSnapshot::deserialize(d)?;
-        if snap.buckets.len() > BUCKETS {
-            return Err(serde::de::Error::custom(format_args!(
-                "histogram snapshot has {} buckets, shape holds {BUCKETS}",
-                snap.buckets.len()
-            )));
-        }
-        let mut counts = [0u64; BUCKETS];
-        counts[..snap.buckets.len()].copy_from_slice(&snap.buckets);
-        Ok(Histogram {
-            counts,
-            count: snap.count,
-            sum: snap.sum,
-            min: snap.min.unwrap_or(u64::MAX),
-            max: snap.max.unwrap_or(0),
-        })
-    }
-}
-
 impl Mergeable for Histogram {
     fn merge(&mut self, other: &Self) {
         self.counts.merge(&other.counts);

@@ -1,8 +1,7 @@
 //! Prometheus text exposition (format version 0.0.4).
 //!
-//! [`PrometheusExposer`] renders counters, gauges and histograms — both
-//! ad-hoc series and whole [`MetricsSnapshot`]s — into the plain-text
-//! format `GET /metrics` endpoints serve:
+//! [`PrometheusExposer`] renders counter, gauge and histogram series into
+//! the plain-text format `GET /metrics` endpoints serve:
 //!
 //! ```text
 //! # HELP vcoma_store_hits_total Store loads served from disk.
@@ -13,9 +12,8 @@
 //! The renderer owns the format's correctness obligations so callers
 //! can't violate them:
 //!
-//! * metric names are sanitised to `[a-zA-Z_:][a-zA-Z0-9_:]*` (the
-//!   registry's dotted names like `protocol.read_miss` become
-//!   `protocol_read_miss`);
+//! * metric names are sanitised to `[a-zA-Z_:][a-zA-Z0-9_:]*` (dotted
+//!   names like `protocol.read_miss` become `protocol_read_miss`);
 //! * label values are escaped (`\` → `\\`, `"` → `\"`, newline → `\n`),
 //!   `# HELP` text likewise;
 //! * `# HELP`/`# TYPE` headers are emitted once per metric name even
@@ -24,10 +22,9 @@
 //!   `le="+Inf"`, plus `_sum` and `_count`, from the workspace's
 //!   power-of-two [`HistogramSnapshot`] shape.
 //!
-//! Output is deterministic: series appear in call order, snapshot
-//! contents in `BTreeMap` key order.
+//! Output is deterministic: series appear in call order.
 
-use crate::{Histogram, HistogramSnapshot, MetricsSnapshot};
+use crate::{Histogram, HistogramSnapshot};
 use std::collections::BTreeSet;
 use std::fmt::Write;
 
@@ -157,38 +154,6 @@ impl PrometheusExposer {
         let _ = writeln!(self.out, "{name}_count{} {}", render_labels(labels), snap.count);
     }
 
-    /// Renders a whole [`MetricsSnapshot`] under `prefix`: counters as
-    /// `{prefix}_{name}_total`, gauges as `{prefix}_{name}`, histograms
-    /// as `{prefix}_{name}` histogram series — dotted registry names
-    /// sanitised, in deterministic key order.
-    pub fn snapshot(&mut self, prefix: &str, snap: &MetricsSnapshot) {
-        for (name, value) in &snap.counters {
-            self.counter(
-                &format!("{prefix}_{name}_total"),
-                &format!("Registry counter '{name}'."),
-                &[],
-                *value,
-            );
-        }
-        for (name, value) in &snap.gauges {
-            #[allow(clippy::cast_precision_loss)]
-            self.gauge(
-                &format!("{prefix}_{name}"),
-                &format!("Registry gauge '{name}'."),
-                &[],
-                *value as f64,
-            );
-        }
-        for (name, hist) in &snap.histograms {
-            self.histogram(
-                &format!("{prefix}_{name}"),
-                &format!("Registry histogram '{name}'."),
-                &[],
-                hist,
-            );
-        }
-    }
-
     /// Finishes the scrape and returns the exposition text.
     #[must_use]
     pub fn render(self) -> String {
@@ -285,7 +250,6 @@ pub fn validate_scrape(scrape: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MetricsRegistry;
 
     #[test]
     fn names_are_sanitised_into_the_legal_charset() {
@@ -375,27 +339,6 @@ mod tests {
         assert!(buckets.contains(&("1".to_string(), 3)));
         assert!(text.contains("lat_sum 316"));
         assert!(text.contains("lat_count 6"));
-    }
-
-    #[test]
-    fn snapshot_rendering_is_deterministic_and_valid() {
-        let mut reg = MetricsRegistry::new(4);
-        reg.count("protocol.read_miss", 7);
-        reg.count("tlb.l1.evict", 2);
-        reg.gauge("vm.pages", -3);
-        reg.observe("net.hops", 4);
-        let mut exp = PrometheusExposer::new();
-        exp.snapshot("vcoma", &reg.snapshot());
-        let text = exp.render();
-        validate_scrape(&text).expect("valid scrape");
-        assert!(text.contains("vcoma_protocol_read_miss_total 7"));
-        assert!(text.contains("vcoma_tlb_l1_evict_total 2"));
-        assert!(text.contains("vcoma_vm_pages -3"));
-        assert!(text.contains("vcoma_net_hops_count 1"));
-        // Deterministic: same registry renders the same bytes.
-        let mut exp2 = PrometheusExposer::new();
-        exp2.snapshot("vcoma", &reg.snapshot());
-        assert_eq!(text, exp2.render());
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Bounded, cycle-stamped structured event ring.
 
-use crate::Mergeable;
-
 /// One structured trace event.
 ///
 /// `kind` is a `&'static str` rather than an enum so this crate stays
@@ -66,12 +64,6 @@ impl EventRing {
         self.buf.is_empty()
     }
 
-    /// Maximum number of events the ring retains.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Number of events lost to overwrite (or to a zero capacity).
     #[must_use]
     pub fn dropped(&self) -> u64 {
@@ -115,22 +107,6 @@ pub struct EventSnapshot {
     pub kind: String,
     /// Address the event concerns.
     pub addr: u64,
-}
-
-impl Mergeable for EventRing {
-    /// Interleaves both rings' events by cycle (stable on ties, `self`'s
-    /// first) into one timeline and keeps the newest `capacity` of them.
-    /// The drop count adds both rings' drops and whatever the merge sheds.
-    fn merge(&mut self, other: &Self) {
-        let mut events: Vec<Event> = self.iter().chain(other.iter()).copied().collect();
-        events.sort_by_key(|e| e.cycle);
-        let dropped = self.dropped + other.dropped;
-        self.clear();
-        for e in events {
-            self.push(e);
-        }
-        self.dropped += dropped;
-    }
 }
 
 #[cfg(test)]
@@ -199,21 +175,5 @@ mod tests {
         assert_eq!(snap.iter().map(|e| e.cycle).collect::<Vec<_>>(), vec![2, 3, 4]);
         assert_eq!(snap[0].kind, "test");
         assert_eq!(snap[0].addr, 2 * 64);
-    }
-
-    #[test]
-    fn snapshot_merge_interleaves_by_cycle() {
-        let mut ring_a = EventRing::new(8);
-        let mut ring_b = EventRing::new(8);
-        for c in [0u64, 4, 8] {
-            ring_a.push(ev(c));
-        }
-        for c in [1u64, 5, 9] {
-            ring_b.push(ev(c));
-        }
-        ring_a.merge(&ring_b);
-        let merged = ring_a.snapshot();
-        assert_eq!(merged.iter().map(|e| e.cycle).collect::<Vec<_>>(), vec![0, 1, 4, 5, 8, 9]);
-        assert_eq!(ring_a.dropped(), 0);
     }
 }

@@ -8,7 +8,7 @@
 //! * [`MsgKind`] — the coherence message vocabulary and each kind's size
 //!   class;
 //! * [`Crossbar`] — the latency model, optionally with output-port
-//!   contention, plus per-node traffic statistics.
+//!   contention, plus traffic statistics.
 //!
 //! The simulator is trace-driven with atomic transactions, so the crossbar
 //! answers one question: *at what time does a message injected at `now`
@@ -30,7 +30,6 @@
 #![warn(missing_docs)]
 
 use serde::{Deserialize, Serialize};
-use vcoma_metrics::{Histogram, Mergeable};
 use vcoma_types::{NodeId, Timing};
 
 /// Coherence-protocol message kinds.
@@ -122,22 +121,6 @@ impl MsgKind {
             MsgKind::Nack => "nack",
         }
     }
-
-    fn stat_index(self) -> usize {
-        match self {
-            MsgKind::ReadReq => 0,
-            MsgKind::WriteReq => 1,
-            MsgKind::UpgradeReq => 2,
-            MsgKind::BlockReply => 3,
-            MsgKind::Ack => 4,
-            MsgKind::Invalidate => 5,
-            MsgKind::Inject => 6,
-            MsgKind::InjectForward => 7,
-            MsgKind::ForwardReq => 8,
-            MsgKind::Writeback => 9,
-            MsgKind::Nack => 10,
-        }
-    }
 }
 
 impl std::fmt::Display for MsgKind {
@@ -147,24 +130,13 @@ impl std::fmt::Display for MsgKind {
 }
 
 /// Per-crossbar traffic statistics.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NetStats {
-    /// Messages sent, by [`MsgKind`] statistics index.
+    /// Messages sent, indexed by [`MsgKind`] discriminant (the order of
+    /// [`ALL_MSG_KINDS`]).
     msgs_by_kind: [u64; 11],
-    /// Messages sent per source node.
-    sent_per_node: Vec<u64>,
-    /// Messages received per destination node.
-    recv_per_node: Vec<u64>,
-    /// Per-message output-port queue wait, in cycles (all-zero samples
-    /// when contention is disabled).
-    queue_wait: Histogram,
     /// Total payload bytes moved.
     pub bytes: u64,
-    /// Total cycles spent waiting for contended ports (0 when contention is
-    /// disabled).
-    pub contention_cycles: u64,
-    /// Messages a node sent to itself (charged no network latency).
-    pub local_msgs: u64,
     /// Messages lost at the crossbar boundary by an injected fault (the
     /// traffic counters above still count them: they were injected and
     /// consumed wire bandwidth, but never arrived).
@@ -172,71 +144,17 @@ pub struct NetStats {
     /// Spurious duplicate copies injected by a fault (each also counted in
     /// the traffic counters; the receiver discards them).
     pub duplicated_msgs: u64,
-    /// Extra wire cycles added to delivered messages by fault-injected
-    /// delays and node pause windows.
-    pub fault_delay_cycles: u64,
-}
-
-impl Default for NetStats {
-    /// An empty statistics block with no per-node slots; merging grows the
-    /// per-node vectors to the widest operand.
-    fn default() -> Self {
-        NetStats::new(0)
-    }
 }
 
 impl NetStats {
-    fn new(nodes: usize) -> Self {
-        NetStats {
-            msgs_by_kind: [0; 11],
-            sent_per_node: vec![0; nodes],
-            recv_per_node: vec![0; nodes],
-            queue_wait: Histogram::new(),
-            bytes: 0,
-            contention_cycles: 0,
-            local_msgs: 0,
-            dropped_msgs: 0,
-            duplicated_msgs: 0,
-            fault_delay_cycles: 0,
-        }
-    }
-
     /// Messages of one kind sent so far.
     pub fn msgs_of(&self, kind: MsgKind) -> u64 {
-        self.msgs_by_kind[kind.stat_index()]
+        self.msgs_by_kind[kind as usize]
     }
 
     /// Total messages sent.
     pub fn total_msgs(&self) -> u64 {
         self.msgs_by_kind.iter().sum()
-    }
-
-    /// Histogram of per-message output-port queue waits.
-    pub fn queue_wait(&self) -> &Histogram {
-        &self.queue_wait
-    }
-}
-
-impl Mergeable for NetStats {
-    fn merge(&mut self, other: &Self) {
-        self.msgs_by_kind.merge(&other.msgs_by_kind);
-        if other.sent_per_node.len() > self.sent_per_node.len() {
-            self.sent_per_node.resize(other.sent_per_node.len(), 0);
-            self.recv_per_node.resize(other.recv_per_node.len(), 0);
-        }
-        for (a, b) in self.sent_per_node.iter_mut().zip(other.sent_per_node.iter()) {
-            *a += b;
-        }
-        for (a, b) in self.recv_per_node.iter_mut().zip(other.recv_per_node.iter()) {
-            *a += b;
-        }
-        self.queue_wait.merge(&other.queue_wait);
-        self.bytes += other.bytes;
-        self.contention_cycles += other.contention_cycles;
-        self.local_msgs += other.local_msgs;
-        self.dropped_msgs += other.dropped_msgs;
-        self.duplicated_msgs += other.duplicated_msgs;
-        self.fault_delay_cycles += other.fault_delay_cycles;
     }
 }
 
@@ -297,10 +215,11 @@ pub enum SendOutcome {
 /// With contention enabled, each destination port is busy for the message's
 /// transfer time; a message arriving at a busy port queues behind it
 /// (paper's model ignores this — it is off by default and exercised by the
-/// `ablation_contention` bench).
+/// `ablations` artifact's `ablation_contention` sweep).
 #[derive(Debug, Clone)]
 pub struct Crossbar {
     timing: Timing,
+    nodes: usize,
     block_size: u64,
     stats: NetStats,
     /// Busy-until time per destination port; `None` disables contention.
@@ -316,8 +235,9 @@ impl Crossbar {
     pub fn new(nodes: u64, timing: Timing) -> Self {
         Crossbar {
             timing,
+            nodes: nodes as usize,
             block_size: 128,
-            stats: NetStats::new(nodes as usize),
+            stats: NetStats::default(),
             port_busy_until: None,
             fault_hook: None,
         }
@@ -325,8 +245,7 @@ impl Crossbar {
 
     /// Enables output-port contention modelling.
     pub fn with_contention(mut self) -> Self {
-        let n = self.stats.sent_per_node.len();
-        self.port_busy_until = Some(vec![0; n]);
+        self.port_busy_until = Some(vec![0; self.nodes]);
         self
     }
 
@@ -349,24 +268,16 @@ impl Crossbar {
     /// transactions.
     pub fn send(&mut self, src: NodeId, dst: NodeId, kind: MsgKind, now: u64) -> u64 {
         if src == dst {
-            self.stats.local_msgs += 1;
             return now;
         }
-        self.stats.msgs_by_kind[kind.stat_index()] += 1;
-        self.stats.sent_per_node[src.index()] += 1;
-        self.stats.recv_per_node[dst.index()] += 1;
+        self.stats.msgs_by_kind[kind as usize] += 1;
         self.stats.bytes += kind.bytes(self.block_size);
         let latency = kind.latency(&self.timing);
         match &mut self.port_busy_until {
-            None => {
-                self.stats.queue_wait.record(0);
-                now + latency
-            }
+            None => now + latency,
             Some(ports) => {
                 let port = &mut ports[dst.index()];
                 let start = now.max(*port);
-                self.stats.contention_cycles += start - now;
-                self.stats.queue_wait.record(start - now);
                 *port = start + latency;
                 start + latency
             }
@@ -378,23 +289,20 @@ impl Crossbar {
     /// [`Crossbar::send`] — identical arrival time, identical statistics.
     ///
     /// A dropped message is still counted as sent traffic (it was injected
-    /// and consumed wire bandwidth) but never reaches the destination's
-    /// receive counter. A duplicate charges a second full message. Self
-    /// sends never fault: they touch no link.
+    /// and consumed wire bandwidth) but never arrives. A duplicate charges
+    /// a second full message. Self sends never fault: they touch no link.
     pub fn send_faulty(&mut self, src: NodeId, dst: NodeId, kind: MsgKind, now: u64) -> SendOutcome {
         let fault = match &mut self.fault_hook {
             Some(hook) if src != dst => hook.on_send(src, dst, kind, now),
             _ => LinkFault::NONE,
         };
         if fault.drop {
-            self.stats.msgs_by_kind[kind.stat_index()] += 1;
-            self.stats.sent_per_node[src.index()] += 1;
+            self.stats.msgs_by_kind[kind as usize] += 1;
             self.stats.bytes += kind.bytes(self.block_size);
             self.stats.dropped_msgs += 1;
             return SendOutcome::Dropped;
         }
         let arrive = self.send(src, dst, kind, now) + fault.extra_delay;
-        self.stats.fault_delay_cycles += fault.extra_delay;
         if fault.duplicate {
             self.stats.duplicated_msgs += 1;
             let _ = self.send(src, dst, kind, now);
@@ -415,8 +323,7 @@ impl Crossbar {
     /// Zeroes the traffic counters (used between a warm-up pass and the
     /// measured pass). Port busy times are also cleared.
     pub fn reset_stats(&mut self) {
-        let n = self.stats.sent_per_node.len();
-        self.stats = NetStats::new(n);
+        self.stats = NetStats::default();
         if let Some(ports) = &mut self.port_busy_until {
             ports.iter_mut().for_each(|p| *p = 0);
         }
@@ -446,7 +353,6 @@ mod tests {
         let n = NodeId::new(2);
         assert_eq!(x.send(n, n, MsgKind::BlockReply, 50), 50);
         assert_eq!(x.stats().total_msgs(), 0);
-        assert_eq!(x.stats().local_msgs, 1);
         assert_eq!(x.stats().bytes, 0);
     }
 
@@ -459,8 +365,6 @@ mod tests {
         assert_eq!(x.stats().msgs_of(MsgKind::ReadReq), 2);
         assert_eq!(x.stats().msgs_of(MsgKind::BlockReply), 1);
         assert_eq!(x.stats().total_msgs(), 3);
-        assert_eq!(x.stats().sent_per_node[0], 2);
-        assert_eq!(x.stats().recv_per_node[0], 1);
         assert_eq!(x.stats().bytes, 8 + 8 + 136);
     }
 
@@ -485,7 +389,6 @@ mod tests {
         let a2 = x.send(NodeId::new(1), dst, MsgKind::ReadReq, 0);
         assert_eq!(a1, 16);
         assert_eq!(a2, 32); // queued behind the first
-        assert_eq!(x.stats().contention_cycles, 16);
         // Different destination unaffected.
         let a3 = x.send(NodeId::new(1), NodeId::new(2), MsgKind::ReadReq, 0);
         assert_eq!(a3, 16);
@@ -498,7 +401,6 @@ mod tests {
         let a2 = x.send(NodeId::new(0), NodeId::new(1), MsgKind::ReadReq, 100);
         assert_eq!(a1, 16);
         assert_eq!(a2, 116);
-        assert_eq!(x.stats().contention_cycles, 0);
     }
 
     #[test]
@@ -506,36 +408,6 @@ mod tests {
         let mut x = Crossbar::new(2, Timing::paper()).with_block_size(64);
         x.send(NodeId::new(0), NodeId::new(1), MsgKind::Writeback, 0);
         assert_eq!(x.stats().bytes, 72);
-    }
-
-    #[test]
-    fn queue_wait_histogram_records_contention_waits() {
-        let mut x = Crossbar::new(4, Timing::paper()).with_contention();
-        let dst = NodeId::new(3);
-        x.send(NodeId::new(0), dst, MsgKind::ReadReq, 0);
-        x.send(NodeId::new(1), dst, MsgKind::ReadReq, 0); // waits 16
-        let h = x.stats().queue_wait();
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.sum(), 16);
-        assert_eq!(h.max(), Some(16));
-    }
-
-    #[test]
-    fn net_stats_merge_folds_counters_and_histograms() {
-        let mut a = xbar();
-        let mut b = xbar();
-        a.send(NodeId::new(0), NodeId::new(1), MsgKind::ReadReq, 0);
-        b.send(NodeId::new(1), NodeId::new(2), MsgKind::BlockReply, 0);
-        b.send(NodeId::new(2), NodeId::new(2), MsgKind::Ack, 0);
-        let mut merged = a.stats().clone();
-        merged.merge(b.stats());
-        assert_eq!(merged.total_msgs(), 2);
-        assert_eq!(merged.msgs_of(MsgKind::ReadReq), 1);
-        assert_eq!(merged.msgs_of(MsgKind::BlockReply), 1);
-        assert_eq!(merged.local_msgs, 1);
-        assert_eq!(merged.bytes, 8 + 136);
-        assert_eq!(merged.sent_per_node[1], 1);
-        assert_eq!(merged.queue_wait().count(), 2);
     }
 
     #[test]
@@ -580,7 +452,6 @@ mod tests {
         assert_eq!(out, SendOutcome::Dropped);
         assert_eq!(x.stats().dropped_msgs, 1);
         assert_eq!(x.stats().msgs_of(MsgKind::ReadReq), 1, "the lost message was injected");
-        assert_eq!(x.stats().recv_per_node[1], 0, "but never received");
         // The next message is clean again.
         let out = x.send_faulty(NodeId::new(0), NodeId::new(1), MsgKind::ReadReq, 0);
         assert_eq!(out, SendOutcome::Delivered { arrive: 16, fault_delay: 0 });
@@ -596,7 +467,6 @@ mod tests {
         let out = x.send_faulty(NodeId::new(0), NodeId::new(1), MsgKind::ReadReq, 0);
         assert_eq!(out, SendOutcome::Delivered { arrive: 26, fault_delay: 10 });
         assert_eq!(x.stats().duplicated_msgs, 1);
-        assert_eq!(x.stats().fault_delay_cycles, 10);
         assert_eq!(x.stats().msgs_of(MsgKind::ReadReq), 2, "the duplicate is real traffic");
         assert_eq!(x.stats().bytes, 16);
     }
@@ -611,21 +481,5 @@ mod tests {
         let out = x.send_faulty(n, n, MsgKind::BlockReply, 50);
         assert_eq!(out, SendOutcome::Delivered { arrive: 50, fault_delay: 0 });
         assert_eq!(x.stats().dropped_msgs, 0);
-    }
-
-    #[test]
-    fn fault_counters_merge() {
-        let mut a = NetStats::default();
-        let b = NetStats {
-            dropped_msgs: 2,
-            duplicated_msgs: 3,
-            fault_delay_cycles: 40,
-            ..NetStats::default()
-        };
-        a.merge(&b);
-        a.merge(&b);
-        assert_eq!(a.dropped_msgs, 4);
-        assert_eq!(a.duplicated_msgs, 6);
-        assert_eq!(a.fault_delay_cycles, 80);
     }
 }

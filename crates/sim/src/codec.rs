@@ -14,8 +14,8 @@
 //! An envelope is one line of compact JSON (`to_json_line` in
 //! `vcoma-metrics`: no whitespace, no trailing newline), since a store
 //! hit's cost is mostly reading and decoding it. The body carries the
-//! report's metrics snapshot, which holds counters, gauges and histograms
-//! but never the machine's event ring.
+//! report's metrics snapshot, which holds the latency histograms but never
+//! the machine's event ring.
 //!
 //! The encoding is byte-deterministic (all maps are `BTreeMap`s and the
 //! writer is deterministic), which is what lets the integration suite
@@ -36,7 +36,7 @@ pub const FORMAT: &str = "vcoma-simreport";
 /// Current schema version. Bump on any change to the serialized shape of
 /// the envelope or any type reachable from the body; stores treat a
 /// version mismatch as a cache miss.
-pub const VERSION: u64 = 3;
+pub const VERSION: u64 = 4;
 
 #[derive(Serialize, Deserialize)]
 struct Envelope {

@@ -1,6 +1,8 @@
 //! Structured simulation errors.
 
 use crate::audit::AuditError;
+use crate::sync::LockMisuse;
+use vcoma_types::SyncId;
 use vcoma_vm::VmError;
 
 /// A simulation run failed in a structured, reportable way.
@@ -8,9 +10,9 @@ use vcoma_vm::VmError;
 /// `SimError` covers every way a run can fail: virtual-memory exhaustion
 /// the page daemon could not resolve, coherence-invariant violations found
 /// by the auditor, a trace/source set that does not match the machine's
-/// node count, and traces that deadlock on a barrier or lock some
-/// participant never reaches. A driver surfaces these as values instead of
-/// unwinding mid-sweep.
+/// node count, traces that misuse a lock, and traces that deadlock on a
+/// barrier or lock some participant never reaches. A caller surfaces these
+/// as values instead of unwinding mid-sweep.
 #[derive(Debug)]
 pub enum SimError {
     /// The virtual-memory system reported an unrecoverable error while
@@ -33,6 +35,16 @@ pub enum SimError {
         /// Nodes in the machine — one trace is needed per node.
         want: usize,
     },
+    /// A trace used a lock in a way the lock protocol forbids: it released
+    /// a lock it does not hold, or acquired one it already holds.
+    Lock {
+        /// The node whose trace misused the lock.
+        node: u16,
+        /// The lock.
+        lock: SyncId,
+        /// What the node did wrong.
+        misuse: LockMisuse,
+    },
     /// The traces deadlocked: the listed nodes are parked on a barrier or
     /// lock that the remaining traces never reach.
     Deadlock {
@@ -51,6 +63,13 @@ impl std::fmt::Display for SimError {
             SimError::BadTraces { got, want } => {
                 write!(f, "need exactly one trace per node: got {got} traces for {want} nodes")
             }
+            SimError::Lock { node, lock, misuse } => {
+                let what = match misuse {
+                    LockMisuse::Reacquire => "acquired a lock it already holds",
+                    LockMisuse::ReleaseNotHeld => "released a lock it does not hold",
+                };
+                write!(f, "node {node} {what} ({lock})")
+            }
             SimError::Deadlock { parked } => write!(
                 f,
                 "deadlock: nodes {parked:?} are parked on a barrier or lock that the \
@@ -64,7 +83,7 @@ impl std::error::Error for SimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SimError::Vm { source, .. } => Some(source),
-            SimError::Audit(_) | SimError::BadTraces { .. } | SimError::Deadlock { .. } => None,
+            _ => None,
         }
     }
 }
@@ -88,6 +107,10 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("one trace per node"), "{s}");
         assert!(s.contains('3') && s.contains('4'), "{s}");
+        assert!(std::error::Error::source(&e).is_none());
+
+        let e = SimError::Lock { node: 1, lock: SyncId(4), misuse: LockMisuse::ReleaseNotHeld };
+        assert_eq!(e.to_string(), "node 1 released a lock it does not hold (sync#4)");
         assert!(std::error::Error::source(&e).is_none());
 
         let e = SimError::Deadlock { parked: vec![0, 2] };

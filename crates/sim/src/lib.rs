@@ -68,3 +68,4 @@ pub use config::{SimConfig, TraceConfig};
 pub use error::SimError;
 pub use machine::Machine;
 pub use report::{NodeReport, SimReport, TimeBreakdownF};
+pub use sync::LockMisuse;

@@ -12,7 +12,7 @@ use std::collections::BinaryHeap;
 use vcoma_cachesim::{Flc, Slc};
 use vcoma_coherence::{Access, HomeTranslation, NullTranslation, Protocol};
 use vcoma_faults::LinkFaultInjector;
-use vcoma_metrics::{Event, HistogramSlot, Mergeable, MetricsRegistry};
+use vcoma_metrics::{Event, HistogramSlot, MetricsRegistry};
 use vcoma_net::{Crossbar, MsgKind};
 use vcoma_tlb::{AllocPolicy, ModelParams, TranslationModel, XlatePoint};
 use vcoma_types::{AccessKind, MachineConfig, NodeId, Op, OpSource, VAddr, VPage};
@@ -126,7 +126,7 @@ pub struct Machine {
     /// Pages the page daemon swapped out to make room (§4.3). The swap
     /// I/O itself is not timed — the paper's runs are preloaded — but the
     /// count makes over-capacity workloads visible instead of fatal.
-    page_faults: u64,
+    swap_outs: u64,
     /// Remote transactions completed since the last periodic audit sweep
     /// (only maintained when auditing is enabled).
     audited_txns: u64,
@@ -270,7 +270,7 @@ impl Machine {
             dir_alloc: DirectoryAllocator::new(m),
             barriers: Barriers::new(m.nodes as usize, BARRIER_RELEASE_COST),
             locks: Locks::new(LOCK_ACQUIRE_COST, LOCK_RELEASE_COST),
-            page_faults: 0,
+            swap_outs: 0,
             audited_txns: 0,
             metrics,
             latency_slots,
@@ -294,9 +294,10 @@ impl Machine {
     /// Returns [`SimError::Vm`] if the virtual-memory system hits an
     /// unrecoverable condition, [`SimError::Audit`] if auditing is enabled
     /// and a coherence invariant is violated, [`SimError::BadTraces`] if
-    /// the number of traces does not match the node count, and
-    /// [`SimError::Deadlock`] if some node parks on a barrier or lock that
-    /// the other traces never reach.
+    /// the number of traces does not match the node count,
+    /// [`SimError::Lock`] if a trace releases a lock it does not hold or
+    /// acquires one it already holds, and [`SimError::Deadlock`] if some
+    /// node parks on a barrier or lock that the other traces never reach.
     pub fn run(self, traces: Vec<Vec<Op>>) -> Result<SimReport, SimError> {
         self.run_streaming(|| {
             traces
@@ -418,6 +419,7 @@ impl Machine {
         op: Op,
         resumes: &mut Vec<(usize, u64)>,
     ) -> Result<(), SimError> {
+        let lock_error = |lock| move |misuse| SimError::Lock { node: n as u16, lock, misuse };
         match op {
             Op::Compute(c) => {
                 self.nodes[n].fine.busy += c;
@@ -440,13 +442,13 @@ impl Machine {
                 }
             }
             Op::Lock(id) => {
-                if let Some((resume, sync)) = self.locks.acquire(id, n, t) {
+                if let Some((resume, sync)) = self.locks.acquire(id, n, t).map_err(lock_error(id))? {
                     self.nodes[n].fine.sync += sync;
                     resumes.push((n, resume));
                 }
             }
             Op::Unlock(id) => {
-                let ((resume, sync), next) = self.locks.release(id, n, t);
+                let ((resume, sync), next) = self.locks.release(id, n, t).map_err(lock_error(id))?;
                 self.nodes[n].fine.sync += sync;
                 resumes.push((n, resume));
                 if let Some((waiter, wresume, wsync)) = next {
@@ -827,14 +829,7 @@ impl Machine {
                         .xlb
                         .shootdown(VPage::new(victim.raw() / cfg.nodes));
                     self.dir_alloc.swap_out(victim, &cfg).expect("victim was resident");
-                    self.page_table.unmap(victim).expect("victim was mapped");
-                    self.page_faults += 1;
-                    self.metrics.trace(Event {
-                        cycle: self.nodes[n].time,
-                        node: n as u16,
-                        kind: "swap_out",
-                        addr: victim.raw(),
-                    });
+                    self.unmap_swapped_out(n, victim);
                 }
                 Err(e) => return Err(SimError::Vm { node: n as u16, source: e }),
             }
@@ -889,14 +884,16 @@ impl Machine {
             node.xlb.shootdown(victim);
         }
         self.phys_alloc.as_mut().release(frame);
+        self.unmap_swapped_out(n, victim);
+    }
+
+    /// Unmaps a page the daemon swapped out for node `n` and records it:
+    /// one count in `swap_outs` and one `swap_out` ring event.
+    fn unmap_swapped_out(&mut self, n: usize, victim: VPage) {
         self.page_table.unmap(victim).expect("victim was mapped");
-        self.page_faults += 1;
-        self.metrics.trace(Event {
-            cycle: self.nodes[n].time,
-            node: n as u16,
-            kind: "swap_out",
-            addr: victim.raw(),
-        });
+        self.swap_outs += 1;
+        let cycle = self.nodes[n].time;
+        self.metrics.trace(Event { cycle, node: n as u16, kind: "swap_out", addr: victim.raw() });
     }
 
     /// Purges a page's worth of AM blocks starting at `first_block` from
@@ -998,8 +995,7 @@ impl Machine {
     fn into_report(self) -> SimReport {
         let pressure =
             PressureProfile::from_pages(self.page_table.iter().map(|(p, _)| p), &self.cfg.machine);
-        let mut metrics = self.metrics.snapshot();
-        metrics.merge(&self.protocol.metrics().snapshot());
+        let metrics = self.metrics.snapshot();
         SimReport {
             cfg: self.cfg,
             nodes: self
@@ -1019,7 +1015,7 @@ impl Machine {
             protocol: *self.protocol.stats(),
             net: self.net.stats().clone(),
             pressure,
-            swap_outs: self.dir_alloc.swap_outs().max(self.page_faults),
+            swap_outs: self.swap_outs,
             metrics,
             trace: self.tracer.as_ref().map(Tracer::snapshot),
         }
@@ -1200,6 +1196,26 @@ mod tests {
         match Machine::new(tiny(Scheme::L0_TLB)).run(traces) {
             Err(SimError::Deadlock { parked }) => assert_eq!(parked, vec![0]),
             other => panic!("expected a deadlock error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn lock_misuse_is_an_error_in_every_profile() {
+        use crate::LockMisuse;
+        use vcoma_types::SyncId;
+        // An unlock of a lock the node never took, as a trace file.
+        let text = "# vcoma trace v1\nnode 0\nu 1\nnode 1\nnode 2\nnode 3\n";
+        let unheld = vcoma_workloads::load_traces(text).expect("parses");
+        // A node taking a lock it already holds.
+        let mut reacquire = vec![Vec::new(); 4];
+        reacquire[2] = vec![Op::Lock(SyncId(3)), Op::Lock(SyncId(3))];
+        for (traces, node, lock, want) in [
+            (unheld, 0, SyncId(1), LockMisuse::ReleaseNotHeld),
+            (reacquire, 2, SyncId(3), LockMisuse::Reacquire),
+        ] {
+            let err = Machine::new(tiny(Scheme::L0_TLB)).run(traces).unwrap_err();
+            let SimError::Lock { node: n, lock: l, misuse } = err else { panic!("{err:?}") };
+            assert_eq!((n, l, misuse), (node, lock, want));
         }
     }
 
@@ -1477,20 +1493,23 @@ mod tests {
         use vcoma_types::SyncId;
 
         /// Decodes one generated `(kind, value)` pair into trace ops.
-        /// Locks always come as balanced critical sections so random
-        /// workloads never self-deadlock on a held lock; barriers are
-        /// allowed to mismatch, and a deadlock is then the outcome.
+        /// Locks mostly come as balanced critical sections, but bare
+        /// `Lock`s and `Unlock`s are mixed in, as are barriers that may
+        /// never fill: a lock-misuse or deadlock error is then the
+        /// outcome, and it must be as reproducible as a report.
         fn push_op(trace: &mut Vec<Op>, kind: u16, v: u64) {
+            let id = SyncId((v % 2) as u32);
             match kind {
                 0 => trace.push(Op::Compute(v % 5)),
                 1 => trace.push(Op::Read(VAddr::new((v % 128) * 64))),
                 2 => trace.push(Op::Write(VAddr::new((v % 128) * 64))),
                 3 => {
-                    let id = SyncId((v % 2) as u32);
                     trace.push(Op::Lock(id));
                     trace.push(Op::Write(VAddr::new(0x40 + (v % 4) * 64)));
                     trace.push(Op::Unlock(id));
                 }
+                4 => trace.push(Op::Lock(id)),
+                5 => trace.push(Op::Unlock(id)),
                 _ => trace.push(Op::Barrier(SyncId(9))),
             }
         }
@@ -1501,7 +1520,7 @@ mod tests {
             fn random_replays_are_a_pure_function_of_the_traces(
                 nodes_log2 in 2u32..4,
                 scheme_ix in 0usize..8,
-                ops in proptest::collection::vec((0u16..5, 0u64..4096), 0..160),
+                ops in proptest::collection::vec((0u16..7, 0u64..4096), 0..160),
             ) {
                 let machine = MachineConfig::builder()
                     .nodes(1u64 << nodes_log2)

@@ -57,6 +57,16 @@ type LockState = (Option<usize>, VecDeque<(usize, u64)>);
 /// A woken waiter: `(node, resume_time, sync_cycles)`.
 type Handover = (usize, u64, u64);
 
+/// A lock operation the lock protocol forbids. The machine reports it as
+/// [`SimError::Lock`](crate::SimError::Lock).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LockMisuse {
+    /// The node tried to acquire a lock it already holds.
+    Reacquire,
+    /// The node released a lock it does not hold.
+    ReleaseNotHeld,
+}
+
 /// State of the machine-wide locks.
 #[derive(Debug, Clone, Default)]
 pub struct Locks {
@@ -77,17 +87,21 @@ impl Locks {
     /// Node `node` tries to acquire lock `id` at time `t`. Returns
     /// `Some((resume_time, sync_cycles))` if the lock was free, `None` if
     /// the node must park behind the current holder.
-    pub fn acquire(&mut self, id: SyncId, node: usize, t: u64) -> Option<(u64, u64)> {
+    ///
+    /// # Errors
+    ///
+    /// [`LockMisuse::Reacquire`] if `node` already holds the lock.
+    pub fn acquire(&mut self, id: SyncId, node: usize, t: u64) -> Result<Option<(u64, u64)>, LockMisuse> {
         let (holder, queue) = self.state.entry(id).or_default();
-        match holder {
+        match *holder {
             None => {
                 *holder = Some(node);
-                Some((t + self.acquire_cost, self.acquire_cost))
+                Ok(Some((t + self.acquire_cost, self.acquire_cost)))
             }
-            Some(h) => {
-                debug_assert_ne!(*h, node, "node {node} re-acquired {id} without releasing");
+            Some(h) if h == node => Err(LockMisuse::Reacquire),
+            Some(_) => {
                 queue.push_back((node, t));
-                None
+                Ok(None)
             }
         }
     }
@@ -96,26 +110,27 @@ impl Locks {
     /// node's `(resume_time, sync_cycles)` for the release itself, plus the
     /// next waiter's `(node, resume_time, sync_cycles)` if one was parked.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `node` does not hold the lock.
+    /// [`LockMisuse::ReleaseNotHeld`] if `node` does not hold the lock.
     pub fn release(
         &mut self,
         id: SyncId,
         node: usize,
         t: u64,
-    ) -> ((u64, u64), Option<Handover>) {
-        let (holder, queue) = self.state.get_mut(&id).expect("release of unknown lock");
-        assert_eq!(*holder, Some(node), "release by non-holder");
+    ) -> Result<((u64, u64), Option<Handover>), LockMisuse> {
+        let Some((holder, queue)) = self.state.get_mut(&id).filter(|(h, _)| *h == Some(node))
+        else {
+            return Err(LockMisuse::ReleaseNotHeld);
+        };
         let own = (t + self.release_cost, self.release_cost);
-        if queue.is_empty() {
+        let Some((next, arrival)) = queue.pop_front() else {
             *holder = None;
-            return (own, None);
-        }
-        let (next, arrival) = queue.pop_front().expect("queue is non-empty");
+            return Ok((own, None));
+        };
         *holder = Some(next);
         let resume = t.max(arrival) + self.acquire_cost;
-        (own, Some((next, resume, resume - arrival)))
+        Ok((own, Some((next, resume, resume - arrival))))
     }
 }
 
@@ -150,18 +165,18 @@ mod tests {
     #[test]
     fn free_lock_acquires_immediately() {
         let mut l = Locks::new(32, 16);
-        let (resume, sync) = l.acquire(SyncId(5), 0, 100).unwrap();
+        let (resume, sync) = l.acquire(SyncId(5), 0, 100).unwrap().unwrap();
         assert_eq!(resume, 132);
         assert_eq!(sync, 32);
-        assert!(l.acquire(SyncId(5), 1, 100).is_none(), "the lock is now held");
+        assert!(l.acquire(SyncId(5), 1, 100).unwrap().is_none(), "the lock is now held");
     }
 
     #[test]
     fn contended_lock_parks_then_hands_over() {
         let mut l = Locks::new(32, 16);
-        l.acquire(SyncId(5), 0, 100).unwrap();
-        assert!(l.acquire(SyncId(5), 1, 110).is_none());
-        let ((own_resume, own_sync), next) = l.release(SyncId(5), 0, 500);
+        l.acquire(SyncId(5), 0, 100).unwrap().unwrap();
+        assert!(l.acquire(SyncId(5), 1, 110).unwrap().is_none());
+        let ((own_resume, own_sync), next) = l.release(SyncId(5), 0, 500).unwrap();
         assert_eq!(own_resume, 516);
         assert_eq!(own_sync, 16);
         let (node, resume, sync) = next.unwrap();
@@ -173,12 +188,12 @@ mod tests {
     #[test]
     fn handover_to_late_waiter_uses_waiter_arrival() {
         let mut l = Locks::new(10, 0);
-        l.acquire(SyncId(1), 0, 0).unwrap();
-        assert!(l.acquire(SyncId(1), 1, 1000).is_none());
+        l.acquire(SyncId(1), 0, 0).unwrap().unwrap();
+        assert!(l.acquire(SyncId(1), 1, 1000).unwrap().is_none());
         // Holder releases earlier than... release at t=50 < arrival 1000 is
         // impossible in a real run (the waiter parked after the holder
         // acquired), but the max() guard keeps time monotone anyway.
-        let (_, next) = l.release(SyncId(1), 0, 50);
+        let (_, next) = l.release(SyncId(1), 0, 50).unwrap();
         let (node, resume, _) = next.unwrap();
         assert_eq!(node, 1);
         assert_eq!(resume, 1010);
@@ -187,11 +202,11 @@ mod tests {
     #[test]
     fn release_frees_lock_when_no_waiters() {
         let mut l = Locks::new(32, 16);
-        l.acquire(SyncId(5), 0, 0).unwrap();
-        let (_, next) = l.release(SyncId(5), 0, 100);
+        l.acquire(SyncId(5), 0, 0).unwrap().unwrap();
+        let (_, next) = l.release(SyncId(5), 0, 100).unwrap();
         assert!(next.is_none());
         // Re-acquire works.
-        assert!(l.acquire(SyncId(5), 2, 200).is_some());
+        assert!(l.acquire(SyncId(5), 2, 200).unwrap().is_some());
     }
 
     #[test]
@@ -202,14 +217,14 @@ mod tests {
         // woken node's own arrival time.
         let mut l = Locks::new(32, 16);
         let id = SyncId(2);
-        l.acquire(id, 0, 0).unwrap();
+        l.acquire(id, 0, 0).unwrap().unwrap();
         for waiter in 1..32usize {
-            assert!(l.acquire(id, waiter, 10 * waiter as u64).is_none());
+            assert!(l.acquire(id, waiter, 10 * waiter as u64).unwrap().is_none());
         }
         let mut t = 1_000;
         for expected in 1..32usize {
             let holder = expected - 1;
-            let ((_, own_sync), next) = l.release(id, holder, t);
+            let ((_, own_sync), next) = l.release(id, holder, t).unwrap();
             assert_eq!(own_sync, 16);
             let (node, resume, sync) = next.expect("a waiter is parked");
             assert_eq!(node, expected, "handover must follow arrival order");
@@ -217,16 +232,18 @@ mod tests {
             assert_eq!(sync, resume - 10 * expected as u64, "sync counts from arrival");
             t = resume + 100;
         }
-        let (_, next) = l.release(id, 31, t);
+        let (_, next) = l.release(id, 31, t).unwrap();
         assert!(next.is_none());
-        assert!(l.acquire(id, 0, t).is_some(), "the last release frees the lock");
+        assert!(l.acquire(id, 0, t).unwrap().is_some(), "the last release frees the lock");
     }
 
     #[test]
-    #[should_panic(expected = "release by non-holder")]
-    fn release_by_non_holder_panics() {
+    fn release_by_non_holder_is_an_error() {
         let mut l = Locks::new(0, 0);
-        l.acquire(SyncId(1), 0, 0).unwrap();
-        l.release(SyncId(1), 1, 10);
+        assert_eq!(l.release(SyncId(1), 0, 0), Err(LockMisuse::ReleaseNotHeld), "unknown lock");
+        l.acquire(SyncId(1), 0, 0).unwrap().unwrap();
+        assert_eq!(l.release(SyncId(1), 1, 10), Err(LockMisuse::ReleaseNotHeld), "held by 0");
+        l.release(SyncId(1), 0, 10).unwrap();
+        assert_eq!(l.release(SyncId(1), 0, 20), Err(LockMisuse::ReleaseNotHeld), "free lock");
     }
 }

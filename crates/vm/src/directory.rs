@@ -25,8 +25,6 @@ pub struct DirectoryAllocator {
     occupancy: Vec<u64>,
     /// Page slots per global page set (`nodes × assoc`).
     slots_per_set: u64,
-    /// Pages swapped out due to set saturation (monotone counter).
-    swap_outs: u64,
 }
 
 impl DirectoryAllocator {
@@ -36,7 +34,6 @@ impl DirectoryAllocator {
             next_dir_page: vec![0; cfg.nodes as usize],
             occupancy: vec![0; cfg.global_page_sets() as usize],
             slots_per_set: cfg.page_slots_per_global_set(),
-            swap_outs: 0,
         }
     }
 
@@ -61,7 +58,8 @@ impl DirectoryAllocator {
     }
 
     /// Releases a resident page's slot in its global page set (swap-out or
-    /// unmap), counting a swap.
+    /// unmap). The simulator counts swap-outs itself; this only frees the
+    /// slot.
     ///
     /// # Errors
     ///
@@ -73,7 +71,6 @@ impl DirectoryAllocator {
             return Err(VmError::NotMapped(page));
         }
         self.occupancy[set] -= 1;
-        self.swap_outs += 1;
         Ok(())
     }
 
@@ -85,11 +82,6 @@ impl DirectoryAllocator {
     /// Occupancy (resident pages) per global page set.
     pub fn occupancy(&self) -> &[u64] {
         &self.occupancy
-    }
-
-    /// Total pages swapped out so far.
-    pub fn swap_outs(&self) -> u64 {
-        self.swap_outs
     }
 }
 
@@ -139,7 +131,6 @@ mod tests {
             a.allocate(VPage::new(i * gps), &cfg).unwrap();
         }
         a.swap_out(VPage::new(0), &cfg).unwrap();
-        assert_eq!(a.swap_outs(), 1);
         a.allocate(VPage::new(slots * gps), &cfg).unwrap();
         assert_eq!(a.pressure(0), 1.0);
     }

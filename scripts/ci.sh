@@ -25,18 +25,21 @@ cargo test --release -q --features proptest-tests \
 echo "==> golden-report regression suite"
 cargo test -q -p vcoma-integration --test golden_reports
 
-echo "==> report fixtures: v3 is v2 without the event ring"
+echo "==> report fixtures: v4 is v3 without the counter registry and write-only net stats"
 python3 - <<'PY'
 import json
-v2 = json.load(open("tests/golden/simreport_v2.json"))
 v3 = json.load(open("tests/golden/simreport_v3.json"))
-assert (v2["version"], v3["version"]) == (2, 3), (v2["version"], v3["version"])
-assert v3.keys() == v2.keys(), (v3.keys(), v2.keys())
+v4 = json.load(open("tests/golden/simreport_v4.json"))
+assert (v4["version"], v3["version"]) == (4, 3), (v4["version"], v3["version"])
+assert v4.keys() == v3.keys(), (v4.keys(), v3.keys())
 for field in ("format", "fingerprint", "key"):
-    assert v3[field] == v2[field], field
-metrics = v2["body"]["metrics"]
-del metrics["events"], metrics["dropped_events"]
-assert v3["body"] == v2["body"], "v3 body is not v2's minus metrics.events and dropped_events"
+    assert v4[field] == v3[field], field
+body = v3["body"]
+del body["metrics"]["counters"], body["metrics"]["gauges"]
+for field in ("sent_per_node", "recv_per_node", "queue_wait", "local_msgs",
+              "contention_cycles", "fault_delay_cycles"):
+    del body["net"][field]
+assert v4["body"] == body, "v4 body is not v3's minus metrics.counters/gauges and the six net fields"
 PY
 
 echo "==> parallel determinism smoke sweep (--jobs 1 vs --jobs 2)"

@@ -125,18 +125,6 @@ fn metrics_reconcile_with_report_counters() {
                 "{} {scheme}: write-latency histogram must have one sample per store",
                 w.name()
             );
-            assert_eq!(
-                m.counter("transition.invalidated"),
-                report.protocol().invalidations,
-                "{} {scheme}: transition counter disagrees with ProtocolStats",
-                w.name()
-            );
-            assert_eq!(
-                m.counter("transition.spilled"),
-                report.protocol().spills,
-                "{} {scheme}",
-                w.name()
-            );
         }
     }
 }

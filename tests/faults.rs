@@ -1,6 +1,6 @@
 //! End-to-end fault-injection guarantees: faulty runs complete under the
 //! auditor on every scheme, traced or not, the recovery work is visible
-//! in the protocol stats and the metrics snapshot, zero-probability plans
+//! in the protocol and crossbar stats, zero-probability plans
 //! are byte-inert, and fault runs are a pure function of `(plan, seed)`.
 
 use vcoma::faults::FaultPlan;
@@ -28,15 +28,6 @@ fn every_scheme_survives_a_lossy_crossbar_with_the_auditor_armed() {
         assert!(
             report.net().dropped_msgs + report.net().duplicated_msgs > 0,
             "{scheme}: the crossbar must record fault events"
-        );
-        // Recovery work also lands in the merged metrics snapshot.
-        let m = report.metrics();
-        assert!(
-            m.counter("fault.retry")
-                + m.counter("fault.nack")
-                + m.counter("fault.link_retry")
-                > 0,
-            "{scheme}: fault counters missing from the metrics snapshot"
         );
         // And recovery time is attributed to its own latency category,
         // without leaking a cycle of any node's clock.

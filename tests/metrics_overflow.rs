@@ -1,9 +1,9 @@
-//! Event-ring overflow behaviour: the ring keeps the newest events, counts
-//! what it sheds and folds across registries. The ring lives in the
+//! Event-ring overflow behaviour: the ring keeps the newest events and
+//! counts what it sheds. The ring lives in the
 //! `MetricsRegistry`, never in a `SimReport`, so its capacity cannot
 //! change what a full simulation reports.
 
-use vcoma::metrics::{Event, EventRing, Mergeable, MetricsRegistry};
+use vcoma::metrics::{Event, EventRing};
 use vcoma::workloads::{UniformRandom, Workload};
 use vcoma::{codec, Machine, MachineConfig, Scheme, SimConfig};
 
@@ -33,41 +33,6 @@ fn zero_capacity_ring_drops_everything() {
     }
     assert_eq!(ring.dropped(), 5);
     assert!(ring.snapshot().is_empty());
-}
-
-#[test]
-fn registry_merge_carries_the_drop_count() {
-    let mut a = MetricsRegistry::new(4);
-    let mut b = MetricsRegistry::new(4);
-    for c in 0..10 {
-        a.trace(event(c));
-        b.trace(event(100 + c));
-    }
-    assert_eq!(a.events().dropped(), 6);
-    a.merge(&b);
-    // Both retained tails meet in a 4-entry ring: b's newer four stay,
-    // and every one of the 20 events is either retained or counted.
-    let cycles: Vec<u64> = a.events().iter().map(|e| e.cycle).collect();
-    assert_eq!(cycles, (106..110).collect::<Vec<u64>>());
-    assert_eq!(a.events().dropped(), 16);
-    assert_eq!(a.events().len() as u64 + a.events().dropped(), 20);
-}
-
-#[test]
-fn event_rings_merge_in_cycle_order() {
-    let mut a = EventRing::new(4);
-    let mut b = EventRing::new(4);
-    for c in [3, 9] {
-        a.push(event(c));
-    }
-    for c in [1, 7] {
-        b.push(event(c));
-    }
-    a.merge(&b);
-    let snap = a.snapshot();
-    assert_eq!(snap.iter().map(|e| e.cycle).collect::<Vec<_>>(), vec![1, 3, 7, 9]);
-    assert_eq!(snap[0].kind, "tlb_miss");
-    assert_eq!(a.dropped(), 0);
 }
 
 #[test]

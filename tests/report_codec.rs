@@ -1,13 +1,14 @@
 //! Canonical `SimReport` serialization: round-trip and format-pinning
 //! suite for `vcoma::codec` (the sweep server's store format).
 //!
-//! The encoded envelope of a small deterministic run — including metrics,
-//! per-node latency breakdowns and an optional trace snapshot — is
-//! snapshotted byte-exactly under `tests/golden/`. A change to any
-//! serialized shape fails here loudly, which is the contract that makes
-//! on-disk result stores trustworthy: stale stores must break visibly,
-//! not decode into subtly different reports. `simreport_v2.json` stays
-//! as the previous version's envelope, which must fail the version check.
+//! The encoded envelope of a small deterministic run — including the
+//! latency histograms, protocol and crossbar counts, per-node latency
+//! breakdowns and an optional trace snapshot — is snapshotted byte-exactly
+//! under `tests/golden/`. A change to any serialized shape fails here
+//! loudly, which is the contract that makes on-disk result stores
+//! trustworthy: stale stores must break visibly, not decode into subtly
+//! different reports. `simreport_v3.json` stays as the previous version's
+//! envelope, which must fail the version check.
 //!
 //! To regenerate after an intentional format change (bump
 //! `codec::VERSION` too):
@@ -56,14 +57,14 @@ fn traced_report() -> SimReport {
 fn encoded_report_matches_golden_fixture() {
     let report = traced_report();
     let text = codec::encode(&report, "golden-fingerprint", "golden-key");
-    check("simreport_v3.json", &text);
+    check("simreport_v4.json", &text);
 }
 
 #[test]
-fn stale_v2_envelope_fails_the_version_check() {
-    let v2 = fs::read_to_string(golden_dir().join("simreport_v2.json")).expect("v2 fixture");
+fn stale_v3_envelope_fails_the_version_check() {
+    let v3 = fs::read_to_string(golden_dir().join("simreport_v3.json")).expect("v3 fixture");
     let cfg = traced_report().config().clone();
-    assert!(matches!(codec::decode(&v2, cfg), Err(codec::CodecError::Version(2))));
+    assert!(matches!(codec::decode(&v3, cfg), Err(codec::CodecError::Version(3))));
 }
 
 #[test]
@@ -91,7 +92,7 @@ fn traced_report_round_trips_exactly() {
     assert_eq!(decoded.fingerprint, "fp");
     assert_eq!(decoded.key, "key");
     // The decoded report is indistinguishable from the original, down to
-    // metrics counters, histograms, latency breakdowns and trace spans.
+    // latency histograms, breakdowns and trace spans.
     assert_eq!(format!("{:?}", decoded.report), format!("{report:?}"));
     // And a second encode of the decoded report is byte-identical.
     assert_eq!(codec::encode(&decoded.report, "fp", "key"), text);

@@ -35,7 +35,7 @@ fn sweep_table(cfg: &ExperimentConfig, traced: bool) -> TextTable {
         .into_iter()
         .map(|scheme| SweepPoint::new(scheme.to_string(), scheme))
         .collect();
-    let rows = sweep::run("tracing-inertness", cfg.effective_jobs(), points, |&scheme| {
+    let rows = sweep::run(cfg, "tracing-inertness", points, |&scheme| {
         let r = run_one(cfg, scheme, traced);
         let cycles = r.simulated_cycles();
         SweepResult::new(
