@@ -1,7 +1,8 @@
 //! Hot-path micro-benchmarks: op generation, TLB lookup, the TLB bank,
-//! FLC/SLC probe, page-table mapping, a coherence transaction, the full
-//! per-reference access path, and the store codec's encode plus decode,
-//! isolated from artifact generation.
+//! FLC/SLC probe, page-table mapping, a coherence transaction, a
+//! paper-scale directory fill, the full per-reference access path, and
+//! the store codec's encode plus decode, isolated from artifact
+//! generation.
 //!
 //! These show which layer moved. The end-to-end figure for the same
 //! change is the whole-sweep simulated cycles/s that
@@ -18,6 +19,7 @@ const BANK_ITERS: u64 = 1_000_000;
 const CACHE_ITERS: u64 = 200_000;
 const MAP_ITERS: u64 = 200_000;
 const COHERENCE_ITERS: u64 = 200_000;
+const DIRECTORY_BLOCKS: u64 = 100_000;
 const E2E_REFS: u64 = 20_000;
 const CODEC_ITERS: u64 = 100;
 
@@ -29,6 +31,7 @@ fn main() {
     println!("cache_probe({CACHE_ITERS}) = {}", micro::cache_probe(CACHE_ITERS));
     println!("page_table_map({MAP_ITERS}) = {}", micro::page_table_map(MAP_ITERS));
     println!("coherence_txn({COHERENCE_ITERS}) = {}", micro::coherence_txn(COHERENCE_ITERS));
+    println!("directory_fill({DIRECTORY_BLOCKS}) = {}", micro::directory_fill(DIRECTORY_BLOCKS));
     println!("end_to_end({E2E_REFS}, v_coma) = {}", micro::end_to_end(E2E_REFS, Scheme::V_COMA));
     println!("end_to_end({E2E_REFS}, l0_tlb) = {}", micro::end_to_end(E2E_REFS, Scheme::L0_TLB));
     let report = micro::codec_report();
@@ -51,6 +54,9 @@ fn main() {
     });
     plain_bench("hotpath_micro/coherence_txn", 20, || {
         std::hint::black_box(micro::coherence_txn(COHERENCE_ITERS));
+    });
+    plain_bench("hotpath_micro/directory_fill", 20, || {
+        std::hint::black_box(micro::directory_fill(DIRECTORY_BLOCKS));
     });
     plain_bench("hotpath_micro/access_v_coma", 20, || {
         std::hint::black_box(micro::end_to_end(E2E_REFS, Scheme::V_COMA));

@@ -25,8 +25,8 @@ pub fn plain_bench<F: FnMut()>(label: &str, samples: u32, mut f: F) {
 ///
 /// Each kernel is a deterministic closed loop over one layer of the
 /// simulator — op generation, TLB lookup, the TLB bank, FLC/SLC probe,
-/// page-table mapping, a coherence transaction, the full
-/// `Machine::access` path, and the store codec — returning a checksum so
+/// page-table mapping, a coherence transaction, a directory fill at
+/// paper scale, the full `Machine::access` path, and the store codec — returning a checksum so
 /// the optimizer cannot discard the work and so the smoke test can pin
 /// the result.
 /// The `hotpath_micro` bench target times them; `cargo test` runs them
@@ -187,6 +187,33 @@ pub mod micro {
         s.local_read_hits + s.local_write_hits + s.remote_transactions() + s.invalidations
     }
 
+    /// `Protocol::read` on the paper's 32-node machine over `blocks`
+    /// distinct blocks: every block is cold-filled by one node, then read
+    /// back by the next node (a remote read that adds a sharer). At the
+    /// bench target's 100k blocks the directory grows to about the size
+    /// it reaches in a scale-0.1 FFT run, which the tiny machine's
+    /// `coherence_txn` never sees. The filling node rotates with the
+    /// block's AM set so no node takes more than two blocks of one set:
+    /// nothing is replaced. Returns cold fills plus remote reads plus the
+    /// final simulated time.
+    pub fn directory_fill(blocks: u64) -> u64 {
+        let m = MachineConfig::paper_baseline();
+        let (nodes, sets, blocks_per_page) = (m.nodes, m.am.sets(), m.blocks_per_page());
+        let mut protocol = Protocol::new(&m, 6);
+        let mut net = Crossbar::new(nodes, m.timing);
+        let mut xl = NullTranslation;
+        let mut now = 0u64;
+        for pass in 0..2 {
+            for block in 0..blocks {
+                let node = NodeId::new(((block + block / sets + pass) % nodes) as u16);
+                let home = NodeId::new((block / blocks_per_page % nodes) as u16);
+                now += protocol.read(node, block, home, &mut net, &mut xl, now).latency + 1;
+            }
+        }
+        let s = protocol.stats();
+        s.cold_fills + s.remote_reads + now
+    }
+
     /// The full `Machine::access` path on the tiny 4-node machine: every
     /// node replays a trace mixing a hot shared region with a private
     /// strided region. Returns simulated exec time plus total refs.
@@ -276,6 +303,10 @@ mod tests {
         let coherence = micro::coherence_txn(20_000);
         assert!(coherence >= 20_000, "local hits plus remote transactions cover every access");
         assert_eq!(coherence, micro::coherence_txn(20_000));
+
+        let fill = micro::directory_fill(2_000);
+        assert!(fill > 4_000, "2000 cold fills plus 2000 remote reads plus a nonzero time");
+        assert_eq!(fill, micro::directory_fill(2_000));
 
         let e2e = micro::end_to_end(1_000, Scheme::V_COMA);
         assert!(e2e > 4_000, "exec time plus 4 nodes x 1000 refs");

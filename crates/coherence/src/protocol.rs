@@ -1,10 +1,11 @@
 //! The COMA-F write-invalidate protocol engine.
 
-use crate::{AmState, CopySet, DirEntry, HomeTranslation, ProtocolStats};
+use crate::state::{Directory, Slot};
+use crate::{AmState, HomeTranslation, ProtocolStats};
 use vcoma_cachesim::SetAssocArray;
 use vcoma_faults::{FaultPlan, TxnFaults};
 use vcoma_net::{Crossbar, MsgKind, SendOutcome};
-use vcoma_types::{DetRng, IntMap, MachineConfig, NodeId, Timing};
+use vcoma_types::{DetRng, MachineConfig, NodeId, Timing};
 
 /// How a master/exclusive victim searches for a new slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -234,7 +235,7 @@ impl Path {
 #[derive(Debug, Clone)]
 pub struct Protocol {
     ams: Vec<SetAssocArray<AmState>>,
-    dir: IntMap<u64, DirEntry>,
+    dir: Directory,
     timing: Timing,
     nodes: u64,
     rng: DetRng,
@@ -256,7 +257,7 @@ impl Protocol {
     pub fn new(cfg: &MachineConfig, seed: u64) -> Self {
         Protocol {
             ams: (0..cfg.nodes).map(|_| SetAssocArray::with_geometry(cfg.am)).collect(),
-            dir: IntMap::default(),
+            dir: Directory::new(cfg.nodes),
             timing: cfg.timing,
             nodes: cfg.nodes,
             rng: DetRng::new(seed ^ 0xC0A_0C0A),
@@ -304,15 +305,15 @@ impl Protocol {
     /// Panics if the block is already cached somewhere or the home set is
     /// full.
     pub fn preload(&mut self, block: u64, home: NodeId) {
-        let entry = self.dir.entry(block).or_insert(DirEntry::empty(home));
-        assert!(entry.is_uncached(), "preload of an already-cached block {block:#x}");
+        let slot = self.dir.entry(block, home);
+        assert!(self.dir.is_uncached(slot), "preload of an already-cached block {block:#x}");
         assert!(
             self.ams[home.index()].set_has_room(block),
             "preload overflows home set for block {block:#x}"
         );
         self.ams[home.index()].insert(block, AmState::MasterShared);
-        entry.add(home);
-        entry.master = Some(home);
+        self.dir.add(slot, home);
+        self.dir.set_master(slot, Some(home));
     }
 
     /// Returns `true` if `node` can satisfy the access locally: any resident
@@ -477,20 +478,20 @@ impl Protocol {
         path.lookup(xl.home_lookup(home, block));
         path.mem(self.timing.dir_lookup);
 
-        let entry = self.dir.entry(block).or_insert(DirEntry::empty(home));
-        debug_assert_eq!(entry.home, home, "home mismatch for block {block:#x}");
+        let slot = self.dir.entry(block, home);
+        debug_assert_eq!(self.dir.home(slot), home, "home mismatch for block {block:#x}");
 
-        if entry.is_uncached() {
+        if self.dir.is_uncached(slot) {
             // Cold fill: the home materialises the block from its backing
             // store; the requester becomes the master.
             self.stats.cold_fills += 1;
             path.mem(self.timing.am_hit);
             self.path_send_ft(&mut path, net, home, requester, MsgKind::BlockReply);
-            self.dir.get_mut(&block).expect("just inserted").add(requester);
-            self.dir.get_mut(&block).expect("just inserted").master = Some(requester);
+            self.dir.add(slot, requester);
+            self.dir.set_master(slot, Some(requester));
             self.install(requester, block, AmState::MasterShared, net, path.t, &mut invals);
         } else {
-            let master = entry.master.expect("cached block must have a master");
+            let master = self.dir.master(slot).expect("cached block must have a master");
             debug_assert_ne!(
                 master, requester,
                 "requester missed locally but directory says it is master"
@@ -507,7 +508,7 @@ impl Protocol {
             } else {
                 debug_assert!(false, "directory master {master} does not hold {block:#x}");
             }
-            self.dir.get_mut(&block).expect("entry exists").add(requester);
+            self.dir.add(slot, requester);
             self.install(requester, block, AmState::Shared, net, path.t, &mut invals);
         }
         path.into_access(now, invals)
@@ -537,40 +538,40 @@ impl Protocol {
         path.lookup(xl.home_lookup(home, block));
         path.mem(self.timing.dir_lookup);
 
-        let entry = *self.dir.entry(block).or_insert(DirEntry::empty(home));
-        debug_assert_eq!(entry.home, home, "home mismatch for block {block:#x}");
+        let slot = self.dir.entry(block, home);
+        debug_assert_eq!(self.dir.home(slot), home, "home mismatch for block {block:#x}");
 
         match local_state {
             Some(_) => {
                 // Upgrade: invalidate every other copy, then grant.
                 self.stats.upgrades += 1;
-                let ack_path = self.invalidate_others(block, requester, home, net, path, &mut invals);
+                let ack_path =
+                    self.invalidate_others(slot, block, requester, net, path, &mut invals);
                 let mut grant_path = path;
                 self.path_send_ft(&mut grant_path, net, home, requester, MsgKind::Ack);
                 path = ack_path.later(grant_path);
-                let e = self.dir.get_mut(&block).expect("entry exists");
-                e.copyset = CopySet::only(requester);
-                e.master = Some(requester);
+                self.dir.set_only(slot, requester);
+                self.dir.set_master(slot, Some(requester));
                 *self.ams[requester.index()]
                     .peek_mut(block)
                     .expect("upgrading node holds the block") = AmState::Exclusive;
             }
-            None if entry.is_uncached() => {
+            None if self.dir.is_uncached(slot) => {
                 // Cold write fill: requester becomes the exclusive owner.
                 self.stats.cold_fills += 1;
                 path.mem(self.timing.am_hit);
                 self.path_send_ft(&mut path, net, home, requester, MsgKind::BlockReply);
-                let e = self.dir.get_mut(&block).expect("entry exists");
-                e.add(requester);
-                e.master = Some(requester);
+                self.dir.add(slot, requester);
+                self.dir.set_master(slot, Some(requester));
                 self.install(requester, block, AmState::Exclusive, net, path.t, &mut invals);
             }
             None => {
                 // Write miss served by the current master; all other copies
                 // are invalidated in parallel.
                 self.stats.remote_writes += 1;
-                let master = entry.master.expect("cached block must have a master");
-                let ack_path = self.invalidate_others(block, requester, home, net, path, &mut invals);
+                let master = self.dir.master(slot).expect("cached block must have a master");
+                let ack_path =
+                    self.invalidate_others(slot, block, requester, net, path, &mut invals);
                 let mut data_path = path;
                 self.path_send_ft(&mut data_path, net, home, master, MsgKind::ForwardReq);
                 data_path.mem(self.timing.am_hit);
@@ -580,36 +581,40 @@ impl Protocol {
                 if self.ams[master.index()].invalidate(block).is_some() {
                     invals.push((master, block));
                 }
-                let e = self.dir.get_mut(&block).expect("entry exists");
-                e.copyset = CopySet::only(requester);
-                e.master = Some(requester);
+                self.dir.set_only(slot, requester);
+                self.dir.set_master(slot, Some(requester));
                 self.install(requester, block, AmState::Exclusive, net, path.t, &mut invals);
             }
         }
         path.into_access(now, invals)
     }
 
-    /// Invalidates every holder of `block` except `keep` (and except the
-    /// master when the caller transfers ownership separately — the master
-    /// here is only invalidated if it is a plain holder in the copy set
-    /// walk). Returns the path on which the last acknowledgement reaches
-    /// `keep` (or `from` unchanged when nothing is invalidated).
+    /// Invalidates, from its home, every holder of `block` (directory
+    /// entry `slot`) except `keep` (and except the master when the caller
+    /// transfers ownership separately — the master here is only
+    /// invalidated if it is a plain holder in the copy set walk). Holders
+    /// are visited in ascending node order, which fixes the send order and
+    /// so port contention and [`Path::later`] ties. Returns the path on
+    /// which the last acknowledgement reaches `keep` (or `from` unchanged
+    /// when nothing is invalidated).
     fn invalidate_others(
         &mut self,
+        slot: Slot,
         block: u64,
         keep: NodeId,
-        home: NodeId,
         net: &mut Crossbar,
         from: Path,
         invals: &mut Vec<(NodeId, u64)>,
     ) -> Path {
-        let entry = *self.dir.get(&block).expect("entry exists");
-        let master = entry.master;
+        let (home, master) = (self.dir.home(slot), self.dir.master(slot));
         let mut last_ack = from;
-        for holder in entry.holders_except(keep) {
+        let mut next = self.dir.next_holder(slot, 0);
+        while let Some(holder) = next {
+            next = self.dir.next_holder(slot, holder.index() + 1);
             // The master of a write miss supplies data and is invalidated by
             // the caller at data-transfer time; skip it here.
-            if Some(holder) == master && !self.ams[keep.index()].contains(block) {
+            let supplies_data = Some(holder) == master && !self.ams[keep.index()].contains(block);
+            if holder == keep || supplies_data {
                 continue;
             }
             self.stats.invalidations += 1;
@@ -618,8 +623,7 @@ impl Protocol {
             if self.ams[holder.index()].invalidate(block).is_some() {
                 invals.push((holder, block));
             }
-            let e = self.dir.get_mut(&block).expect("entry exists");
-            e.remove(holder);
+            self.dir.remove(slot, holder);
             self.path_send_ft(&mut branch, net, holder, keep, MsgKind::Ack);
             last_ack = last_ack.later(branch);
         }
@@ -654,9 +658,10 @@ impl Protocol {
                 // Dropping a Shared copy: hint the home so the copy set
                 // stays exact.
                 self.stats.shared_drops += 1;
-                let vhome = self.dir.get(&victim).expect("resident block has an entry").home;
+                let vslot = self.dir.slot(victim).expect("resident block has an entry");
+                let vhome = self.dir.home(vslot);
                 self.lossy_send_offpath(net, node, vhome, MsgKind::Ack, now);
-                self.dir.get_mut(&victim).expect("entry exists").remove(node);
+                self.dir.remove(vslot, node);
             }
         }
         let evicted = self.ams[node.index()].insert(block, state);
@@ -691,9 +696,10 @@ impl Protocol {
         now: u64,
         invals: &mut Vec<(NodeId, u64)>,
     ) {
-        let home = self.dir.get(&block).expect("owner block has an entry").home;
+        let slot = self.dir.slot(block).expect("owner block has an entry");
+        let home = self.dir.home(slot);
         let mut t = self.lossy_send_offpath(net, from, home, MsgKind::Inject, now);
-        self.dir.get_mut(&block).expect("entry exists").remove(from);
+        self.dir.remove(slot, from);
 
         // The home accepts with a spare Invalid way — or, if it already
         // holds a Shared copy of this very block, by promoting it to master.
@@ -702,19 +708,19 @@ impl Protocol {
         if home != from {
             if let Some(s) = self.ams[home.index()].peek_mut(block) {
                 *s = AmState::MasterShared;
-                self.dir.get_mut(&block).expect("entry exists").master = Some(home);
+                self.dir.set_master(slot, Some(home));
                 self.stats.injections_home += 1;
                 return;
             }
             if self.ams[home.index()].set_has_room(block) {
-                self.accept_injection(home, block);
+                self.accept_injection(slot, home, block);
                 self.stats.injections_home += 1;
                 return;
             }
             if self.policy == InjectionPolicy::HomeDisplace {
                 if let Some(displaced) = self.displace_shared(home, block) {
                     invals.push((home, displaced));
-                    self.accept_injection(home, block);
+                    self.accept_injection(slot, home, block);
                     self.stats.injections_home += 1;
                     return;
                 }
@@ -736,18 +742,18 @@ impl Protocol {
             if let Some(s) = self.ams[cand.index()].peek_mut(block) {
                 // The candidate already holds a Shared copy: promote it.
                 *s = AmState::MasterShared;
-                self.dir.get_mut(&block).expect("entry exists").master = Some(cand);
+                self.dir.set_master(slot, Some(cand));
                 self.stats.injections_forwarded += 1;
                 return;
             }
             if self.ams[cand.index()].set_has_room(block) {
-                self.accept_injection(cand, block);
+                self.accept_injection(slot, cand, block);
                 self.stats.injections_forwarded += 1;
                 return;
             }
             if let Some(displaced) = self.displace_shared(cand, block) {
                 invals.push((cand, displaced));
-                self.accept_injection(cand, block);
+                self.accept_injection(slot, cand, block);
                 self.stats.injections_forwarded += 1;
                 return;
             }
@@ -756,16 +762,15 @@ impl Protocol {
         // store; the next access will cold-fill it. With memory pressure
         // below one this is rare; it is counted so experiments can see it.
         self.stats.spills += 1;
-        if self.dir.get(&block).expect("entry exists").is_uncached() {
-            self.dir.get_mut(&block).expect("entry exists").master = None;
+        if self.dir.is_uncached(slot) {
+            self.dir.set_master(slot, None);
         }
     }
 
-    fn accept_injection(&mut self, node: NodeId, block: u64) {
+    fn accept_injection(&mut self, slot: Slot, node: NodeId, block: u64) {
         self.ams[node.index()].insert(block, AmState::MasterShared);
-        let e = self.dir.get_mut(&block).expect("entry exists");
-        e.add(node);
-        e.master = Some(node);
+        self.dir.add(slot, node);
+        self.dir.set_master(slot, Some(node));
     }
 
     /// Displaces a random Shared copy (of any other block) from `node`'s
@@ -781,7 +786,8 @@ impl Protocol {
         }
         let victim = shared[self.rng.gen_index(shared.len())];
         self.ams[node.index()].invalidate(victim);
-        self.dir.get_mut(&victim).expect("resident block has an entry").remove(node);
+        let vslot = self.dir.slot(victim).expect("resident block has an entry");
+        self.dir.remove(vslot, node);
         self.stats.injection_displacements += 1;
         Some(victim)
     }
@@ -790,13 +796,7 @@ impl Protocol {
     /// uncached or unknown). Used by the protection-change path, which
     /// must notify every holder (paper §4.3).
     pub fn holders_of(&self, block: u64) -> Vec<NodeId> {
-        match self.dir.get(&block) {
-            None => Vec::new(),
-            Some(e) => (0..self.nodes as u16)
-                .map(NodeId::new)
-                .filter(|n| e.holds(*n))
-                .collect(),
-        }
+        self.dir.slot(block).map_or_else(Vec::new, |s| self.dir.holders(s).collect())
     }
 
     /// Removes every copy of `block` from the machine and drops its
@@ -804,16 +804,8 @@ impl Protocol {
     /// is swapped out (paper §4.3). Returns the nodes that held a copy;
     /// the caller must back-invalidate their processor caches.
     pub fn purge(&mut self, block: u64) -> Vec<NodeId> {
-        let Some(entry) = self.dir.remove(&block) else {
-            return Vec::new();
-        };
-        let mut holders = Vec::new();
-        for i in 0..self.nodes as u16 {
-            let node = NodeId::new(i);
-            if entry.holds(node) && self.ams[node.index()].invalidate(block).is_some() {
-                holders.push(node);
-            }
-        }
+        let mut holders = self.dir.purge(block);
+        holders.retain(|n| self.ams[n.index()].invalidate(block).is_some());
         holders
     }
 
@@ -829,7 +821,7 @@ impl Protocol {
         // with several simultaneous violations the *reported* one must be
         // a pure function of the machine state, or audit errors (and the
         // reports built from them) would differ run to run.
-        let mut blocks: Vec<u64> = self.dir.keys().copied().collect();
+        let mut blocks: Vec<u64> = self.dir.blocks().collect();
         blocks.sort_unstable();
         for block in blocks {
             self.check_block_invariants(block)?;
@@ -839,7 +831,7 @@ impl Protocol {
         // walk above (a lost-last-copy / orphan-copy corruption).
         for (i, am) in self.ams.iter().enumerate() {
             for (block, _) in am.iter() {
-                if !self.dir.contains_key(&block) {
+                if !self.dir.contains(block) {
                     return Err(format!(
                         "node {i}: resident block {block:#x} has no directory entry"
                     ));
@@ -859,7 +851,7 @@ impl Protocol {
     ///
     /// Returns a human-readable description of the violated invariant.
     pub fn check_block_invariants(&self, block: u64) -> Result<(), String> {
-        let Some(entry) = self.dir.get(&block) else {
+        let Some(slot) = self.dir.slot(block) else {
             for i in 0..self.nodes as usize {
                 if self.ams[i].peek(block).is_some() {
                     return Err(format!(
@@ -873,40 +865,40 @@ impl Protocol {
         for i in 0..self.nodes as usize {
             let node = NodeId::new(i as u16);
             let resident = self.ams[i].peek(block);
-            if entry.holds(node) != resident.is_some() {
+            if self.dir.holds(slot, node) != resident.is_some() {
                 return Err(format!(
                     "block {block:#x}: directory bit for {node} is {} but residence is {}",
-                    entry.holds(node),
+                    self.dir.holds(slot, node),
                     resident.is_some()
                 ));
             }
             if let Some(s) = resident {
                 if s.is_owner() {
                     owners += 1;
-                    if entry.master != Some(node) {
+                    if self.dir.master(slot) != Some(node) {
                         return Err(format!(
                             "block {block:#x}: {node} holds {s} but master is {:?}",
-                            entry.master
+                            self.dir.master(slot)
                         ));
                     }
                 }
-                if *s == AmState::Exclusive && entry.copies() != 1 {
+                if *s == AmState::Exclusive && self.dir.copies(slot) != 1 {
                     return Err(format!(
                         "block {block:#x}: Exclusive at {node} with {} copies",
-                        entry.copies()
+                        self.dir.copies(slot)
                     ));
                 }
             }
         }
-        if !entry.is_uncached() {
+        if !self.dir.is_uncached(slot) {
             if owners != 1 {
                 return Err(format!("block {block:#x}: {owners} owners for a cached block"));
             }
         } else if owners != 0 {
             return Err(format!("block {block:#x}: uncached but {owners} owners"));
         }
-        if let Some(m) = entry.master {
-            if !entry.holds(m) {
+        if let Some(m) = self.dir.master(slot) {
+            if !self.dir.holds(slot, m) {
                 return Err(format!("block {block:#x}: master {m} not in copy set"));
             }
         }
@@ -916,7 +908,7 @@ impl Protocol {
     /// Every block the machine currently knows about: directory entries
     /// plus any resident copies. Audit-sweep helper.
     pub fn cached_blocks(&self) -> Vec<u64> {
-        let mut blocks: Vec<u64> = self.dir.keys().copied().collect();
+        let mut blocks: Vec<u64> = self.dir.blocks().collect();
         for am in &self.ams {
             blocks.extend(am.iter().map(|(b, _)| b));
         }
@@ -930,9 +922,9 @@ impl Protocol {
     /// protocol violations. Returns `false` if the block was not cached.
     #[doc(hidden)]
     pub fn corrupt_master_for_tests(&mut self, block: u64) -> bool {
-        match self.dir.get_mut(&block) {
-            Some(e) if !e.is_uncached() => {
-                e.master = None;
+        match self.dir.slot(block) {
+            Some(s) if !self.dir.is_uncached(s) => {
+                self.dir.set_master(s, None);
                 true
             }
             _ => false,

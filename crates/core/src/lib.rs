@@ -54,6 +54,7 @@ pub use vcoma_tlb::{
 pub use vcoma_types::{
     materialize, sources_from_traces, AccessKind, CacheGeometry, ConfigError, DetRng,
     MachineConfig, Materialized, NodeId, Op, OpSource, Protection, SyncId, Timing, VAddr, VPage,
+    MAX_NODES,
 };
 
 /// Cache structures (set-associative arrays, FLC/SLC models).

@@ -37,7 +37,8 @@ client mode (talks to a running vcoma-sweepd; see submit --help):
 
 options:
   --scale F          fraction of each benchmark's iterations to replay (default 0.1)
-  --nodes N          node count (default 32, the paper's machine)
+  --nodes N          node count: a power of two from 1 to 1024 (default 32,
+                     the paper's machine)
   --jobs N           sweep worker threads (default: one per available core);
                      tables and CSVs are byte-identical for any value
   --schemes LIST     comma-separated scheme keys to run, e.g.
@@ -161,13 +162,7 @@ fn main() {
                     std::process::exit(2);
                 }
             }
-            "--nodes" => {
-                nodes = parse_flag("--nodes", args.next());
-                if nodes == 0 {
-                    eprintln!("error: --nodes must be at least 1");
-                    std::process::exit(2);
-                }
-            }
+            "--nodes" => nodes = parse_flag("--nodes", args.next()),
             "--jobs" => {
                 jobs = parse_flag("--jobs", args.next());
                 if jobs == 0 {
@@ -280,7 +275,10 @@ fn main() {
         }
     }
 
-    let machine = vcoma::MachineConfig::builder().nodes(nodes).build().expect("valid machine");
+    let machine = vcoma::MachineConfig::builder().nodes(nodes).build().unwrap_or_else(|e| {
+        eprintln!("error: --nodes {nodes}: {e}");
+        std::process::exit(2);
+    });
     let mut cfg =
         ExperimentConfig { machine, ..ExperimentConfig::new() }.with_scale(scale).with_jobs(jobs);
     if progress {

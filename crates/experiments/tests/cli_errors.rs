@@ -1,7 +1,8 @@
-//! CLI contract tests for the output-path error handling: unwritable
-//! `--out`/`--metrics-out`/`--trace-out` destinations must fail with a
-//! one-line `error:` message and exit code 2, and writable nested
-//! destinations must be created on demand.
+//! CLI contract tests for the usage-error handling: unwritable
+//! `--out`/`--metrics-out`/`--trace-out` destinations and machines the
+//! simulator cannot model must fail with a one-line `error:` message and
+//! exit code 2, and writable nested destinations must be created on
+//! demand.
 
 use std::process::Command;
 
@@ -50,6 +51,21 @@ fn missing_flag_values_fail_with_exit_2() {
         let output = bin().args(["table1", flag]).output().expect("run vcoma-experiments");
         assert_eq!(output.status.code(), Some(2), "{flag}");
         assert_eq!(stderr_line(&output), format!("error: {flag} needs a value"));
+    }
+}
+
+#[test]
+fn invalid_node_counts_fail_with_exit_2_before_simulating() {
+    for (nodes, err) in [
+        ("2048", "error: --nodes 2048: nodes must be at most 1024, got 2048"),
+        ("65536", "error: --nodes 65536: nodes must be at most 1024, got 65536"),
+        ("12", "error: --nodes 12: nodes must be a non-zero power of two, got 12"),
+        ("0", "error: --nodes 0: nodes must be a non-zero power of two, got 0"),
+    ] {
+        let output =
+            bin().args(["table1", "--nodes", nodes]).output().expect("run vcoma-experiments");
+        assert_eq!(output.status.code(), Some(2), "--nodes {nodes}");
+        assert_eq!(stderr_line(&output), err);
     }
 }
 

@@ -132,6 +132,16 @@ fn daemon_serves_caches_resumes_and_matches_direct_runs() {
     let mut bad_scale = submit_request();
     bad_scale.scale = Some(-1.0);
     assert!(!conn.request(&bad_scale).expect("transport").ok);
+    // A machine above the directory's node limit is refused up front,
+    // before any worker simulates it.
+    let mut too_many_nodes = submit_request();
+    too_many_nodes.nodes = Some(2048);
+    let resp = conn.request(&too_many_nodes).expect("transport");
+    assert!(!resp.ok);
+    assert_eq!(
+        resp.error.as_deref(),
+        Some("invalid machine: nodes must be at most 1024, got 2048")
+    );
     let mut unknown = Request::new("status");
     unknown.job = Some("no-such-job".to_string());
     assert!(!conn.request(&unknown).expect("transport").ok);

@@ -609,8 +609,9 @@ impl Machine {
         }
 
         // --- attraction memory / coherence --------------------------------
-        let had_local_copy = self.protocol.probe(node_id, am_block, false);
-        let local_ok = self.protocol.probe(node_id, am_block, kind.is_write());
+        let am_state = self.protocol.state_of(node_id, am_block);
+        let had_local_copy = am_state.is_some();
+        let local_ok = am_state.is_some_and(|s| !kind.is_write() || s.satisfies_write());
 
         if local_ok {
             if !slc_res.hit {

@@ -8,6 +8,11 @@
 
 use crate::{ConfigError, NodeId, VPage};
 
+/// The largest machine the simulator models. The coherence directory
+/// sizes its copy sets to the configured node count, and 1024 covers
+/// every scale-up the experiments sweep (the paper machine is 32).
+pub const MAX_NODES: u64 = 1024;
+
 /// Geometry of one set-associative memory structure (cache or attraction
 /// memory).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -127,7 +132,8 @@ impl Default for Timing {
 /// blocks, power-of-two node count) are validated at construction.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MachineConfig {
-    /// Number of processing nodes. Must be a power of two.
+    /// Number of processing nodes. Must be a power of two no larger than
+    /// [`MAX_NODES`].
     pub nodes: u64,
     /// First-level cache geometry (direct-mapped write-through in the paper).
     pub flc: CacheGeometry,
@@ -184,14 +190,22 @@ impl MachineConfig {
     /// # Errors
     ///
     /// Returns [`ConfigError`] if any geometry is invalid, the node count or
-    /// page size is not a power of two, block sizes shrink up the hierarchy,
-    /// or a page does not contain a whole number of blocks at each level.
+    /// page size is not a power of two, the node count exceeds
+    /// [`MAX_NODES`], block sizes shrink up the hierarchy, or a page does
+    /// not contain a whole number of blocks at each level.
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.flc.validate()?;
         self.slc.validate()?;
         self.am.validate()?;
         if self.nodes == 0 || !self.nodes.is_power_of_two() {
             return Err(ConfigError::NotPowerOfTwo { field: "nodes", value: self.nodes });
+        }
+        if self.nodes > MAX_NODES {
+            return Err(ConfigError::TooLarge {
+                field: "nodes",
+                value: self.nodes,
+                maximum: MAX_NODES,
+            });
         }
         if self.page_size == 0 || !self.page_size.is_power_of_two() {
             return Err(ConfigError::NotPowerOfTwo { field: "page_size", value: self.page_size });
@@ -424,6 +438,17 @@ mod tests {
     #[test]
     fn config_rejects_odd_node_count() {
         assert!(MachineConfig::builder().nodes(12).build().is_err());
+    }
+
+    #[test]
+    fn config_rejects_node_counts_above_the_limit() {
+        assert_eq!(MachineConfig::builder().nodes(MAX_NODES).build().unwrap().nodes, MAX_NODES);
+        for nodes in [2 * MAX_NODES, 1 << 16, 1 << 17] {
+            assert_eq!(
+                MachineConfig::builder().nodes(nodes).build(),
+                Err(ConfigError::TooLarge { field: "nodes", value: nodes, maximum: MAX_NODES })
+            );
+        }
     }
 
     #[test]

@@ -20,6 +20,15 @@ pub enum ConfigError {
         /// The minimum legal value.
         minimum: u64,
     },
+    /// A field was above its maximum legal value.
+    TooLarge {
+        /// Name of the offending field.
+        field: &'static str,
+        /// The rejected value.
+        value: u64,
+        /// The maximum legal value.
+        maximum: u64,
+    },
     /// Block sizes must be non-decreasing going up the hierarchy
     /// (FLC ≤ SLC ≤ AM).
     BlockSizeOrdering {
@@ -49,6 +58,9 @@ impl std::fmt::Display for ConfigError {
             ConfigError::TooSmall { field, value, minimum } => {
                 write!(f, "{field} must be at least {minimum}, got {value}")
             }
+            ConfigError::TooLarge { field, value, maximum } => {
+                write!(f, "{field} must be at most {maximum}, got {value}")
+            }
             ConfigError::BlockSizeOrdering { flc, slc, am } => write!(
                 f,
                 "block sizes must not shrink up the hierarchy: flc={flc}, slc={slc}, am={am}"
@@ -74,6 +86,8 @@ mod tests {
         assert_eq!(e.to_string(), "nodes must be a non-zero power of two, got 12");
         let e = ConfigError::TooSmall { field: "page_size", value: 64, minimum: 128 };
         assert_eq!(e.to_string(), "page_size must be at least 128, got 64");
+        let e = ConfigError::TooLarge { field: "nodes", value: 2048, maximum: 1024 };
+        assert_eq!(e.to_string(), "nodes must be at most 1024, got 2048");
         let e = ConfigError::BlockSizeOrdering { flc: 64, slc: 32, am: 128 };
         assert!(e.to_string().contains("flc=64"));
         let e = ConfigError::PageSetMismatch { am_sets: 100, blocks_per_page: 32 };
