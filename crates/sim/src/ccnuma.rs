@@ -40,7 +40,7 @@ use vcoma_metrics::Mergeable;
 use vcoma_cachesim::{Flc, Slc};
 use vcoma_net::{Crossbar, MsgKind};
 use vcoma_types::{AccessKind, NodeId, Op, VAddr, VPage};
-use vcoma_vm::{FrameAllocator, PageTable, RoundRobinAllocator, VmError};
+use vcoma_vm::{FrameAllocator, PageTable, VmError};
 
 /// Where translation happens in the CC-NUMA machine (paper Figure 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -155,38 +155,31 @@ pub struct NumaMachine {
 /// this entirely (home = VA hash).
 #[derive(Debug)]
 struct FirstTouch {
-    rr_per_node: Vec<RoundRobinAllocator>,
+    /// Frames handed out so far, per node.
+    used: Vec<u64>,
     nodes: u64,
+    total: u64,
 }
 
 impl FirstTouch {
     fn new(cfg: &vcoma_types::MachineConfig) -> Self {
-        // Each node draws frames whose home is itself: frame ≡ node (mod
-        // nodes). Reuse the round-robin allocator per node by filtering.
         FirstTouch {
-            rr_per_node: (0..cfg.nodes).map(|_| RoundRobinAllocator::new(cfg)).collect(),
+            used: vec![0; cfg.nodes as usize],
             nodes: cfg.nodes,
+            total: cfg.total_page_frames(),
         }
     }
 
-    /// Allocates a frame homed at `node` for `page`.
-    fn allocate_at(
-        &mut self,
-        node: NodeId,
-        page: VPage,
-        cfg: &vcoma_types::MachineConfig,
-    ) -> Result<vcoma_types::PFrame, VmError> {
-        // Draw frames until one homed at `node` appears; the per-node
-        // allocator state makes this O(nodes) worst case and exact.
-        let alloc = &mut self.rr_per_node[node.index()];
-        loop {
-            let f = alloc.allocate(page, cfg)?;
-            if f.raw() % self.nodes == node.raw() as u64 {
-                return Ok(f);
-            }
-            // Frame belongs to another node's color; skip it permanently
-            // for this allocator (each node draws from its own sequence).
+    /// Allocates the next frame homed at `node`. Frame `f`'s home is
+    /// `f mod nodes`, so node `n`'s `k`-th frame is `k·nodes + n`.
+    fn allocate_at(&mut self, node: NodeId) -> Result<vcoma_types::PFrame, VmError> {
+        let k = &mut self.used[node.index()];
+        let f = *k * self.nodes + node.raw() as u64;
+        if f >= self.total {
+            return Err(VmError::OutOfFrames);
         }
+        *k += 1;
+        Ok(vcoma_types::PFrame::new(f))
     }
 }
 
@@ -299,7 +292,7 @@ impl NumaMachine {
                 None => {
                     let f = self
                         .alloc
-                        .allocate_at(node_id, page, &m)
+                        .allocate_at(node_id)
                         .expect("out of frames");
                     let mut one_shot = SingleFrame(Some(f));
                     self.page_table
@@ -471,6 +464,29 @@ mod tests {
             }
         }
         traces
+    }
+
+    #[test]
+    fn first_touch_hands_each_node_its_own_frames_in_order() {
+        let m = MachineConfig::tiny();
+        let last = NodeId::new(m.nodes as u16 - 1);
+        let mut alloc = FirstTouch::new(&m);
+        let mut take = |node| alloc.allocate_at(node).unwrap().raw();
+        assert_eq!([take(NodeId::new(0)), take(NodeId::new(0))], [0, m.nodes]);
+        assert_eq!([take(last), take(last)], [m.nodes - 1, 2 * m.nodes - 1]);
+        assert_eq!(take(NodeId::new(0)), 2 * m.nodes);
+    }
+
+    #[test]
+    fn first_touch_runs_out_at_the_frame_pool() {
+        let m = MachineConfig::tiny();
+        let mut alloc = FirstTouch::new(&m);
+        let per_node = m.total_page_frames() / m.nodes;
+        for _ in 0..per_node {
+            alloc.allocate_at(NodeId::new(1)).unwrap();
+        }
+        assert!(matches!(alloc.allocate_at(NodeId::new(1)), Err(VmError::OutOfFrames)));
+        assert!(alloc.allocate_at(NodeId::new(0)).is_ok(), "other nodes keep their frames");
     }
 
     #[test]

@@ -6,8 +6,13 @@
 //! their streams independently). [`phased`] wraps a generator restructured
 //! as a *step* closure — "emit the next phase" — into one lazy
 //! [`OpSource`] per node: a phase is generated only when some node has
-//! drained its buffered ops, so peak memory is one phase's worth of ops
-//! instead of the whole trace.
+//! drained its packed op stream, and each node decodes its own stream in
+//! place. The machine pulls one op ahead of each node, so a node waiting
+//! at a barrier has already pulled the next phase's first op: about two
+//! phases are live at once, at about two bytes per op. Before each phase
+//! is appended, every node's stream frees the ops it has already
+//! decoded, so a node that never quite drains does not accumulate the
+//! whole trace.
 //!
 //! Because the step closure runs exactly the generator's original loop
 //! body in the original order, the concatenation of the phases is
@@ -16,19 +21,17 @@
 
 use crate::common::TraceBuilder;
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
 use vcoma_types::{Op, OpSource};
 
 /// Generator state shared by all of one workload's per-node sources.
 struct SharedGen {
+    /// Holds the ops generated but not yet pulled, per node.
     builder: TraceBuilder,
     /// Emits the next phase into `builder`. Returns `false` once no
     /// phases remain (a call finding nothing left to emit must emit
     /// nothing and return `false`).
     step: Box<dyn FnMut(&mut TraceBuilder) -> bool>,
-    /// Ops generated but not yet pulled, per node.
-    buffers: Vec<VecDeque<Op>>,
     exhausted: bool,
 }
 
@@ -42,18 +45,16 @@ impl OpSource for PhasedSource {
     fn next_op(&mut self) -> Option<Op> {
         let mut g = self.gen.borrow_mut();
         loop {
-            if let Some(op) = g.buffers[self.node].pop_front() {
+            if let Some(op) = g.builder.pop(self.node) {
                 return Some(op);
             }
             if g.exhausted {
                 return None;
             }
-            let SharedGen { builder, step, buffers, exhausted } = &mut *g;
+            let SharedGen { builder, step, exhausted } = &mut *g;
+            builder.compact();
             if !(step)(builder) {
                 *exhausted = true;
-            }
-            for (buf, ops) in buffers.iter_mut().zip(builder.take_phase()) {
-                buf.extend(ops);
             }
         }
     }
@@ -71,7 +72,6 @@ pub(crate) fn phased(
     let gen = Rc::new(RefCell::new(SharedGen {
         builder,
         step: Box::new(step),
-        buffers: vec![VecDeque::new(); nodes],
         exhausted: false,
     }));
     (0..nodes)
