@@ -1,5 +1,6 @@
 //! Hot-path micro-benchmarks: op generation, TLB lookup, the TLB bank,
-//! FLC/SLC probe, page-table mapping, a coherence transaction, a
+//! FLC/SLC probe, attraction-memory probes at paper scale, page-table
+//! mapping, a coherence transaction, a
 //! paper-scale directory fill, the full per-reference access path, and
 //! the store codec's encode plus decode, isolated from artifact
 //! generation.
@@ -17,6 +18,7 @@ const OP_GEN_OPS: u64 = 200_000;
 const TLB_ITERS: u64 = 200_000;
 const BANK_ITERS: u64 = 1_000_000;
 const CACHE_ITERS: u64 = 200_000;
+const AM_ITERS: u64 = 1_000_000;
 const MAP_ITERS: u64 = 200_000;
 const COHERENCE_ITERS: u64 = 200_000;
 const DIRECTORY_BLOCKS: u64 = 100_000;
@@ -29,6 +31,7 @@ fn main() {
     println!("tlb_lookup({TLB_ITERS}) = {}", micro::tlb_lookup(TLB_ITERS));
     println!("tlb_bank({BANK_ITERS}) = {}", micro::tlb_bank(BANK_ITERS));
     println!("cache_probe({CACHE_ITERS}) = {}", micro::cache_probe(CACHE_ITERS));
+    println!("am_probe({AM_ITERS}) = {}", micro::am_probe(&mut micro::am_arrays(), AM_ITERS));
     println!("page_table_map({MAP_ITERS}) = {}", micro::page_table_map(MAP_ITERS));
     println!("coherence_txn({COHERENCE_ITERS}) = {}", micro::coherence_txn(COHERENCE_ITERS));
     println!("directory_fill({DIRECTORY_BLOCKS}) = {}", micro::directory_fill(DIRECTORY_BLOCKS));
@@ -48,6 +51,10 @@ fn main() {
     });
     plain_bench("hotpath_micro/cache_probe", 20, || {
         std::hint::black_box(micro::cache_probe(CACHE_ITERS));
+    });
+    let mut ams = micro::am_arrays();
+    plain_bench("hotpath_micro/am_probe", 20, || {
+        std::hint::black_box(micro::am_probe(&mut ams, AM_ITERS));
     });
     plain_bench("hotpath_micro/page_table_map", 20, || {
         std::hint::black_box(micro::page_table_map(MAP_ITERS));

@@ -25,15 +25,16 @@ pub fn plain_bench<F: FnMut()>(label: &str, samples: u32, mut f: F) {
 ///
 /// Each kernel is a deterministic closed loop over one layer of the
 /// simulator — op generation, TLB lookup, the TLB bank, FLC/SLC probe,
-/// page-table mapping, a coherence transaction, a directory fill at
-/// paper scale, the full `Machine::access` path, and the store codec — returning a checksum so
+/// attraction-memory probes at paper scale, page-table mapping, a
+/// coherence transaction, a directory fill at paper scale, the full
+/// `Machine::access` path, and the store codec — returning a checksum so
 /// the optimizer cannot discard the work and so the smoke test can pin
 /// the result.
 /// The `hotpath_micro` bench target times them; `cargo test` runs them
 /// once at a small iteration count.
 pub mod micro {
-    use vcoma::cachesim::{Flc, Slc};
-    use vcoma::coherence::{NullTranslation, Protocol};
+    use vcoma::cachesim::{Flc, SetAssocArray, Slc};
+    use vcoma::coherence::{AmState, NullTranslation, Protocol};
     use vcoma::net::Crossbar;
     use vcoma::vm::{PageTable, RoundRobinAllocator};
     use vcoma::workloads::{by_name, UniformRandom};
@@ -153,6 +154,53 @@ pub mod micro {
             }
         }
         hits
+    }
+
+    /// The paper machine's attraction-memory arrays for [`am_probe`]: 32
+    /// arrays of 4 MB, 4 ways and 128-byte blocks, about 1 Mi lines and
+    /// 12 MB of tags, ranks and states, which no per-core host cache
+    /// holds. Every way starts filled.
+    #[must_use]
+    pub fn am_arrays() -> Vec<SetAssocArray<AmState>> {
+        let m = MachineConfig::paper_baseline();
+        (0..m.nodes)
+            .map(|_| {
+                let mut am = SetAssocArray::with_geometry(m.am);
+                for block in 0..m.am.lines() {
+                    am.insert(block, AmState::Shared);
+                }
+                am
+            })
+            .collect()
+    }
+
+    /// A seeded mix of array operations on `ams`, over blocks spanning
+    /// twice each array's capacity: half `lookup`, a quarter `peek`, an
+    /// eighth `insert` where the set has room (the protocol makes room
+    /// before it inserts) and an eighth `invalidate`, so full arrays stay
+    /// mostly full. `cache_probe` fits in host L1; on [`am_arrays`] this
+    /// kernel shows what a probe costs when its set comes from memory.
+    /// Returns hits plus the peeked states plus the lines resident at the
+    /// end.
+    pub fn am_probe(ams: &mut [SetAssocArray<AmState>], iters: u64) -> u64 {
+        let lines = ams[0].capacity();
+        let mut rng = DetRng::new(46);
+        let mut sum = 0u64;
+        for _ in 0..iters {
+            let am = &mut ams[rng.gen_index(ams.len())];
+            let block = rng.gen_index(2 * lines) as u64;
+            match rng.gen_index(8) {
+                0..=3 => sum += u64::from(am.lookup(block).is_some()),
+                4 | 5 => sum += am.peek(block).map_or(0, |s| *s as u64 + 1),
+                6 => {
+                    if am.set_has_room(block) && !am.contains(block) {
+                        am.insert(block, AmState::Exclusive);
+                    }
+                }
+                _ => sum += u64::from(am.invalidate(block).is_some()),
+            }
+        }
+        sum + ams.iter().map(|am| am.len() as u64).sum::<u64>()
     }
 
     /// Blocks in the coherence kernel's shared set: an eighth of one
@@ -295,6 +343,10 @@ mod tests {
         let cache = micro::cache_probe(20_000);
         assert!(cache > 0);
         assert_eq!(cache, micro::cache_probe(20_000));
+
+        let am = micro::am_probe(&mut micro::am_arrays(), 20_000);
+        assert!(am > 32 << 15, "the 32 arrays start with 2^15 lines each and lose few");
+        assert_eq!(am, micro::am_probe(&mut micro::am_arrays(), 20_000));
 
         let ops = micro::op_gen(20_000);
         assert!(ops > 20_000, "op count plus a nonzero address sum");

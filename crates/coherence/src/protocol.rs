@@ -124,6 +124,12 @@ fn record_window(
     }
 }
 
+/// The blocks in `block`'s set of `am` held as plain Shared copies — the
+/// cheap replacement victims — in the set's fill order.
+fn shared_copies(am: &SetAssocArray<AmState>, block: u64) -> impl Iterator<Item = u64> + '_ {
+    am.entries_in_set(block).filter(|(_, s)| !s.is_owner()).map(|(b, _)| b)
+}
+
 /// Attribution-tracking clock for one transaction's critical path.
 ///
 /// Advances exactly like the plain arrival-time arithmetic it replaces —
@@ -468,7 +474,10 @@ impl Protocol {
         xl: &mut dyn HomeTranslation,
         now: u64,
     ) -> Access {
-        if self.ams[requester.index()].lookup(block).is_some() {
+        // `peek`, not `lookup`: every AM insert has room (`install` and
+        // injection free a way first, victims drawn by the RNG), so AM
+        // recency never picks a victim and need not be refreshed.
+        if self.ams[requester.index()].peek(block).is_some() {
             self.stats.local_read_hits += 1;
             return Access::local();
         }
@@ -524,7 +533,7 @@ impl Protocol {
         xl: &mut dyn HomeTranslation,
         now: u64,
     ) -> Access {
-        let local_state = self.ams[requester.index()].lookup(block).copied();
+        let local_state = self.ams[requester.index()].peek(block).copied();
         if local_state == Some(AmState::Exclusive) {
             self.stats.local_write_hits += 1;
             return Access::local();
@@ -672,18 +681,16 @@ impl Protocol {
     /// Shared copy if any (cheap drop), otherwise a random owner copy
     /// (injection).
     fn pick_victim(&mut self, node: NodeId, block: u64) -> u64 {
-        let shared: Vec<u64> = self.ams[node.index()]
-            .entries_in_set(block)
-            .filter(|(_, s)| !s.is_owner())
-            .map(|(b, _)| b)
-            .collect();
-        if !shared.is_empty() {
-            return shared[self.rng.gen_index(shared.len())];
+        let am = &self.ams[node.index()];
+        let shared = shared_copies(am, block).count();
+        if shared > 0 {
+            let k = self.rng.gen_index(shared);
+            return shared_copies(am, block).nth(k).expect("k is below the count");
         }
-        let owners: Vec<u64> =
-            self.ams[node.index()].entries_in_set(block).map(|(b, _)| b).collect();
-        debug_assert!(!owners.is_empty(), "victim needed in an empty set");
-        owners[self.rng.gen_index(owners.len())]
+        let owners = am.set_occupancy(block);
+        debug_assert!(owners > 0, "victim needed in an empty set");
+        let k = self.rng.gen_index(owners);
+        am.entries_in_set(block).nth(k).expect("k is below the occupancy").0
     }
 
     /// Injects an owner victim evicted from `from` back into the machine
@@ -776,16 +783,14 @@ impl Protocol {
     /// Displaces a random Shared copy (of any other block) from `node`'s
     /// set for `block`, returning the displaced block.
     fn displace_shared(&mut self, node: NodeId, block: u64) -> Option<u64> {
-        let shared: Vec<u64> = self.ams[node.index()]
-            .entries_in_set(block)
-            .filter(|(_, s)| !s.is_owner())
-            .map(|(b, _)| b)
-            .collect();
-        if shared.is_empty() {
+        let am = &mut self.ams[node.index()];
+        let shared = shared_copies(am, block).count();
+        if shared == 0 {
             return None;
         }
-        let victim = shared[self.rng.gen_index(shared.len())];
-        self.ams[node.index()].invalidate(victim);
+        let k = self.rng.gen_index(shared);
+        let victim = shared_copies(am, block).nth(k).expect("k is below the count");
+        am.invalidate(victim);
         let vslot = self.dir.slot(victim).expect("resident block has an entry");
         self.dir.remove(vslot, node);
         self.stats.injection_displacements += 1;

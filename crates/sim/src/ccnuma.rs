@@ -83,12 +83,27 @@ impl std::fmt::Display for NumaScheme {
 }
 
 /// MSI directory entry for one memory block.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone)]
 struct MsiEntry {
     /// Node holding the block modified, if any.
     owner: Option<NodeId>,
-    /// Bit mask of nodes holding a shared copy.
-    sharers: u64,
+    /// Bit mask of nodes holding a shared copy: node `i` is bit `i % 64`
+    /// of word `i / 64`, one word per 64 nodes.
+    sharers: Vec<u64>,
+}
+
+impl MsiEntry {
+    fn new(nodes: u64) -> Self {
+        MsiEntry { owner: None, sharers: vec![0; nodes.div_ceil(64) as usize] }
+    }
+
+    fn add_sharer(&mut self, node: NodeId) {
+        self.sharers[node.index() / 64] |= 1 << (node.index() % 64);
+    }
+
+    fn is_sharer(&self, i: usize) -> bool {
+        self.sharers[i / 64] >> (i % 64) & 1 != 0
+    }
 }
 
 #[derive(Debug)]
@@ -370,7 +385,7 @@ impl NumaMachine {
                 self.nodes[n].breakdown.translation += m.timing.translation_miss;
             }
         }
-        let entry = self.dir.entry(slc_block).or_default();
+        let entry = self.dir.entry(slc_block).or_insert_with(|| MsiEntry::new(m.nodes));
         match kind {
             AccessKind::Read => {
                 if let Some(owner) = entry.owner {
@@ -379,26 +394,24 @@ impl NumaMachine {
                         // shared.
                         let f = self.net.send(home, owner, MsgKind::ForwardReq, t + stall);
                         stall = f - t + m.timing.am_hit;
-                        entry.sharers |= 1 << owner.index();
+                        entry.add_sharer(owner);
                         entry.owner = None;
                     }
                 } else {
                     stall += m.timing.am_hit; // home memory access
                 }
-                entry.sharers |= 1 << node_id.index();
+                entry.add_sharer(node_id);
                 let reply = self.net.send(home, node_id, MsgKind::BlockReply, t + stall);
                 stall = reply - t;
             }
             AccessKind::Write => {
                 // Invalidate every other copy.
-                let sharers = entry.sharers & !(1 << node_id.index());
                 let prev_owner = entry.owner.filter(|o| *o != node_id);
-                entry.sharers = 0;
                 entry.owner = Some(node_id);
                 let mut extra = 0u64;
                 for i in 0..m.nodes as usize {
-                    let is_holder =
-                        sharers & (1 << i) != 0 || prev_owner == Some(NodeId::new(i as u16));
+                    let is_holder = (i != n && entry.is_sharer(i))
+                        || prev_owner == Some(NodeId::new(i as u16));
                     if is_holder {
                         self.net.send(home, NodeId::new(i as u16), MsgKind::Invalidate, t + stall);
                         let ratio = m.slc.block_size / m.flc.block_size;
@@ -407,6 +420,7 @@ impl NumaMachine {
                         extra = extra.max(2 * m.timing.net_request);
                     }
                 }
+                entry.sharers.fill(0);
                 stall += m.timing.am_hit + extra;
                 let reply = self.net.send(home, node_id, MsgKind::BlockReply, t + stall);
                 stall = reply - t;
@@ -546,6 +560,21 @@ mod tests {
         // The shared TLB sees only home transactions.
         let shared = NumaMachine::new(cfg(), NumaScheme::SharedTlb).run(traces);
         assert!(shared.translation_accesses <= last);
+    }
+
+    #[test]
+    fn a_write_invalidates_sharers_beyond_the_first_64_nodes() {
+        let m = MachineConfig::builder().nodes(128).build().unwrap();
+        let mut machine = NumaMachine::new(SimConfig::new(m, Scheme::L0_TLB), NumaScheme::SharedTlb);
+        let va = VAddr::new(0x4000);
+        let block = va.raw() / machine.cfg.machine.slc.block_size;
+        machine.access(3, va, AccessKind::Read);
+        machine.access(100, va, AccessKind::Read);
+        assert!(machine.nodes[3].slc.contains(block) && machine.nodes[100].slc.contains(block));
+        machine.access(0, va, AccessKind::Write);
+        assert!(!machine.nodes[3].slc.contains(block), "node 3 keeps a stale copy");
+        assert!(!machine.nodes[100].slc.contains(block), "node 100 keeps a stale copy");
+        assert!(machine.nodes[0].slc.contains(block));
     }
 
     #[test]

@@ -218,7 +218,7 @@ impl Machine {
         let spec = cfg.scheme.spec();
         // Victima-style spills donate a quarter of the SLC's frames to
         // cache-resident translations, serviced at SLC-hit latency.
-        let spill_entries = (m.slc.size_bytes / m.slc.block_size / 4).max(8);
+        let spill_entries = m.spill_entries();
         let nodes = (0..m.nodes)
             .map(|i| NodeCtx {
                 flc: Flc::new(m.flc),

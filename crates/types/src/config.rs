@@ -13,6 +13,11 @@ use crate::{ConfigError, NodeId, VPage};
 /// every scale-up the experiments sweep (the paper machine is 32).
 pub const MAX_NODES: u64 = 1024;
 
+/// The widest set any associative array may have. A set's recency ranks
+/// are `u16`s, so 65,536 ways is the limit; the widest array the
+/// experiments build is the paper machine's 256-way Victima spill.
+pub const MAX_ASSOC: u64 = 1 << 16;
+
 /// Geometry of one set-associative memory structure (cache or attraction
 /// memory).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -32,7 +37,8 @@ impl CacheGeometry {
     /// # Errors
     ///
     /// Returns [`ConfigError`] if any parameter is zero or not a power of
-    /// two, or if the capacity cannot hold a single set.
+    /// two, if the associativity exceeds [`MAX_ASSOC`], or if the capacity
+    /// cannot hold a single set.
     pub fn new(size_bytes: u64, assoc: u64, block_size: u64) -> Result<Self, ConfigError> {
         let g = CacheGeometry { size_bytes, assoc, block_size };
         g.validate()?;
@@ -53,6 +59,13 @@ impl CacheGeometry {
             if v == 0 || !v.is_power_of_two() {
                 return Err(ConfigError::NotPowerOfTwo { field: name, value: v });
             }
+        }
+        if self.assoc > MAX_ASSOC {
+            return Err(ConfigError::TooLarge {
+                field: "assoc",
+                value: self.assoc,
+                maximum: MAX_ASSOC,
+            });
         }
         if self.size_bytes < self.assoc * self.block_size {
             return Err(ConfigError::TooSmall {
@@ -191,8 +204,10 @@ impl MachineConfig {
     ///
     /// Returns [`ConfigError`] if any geometry is invalid, the node count or
     /// page size is not a power of two, the node count exceeds
-    /// [`MAX_NODES`], block sizes shrink up the hierarchy, or a page does
-    /// not contain a whole number of blocks at each level.
+    /// [`MAX_NODES`], the Victima spill ([`MachineConfig::spill_entries`])
+    /// is wider than [`MAX_ASSOC`] ways, block sizes shrink up the
+    /// hierarchy, or a page does not contain a whole number of blocks at
+    /// each level.
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.flc.validate()?;
         self.slc.validate()?;
@@ -205,6 +220,13 @@ impl MachineConfig {
                 field: "nodes",
                 value: self.nodes,
                 maximum: MAX_NODES,
+            });
+        }
+        if self.spill_entries() > MAX_ASSOC {
+            return Err(ConfigError::TooLarge {
+                field: "spill_entries",
+                value: self.spill_entries(),
+                maximum: MAX_ASSOC,
             });
         }
         if self.page_size == 0 || !self.page_size.is_power_of_two() {
@@ -233,6 +255,13 @@ impl MachineConfig {
             });
         }
         Ok(())
+    }
+
+    /// Entries in the Victima-style translation spill, a fully-associative
+    /// array: a quarter of the SLC's frames, at least 8 (256 in the
+    /// paper).
+    pub fn spill_entries(&self) -> u64 {
+        (self.slc.lines() / 4).max(8)
     }
 
     /// Number of attraction-memory blocks per page (32 in the paper:
@@ -438,6 +467,31 @@ mod tests {
     #[test]
     fn config_rejects_odd_node_count() {
         assert!(MachineConfig::builder().nodes(12).build().is_err());
+    }
+
+    #[test]
+    fn config_rejects_sets_wider_than_a_u16_rank() {
+        let wide = |assoc| CacheGeometry { size_bytes: assoc * 32, assoc, block_size: 32 };
+        assert_eq!(wide(MAX_ASSOC).validate(), Ok(()));
+        assert_eq!(
+            MachineConfig::builder().flc(wide(2 * MAX_ASSOC)).build(),
+            Err(ConfigError::TooLarge { field: "assoc", value: 2 * MAX_ASSOC, maximum: MAX_ASSOC })
+        );
+        // The paper SLC's spill is 256 ways; an SLC of 2^18 64-byte
+        // lines still fits, one twice as large does not.
+        assert_eq!(MachineConfig::paper_baseline().spill_entries(), 256);
+        let slc = |size_bytes| CacheGeometry { size_bytes, assoc: 4, block_size: 64 };
+        let am = CacheGeometry { size_bytes: 64 << 20, assoc: 4, block_size: 128 };
+        let fits = MachineConfig::builder().slc(slc(16 << 20)).am(am).build().unwrap();
+        assert_eq!(fits.spill_entries(), MAX_ASSOC);
+        assert_eq!(
+            MachineConfig::builder().slc(slc(32 << 20)).am(am).build(),
+            Err(ConfigError::TooLarge {
+                field: "spill_entries",
+                value: 2 * MAX_ASSOC,
+                maximum: MAX_ASSOC
+            })
+        );
     }
 
     #[test]

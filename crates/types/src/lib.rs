@@ -33,7 +33,7 @@ mod rng;
 mod source;
 
 pub use addr::{PFrame, VAddr, VPage};
-pub use config::{CacheGeometry, MachineConfig, MachineConfigBuilder, Timing, MAX_NODES};
+pub use config::{CacheGeometry, MachineConfig, MachineConfigBuilder, Timing, MAX_ASSOC, MAX_NODES};
 pub use error::ConfigError;
 pub use hash::{IntBuildHasher, IntHasher, IntMap};
 pub use op::{AccessKind, Op, SyncId};

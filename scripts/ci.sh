@@ -18,9 +18,9 @@ cargo build --workspace --release
 echo "==> tier-1: tests"
 cargo test --workspace -q
 
-echo "==> property tests: sim, TLB, VM, coherence, workloads"
+echo "==> property tests: cachesim, sim, TLB, VM, coherence, workloads"
 cargo test --release -q --features proptest-tests \
-    -p vcoma-sim -p vcoma-tlb -p vcoma-vm -p vcoma-coherence -p vcoma-workloads
+    -p vcoma-cachesim -p vcoma-sim -p vcoma-tlb -p vcoma-vm -p vcoma-coherence -p vcoma-workloads
 
 echo "==> golden-report regression suite"
 cargo test -q -p vcoma-integration --test golden_reports
@@ -120,7 +120,7 @@ echo "==> hot-path micro-benchmarks: plain-timer harness must run every kernel"
 micro_out=$(mktemp)
 trap 'rm -rf "$out1" "$out2" "$bench1" "$fault1" "$fault2" "$n64a" "$n64b" "$micro_out"' EXIT
 cargo bench -p vcoma-bench --bench hotpath_micro | tee "$micro_out"
-for label in op_gen tlb_lookup tlb_bank cache_probe page_table_map coherence_txn directory_fill access_v_coma access_l0_tlb codec_roundtrip; do
+for label in op_gen tlb_lookup tlb_bank cache_probe am_probe page_table_map coherence_txn directory_fill access_v_coma access_l0_tlb codec_roundtrip; do
     grep -q "bench hotpath_micro/${label}:" "$micro_out" \
         || { echo "hotpath_micro never ran ${label}"; exit 1; }
 done

@@ -1,22 +1,27 @@
-//! Heap regression guard: the peak heap of one 32-node V-COMA FFT point.
+//! Heap regression guard: a freshly built 32-node paper machine, and the
+//! peak heap of one 32-node V-COMA FFT point.
 //!
-//! A counting global allocator records the live heap's high-water mark
-//! while the point runs. About 21 MB of it is fixed by the machine (the
-//! attraction-memory arrays); what grows with the workload's footprint
-//! is mostly the coherence directory. The bound catches a directory
-//! whose per-block record grows again: with a fixed 1024-node copy set
-//! (136 bytes per entry) this point peaked at 48.3 MB; with copy sets
-//! sized to the machine (16 bytes per entry at 32 nodes) at 25.3 MB.
-//! The buffered op streams are a small share: packing them at about two
-//! bytes per op instead of 16 took the point to 23.6 MB.
-//! `tests/heap_peak_streams.rs` guards the op streams themselves.
+//! A counting global allocator records the live heap's high-water mark.
+//! About 12.6 MB of the point is fixed by the machine, nearly all of it
+//! the attraction-memory arrays: 1 Mi lines at an 8-byte tag plus a
+//! 4-byte rank-and-state record each. With a `u64` LRU stamp per line as
+//! well the machine took 19.0 MB and the point 23.6 MB; the machine
+//! bound catches a per-line record that grows again. What grows with the
+//! workload's footprint is mostly the coherence directory, and the point
+//! bound catches a directory whose per-block record grows again: with a
+//! fixed 1024-node copy set (136 bytes per entry) the point peaked at
+//! 48.3 MB; with copy sets sized to the machine (16 bytes per entry at
+//! 32 nodes) at 25.3 MB. The buffered op streams are a small share:
+//! packing them at about two bytes per op instead of 16 took the point
+//! from 25.3 to 23.6 MB. `tests/heap_peak_streams.rs` guards the op
+//! streams themselves.
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
 
 use counting_alloc::{peak_mb_of, Counting};
 use vcoma::workloads::by_name;
-use vcoma::{MachineConfig, Scheme, Simulator};
+use vcoma::{Machine, MachineConfig, Scheme, SimConfig, Simulator};
 
 #[global_allocator]
 static ALLOC: Counting = Counting;
@@ -24,13 +29,26 @@ static ALLOC: Counting = Counting;
 /// Workload scale of the guarded point.
 const SCALE: f64 = 0.05;
 
+/// Peak heap bound for building the paper machine, in MB (2^20 bytes).
+const MACHINE_BOUND_MB: f64 = 14.0;
+
 /// Peak heap bound for the point, in MB (2^20 bytes).
-const PEAK_BOUND_MB: f64 = 32.0;
+const PEAK_BOUND_MB: f64 = 20.0;
 
 #[test]
 fn vcoma_fft_point_stays_under_its_peak_heap_bound() {
     // The only test in this binary, so no other thread allocates while
-    // the point runs.
+    // the machine is built or the point runs.
+    let (machine, machine_mb) = peak_mb_of(|| {
+        Machine::new(SimConfig::new(MachineConfig::paper_baseline(), Scheme::V_COMA))
+    });
+    drop(machine);
+    eprintln!("paper machine {machine_mb:.2} MB");
+    assert!(
+        machine_mb <= MACHINE_BOUND_MB,
+        "building the paper machine took {machine_mb:.2} MB, over the {MACHINE_BOUND_MB} MB bound"
+    );
+
     let w = by_name("FFT", SCALE).expect("FFT is a paper benchmark");
     let (report, peak_mb) = peak_mb_of(|| {
         Simulator::new(Scheme::V_COMA)
