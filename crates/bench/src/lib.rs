@@ -33,7 +33,7 @@ pub fn plain_bench<F: FnMut()>(label: &str, samples: u32, mut f: F) {
 /// The `hotpath_micro` bench target times them; `cargo test` runs them
 /// once at a small iteration count.
 pub mod micro {
-    use vcoma::cachesim::{Flc, SetAssocArray, Slc};
+    use vcoma::cachesim::{Flc, NoRecency, SetAssocArray, Slc};
     use vcoma::coherence::{AmState, NullTranslation, Protocol};
     use vcoma::net::Crossbar;
     use vcoma::vm::{PageTable, RoundRobinAllocator};
@@ -158,14 +158,14 @@ pub mod micro {
 
     /// The paper machine's attraction-memory arrays for [`am_probe`]: 32
     /// arrays of 4 MB, 4 ways and 128-byte blocks, about 1 Mi lines and
-    /// 12 MB of tags, ranks and states, which no per-core host cache
-    /// holds. Every way starts filled.
+    /// 9 MB of tags and states, which no per-core host cache holds. Every
+    /// way starts filled.
     #[must_use]
-    pub fn am_arrays() -> Vec<SetAssocArray<AmState>> {
+    pub fn am_arrays() -> Vec<SetAssocArray<AmState, NoRecency>> {
         let m = MachineConfig::paper_baseline();
         (0..m.nodes)
             .map(|_| {
-                let mut am = SetAssocArray::with_geometry(m.am);
+                let mut am: SetAssocArray<_, NoRecency> = SetAssocArray::with_geometry(m.am);
                 for block in 0..m.am.lines() {
                     am.insert(block, AmState::Shared);
                 }
@@ -175,14 +175,16 @@ pub mod micro {
     }
 
     /// A seeded mix of array operations on `ams`, over blocks spanning
-    /// twice each array's capacity: half `lookup`, a quarter `peek`, an
-    /// eighth `insert` where the set has room (the protocol makes room
-    /// before it inserts) and an eighth `invalidate`, so full arrays stay
-    /// mostly full. `cache_probe` fits in host L1; on [`am_arrays`] this
-    /// kernel shows what a probe costs when its set comes from memory.
+    /// twice each array's capacity: three quarters `peek`, an eighth
+    /// `insert` where the set has room (the protocol makes room before it
+    /// inserts) and an eighth `invalidate`, so full arrays stay mostly
+    /// full. This is the mix the protocol runs: no operation in it reads
+    /// or writes recency state. `cache_probe` fits in host L1; on
+    /// [`am_arrays`] this kernel shows what a probe costs when its set
+    /// comes from memory.
     /// Returns hits plus the peeked states plus the lines resident at the
     /// end.
-    pub fn am_probe(ams: &mut [SetAssocArray<AmState>], iters: u64) -> u64 {
+    pub fn am_probe(ams: &mut [SetAssocArray<AmState, NoRecency>], iters: u64) -> u64 {
         let lines = ams[0].capacity();
         let mut rng = DetRng::new(46);
         let mut sum = 0u64;
@@ -190,7 +192,7 @@ pub mod micro {
             let am = &mut ams[rng.gen_index(ams.len())];
             let block = rng.gen_index(2 * lines) as u64;
             match rng.gen_index(8) {
-                0..=3 => sum += u64::from(am.lookup(block).is_some()),
+                0..=3 => sum += u64::from(am.peek(block).is_some()),
                 4 | 5 => sum += am.peek(block).map_or(0, |s| *s as u64 + 1),
                 6 => {
                     if am.set_has_room(block) && !am.contains(block) {

@@ -1,7 +1,8 @@
 //! Set-associative cache structures for the V-COMA simulator.
 //!
 //! This crate provides the building blocks shared by every tagged memory in
-//! the simulated machine: the generic LRU [`SetAssocArray`] and the two
+//! the simulated machine: the generic [`SetAssocArray`], with [`Lru`] or
+//! [`NoRecency`] state per way, and the two
 //! processor-cache models of the paper's baseline machine:
 //!
 //! * [`Flc`] — a direct-mapped, write-through, no-write-allocate first-level
@@ -37,7 +38,7 @@ mod slc;
 mod stats;
 
 pub use flc::Flc;
-pub use set_assoc::SetAssocArray;
+pub use set_assoc::{Lru, NoRecency, Recency, SetAssocArray};
 pub use slc::{Slc, SlcAccess, Writeback};
 pub use stats::CacheStats;
 

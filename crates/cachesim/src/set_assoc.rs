@@ -8,11 +8,25 @@
 //!   and `invalidate` make one pass over a strip that finds the block and
 //!   counts the occupancy together; `lookup` and `peek` stop at the
 //!   block. The set has room exactly when its last way is vacant.
-//! - `ways` holds, parallel to `tags`, each way's recency rank and
+//! - `ways` holds, parallel to `tags`, each way's recency state and
 //!   payload.
 //!
-//! Recency is a rank, not a timestamp. The occupied ranks of a set are a
-//! permutation of `0..len`, and 0 is the most recently used:
+//! The number of sets is a power of two, so a block's set is its low
+//! bits, `block & (sets - 1)`.
+//!
+//! The recency state is the type parameter `R`, and every tag-strip
+//! operation is shared by both forms:
+//!
+//! - [`NoRecency`] keeps none. It is zero-sized, so an attraction memory's
+//!   way is its 1-byte state beside its tag. Such an array chooses no
+//!   victims: it has no `lookup`, and its `insert` only fills a free way.
+//!   The coherence protocol picks replacement victims at random from
+//!   [`SetAssocArray::entries_in_set`] and makes room before it inserts.
+//! - [`Lru`] keeps a `u16` rank, and a full set evicts its least recently
+//!   used way. The processor caches and the Victima spill use it.
+//!
+//! An LRU rank orders a set's occupied ways: the ranks are a permutation
+//! of `0..len`, and 0 is the most recently used.
 //!
 //! - a hit (`lookup`, or `insert` of a resident block) raises every rank
 //!   below the hit's by one and gives the hit 0;
@@ -31,7 +45,10 @@
 //! least-recently-used way is the one ranked `len - 1`. A `u16` rank
 //! limits a set to [`MAX_ASSOC`] ways; `MachineConfig::validate` rejects
 //! anything wider. Occupancy order and victim choice are bit-identical to
-//! the earlier stamp layout.
+//! the earlier stamp layout, and fill order and removal order do not
+//! depend on `R`.
+
+use std::fmt::Debug;
 
 use vcoma_types::{CacheGeometry, MAX_ASSOC};
 
@@ -39,49 +56,101 @@ use vcoma_types::{CacheGeometry, MAX_ASSOC};
 /// address shifted right by at least five bits.
 const VACANT: u64 = u64::MAX;
 
-/// One way's recency rank and payload.
+mod sealed {
+    pub trait Sealed {}
+}
+
+/// The recency state a [`SetAssocArray`] keeps beside each payload:
+/// [`Lru`] or [`NoRecency`].
+pub trait Recency: sealed::Sealed + Copy + Default + Debug {
+    /// Ages an occupied way when a free way of its set is filled. The new
+    /// way takes `Self::default()`.
+    fn age(&mut self);
+
+    /// Adjusts an occupied way after the way whose state was `gone` left
+    /// its set.
+    fn close_gap(&mut self, gone: Self);
+}
+
+/// Least-recently-used replacement: a way's rank among its set's occupied
+/// ways, 0 = most recently used.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Lru(u16);
+
+impl sealed::Sealed for Lru {}
+
+impl Recency for Lru {
+    #[inline]
+    fn age(&mut self) {
+        self.0 += 1;
+    }
+
+    #[inline]
+    fn close_gap(&mut self, gone: Self) {
+        self.0 -= u16::from(self.0 > gone.0);
+    }
+}
+
+/// No recency state: the array keeps fill order only and never evicts.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NoRecency;
+
+impl sealed::Sealed for NoRecency {}
+
+impl Recency for NoRecency {
+    #[inline]
+    fn age(&mut self) {}
+
+    #[inline]
+    fn close_gap(&mut self, _gone: Self) {}
+}
+
+/// One way's recency state and payload.
 #[derive(Debug, Clone, Default)]
-struct Way<T> {
-    /// Rank among the set's occupied ways, 0 = most recently used.
-    rank: u16,
+struct Way<T, R> {
+    rec: R,
     data: T,
 }
 
 /// A set-associative array of tagged entries.
 ///
-/// Entries are keyed by *block number*; the set index is `block % sets` and
-/// the tag is the full block number (the split into index/tag bits is
-/// immaterial for a simulator). `T` is per-line payload: coherence state,
-/// dirty bits, back-pointers, or `()` for a pure presence check.
+/// Entries are keyed by *block number*; the set index is the block's low
+/// bits and the tag is the full block number (the split into index/tag
+/// bits is immaterial for a simulator). `T` is per-line payload: coherence
+/// state, dirty bits, back-pointers, or `()` for a pure presence check.
+/// `R` is the recency state kept per way (see the module docs).
 ///
-/// The array never exceeds `sets × assoc` entries; inserting into a full set
-/// evicts the set's least-recently-used entry and returns it.
+/// The array never exceeds `sets × assoc` entries. With [`Lru`], inserting
+/// into a full set evicts the set's least-recently-used entry and returns
+/// it; with [`NoRecency`], the caller makes room first.
 #[derive(Debug, Clone)]
-pub struct SetAssocArray<T> {
+pub struct SetAssocArray<T, R = Lru> {
     /// Per-set tag strips: occupied ways in fill order, then [`VACANT`].
     tags: Vec<u64>,
-    /// Ranks and payloads, parallel to `tags`. Vacant ways hold
+    /// Recency states and payloads, parallel to `tags`. Vacant ways hold
     /// `T::default()`.
-    ways: Vec<Way<T>>,
-    num_sets: usize,
+    ways: Vec<Way<T, R>>,
+    /// `sets - 1`: the set index bits of a block number.
+    set_mask: u64,
     assoc: usize,
 }
 
-impl<T: Default> SetAssocArray<T> {
+impl<T: Default, R: Recency> SetAssocArray<T, R> {
     /// Creates an empty array with `sets` sets of `assoc` ways.
     ///
     /// # Panics
     ///
-    /// Panics if `sets` or `assoc` is zero, or if `assoc` exceeds
-    /// [`MAX_ASSOC`].
+    /// Panics if `sets` or `assoc` is zero, if `sets` is not a power of
+    /// two, or if `assoc` exceeds [`MAX_ASSOC`].
     pub fn new(sets: u64, assoc: u64) -> Self {
         assert!(sets > 0 && assoc > 0, "sets and assoc must be positive");
+        assert!(sets.is_power_of_two(), "{sets} sets is not a power of two");
         assert!(assoc <= MAX_ASSOC, "assoc {assoc} exceeds the {MAX_ASSOC}-way limit");
         let slots = sets as usize * assoc as usize;
         SetAssocArray {
             tags: vec![VACANT; slots],
             ways: (0..slots).map(|_| Way::default()).collect(),
-            num_sets: sets as usize,
+            set_mask: sets - 1,
             assoc: assoc as usize,
         }
     }
@@ -93,10 +162,10 @@ impl<T: Default> SetAssocArray<T> {
     }
 }
 
-impl<T> SetAssocArray<T> {
+impl<T, R: Recency> SetAssocArray<T, R> {
     /// Number of sets.
     pub fn sets(&self) -> u64 {
-        self.num_sets as u64
+        self.set_mask + 1
     }
 
     /// Ways per set.
@@ -116,14 +185,14 @@ impl<T> SetAssocArray<T> {
 
     /// Maximum number of resident entries.
     pub fn capacity(&self) -> usize {
-        self.num_sets * self.assoc
+        self.tags.len()
     }
 
     /// First slot of the set that `block` maps to.
     #[inline]
     fn base(&self, block: u64) -> usize {
         debug_assert_ne!(block, VACANT, "block number collides with the vacant tag");
-        (block % self.num_sets as u64) as usize * self.assoc
+        (block & self.set_mask) as usize * self.assoc
     }
 
     /// The tag strip of the set starting at `base`.
@@ -155,35 +224,24 @@ impl<T> SetAssocArray<T> {
         (hit, self.assoc)
     }
 
-    /// Makes `slot` the most recent way of the set at `base`. Vacant ways
-    /// may have their meaningless ranks raised; none overflows, because a
-    /// rank rises only while it is below the hit's.
+    /// Fills the free way after the `len` occupied ways of the set at
+    /// `base`, as the set's most recent way.
     #[inline]
-    fn touch(&mut self, base: usize, slot: usize) {
-        let r = self.ways[slot].rank;
-        for w in &mut self.ways[base..base + self.assoc] {
-            w.rank += u16::from(w.rank < r);
+    fn fill(&mut self, base: usize, len: usize, block: u64, data: T) {
+        for w in &mut self.ways[base..base + len] {
+            w.rec.age();
         }
-        self.ways[slot].rank = 0;
+        self.tags[base + len] = block;
+        self.ways[base + len] = Way { rec: R::default(), data };
     }
 
-    /// Looks up a block, refreshing its LRU position. Returns a mutable
-    /// reference to its payload if present.
-    #[inline]
-    pub fn lookup(&mut self, block: u64) -> Option<&mut T> {
-        let base = self.base(block);
-        let slot = self.find(base, block)?;
-        self.touch(base, slot);
-        Some(&mut self.ways[slot].data)
-    }
-
-    /// Looks up a block without touching LRU state.
+    /// Looks up a block without touching recency state.
     #[inline]
     pub fn peek(&self, block: u64) -> Option<&T> {
         self.find(self.base(block), block).map(|slot| &self.ways[slot].data)
     }
 
-    /// Mutable lookup without touching LRU state.
+    /// Mutable lookup without touching recency state.
     #[inline]
     pub fn peek_mut(&mut self, block: u64) -> Option<&mut T> {
         self.find(self.base(block), block).map(|slot| &mut self.ways[slot].data)
@@ -195,37 +253,6 @@ impl<T> SetAssocArray<T> {
         self.find(self.base(block), block).is_some()
     }
 
-    /// Inserts a block, evicting a victim if its set is full.
-    ///
-    /// Returns the evicted `(block, payload)` if an eviction happened. If
-    /// the block was already resident its payload is replaced (no eviction)
-    /// and the old payload is returned with the *same* block number.
-    pub fn insert(&mut self, block: u64, data: T) -> Option<(u64, T)> {
-        let base = self.base(block);
-        let (hit, len) = self.scan(base, block);
-        if let Some(slot) = hit {
-            self.touch(base, slot);
-            let old = std::mem::replace(&mut self.ways[slot].data, data);
-            return Some((block, old));
-        }
-        if len < self.assoc {
-            for w in &mut self.ways[base..base + len] {
-                w.rank += 1;
-            }
-            self.tags[base + len] = block;
-            self.ways[base + len] = Way { rank: 0, data };
-            return None;
-        }
-        // Full set: the least recently used way is ranked `len - 1`.
-        let oldest = (len - 1) as u16;
-        let ways = &self.ways[base..base + len];
-        let victim = base + ways.iter().position(|w| w.rank == oldest).expect("ranks are 0..len");
-        self.touch(base, victim);
-        let victim_tag = std::mem::replace(&mut self.tags[victim], block);
-        let victim_data = std::mem::replace(&mut self.ways[victim].data, data);
-        Some((victim_tag, victim_data))
-    }
-
     /// Removes a block, returning its payload if it was resident. The
     /// set's last occupied way moves into the hole.
     pub fn invalidate(&mut self, block: u64) -> Option<T>
@@ -235,9 +262,9 @@ impl<T> SetAssocArray<T> {
         let base = self.base(block);
         let (slot, len) = self.scan(base, block);
         let slot = slot?;
-        let r = self.ways[slot].rank;
+        let gone = self.ways[slot].rec;
         for w in &mut self.ways[base..base + len] {
-            w.rank -= u16::from(w.rank > r);
+            w.rec.close_gap(gone);
         }
         let last = base + len - 1;
         self.tags.swap(slot, last);
@@ -281,6 +308,74 @@ impl<T> SetAssocArray<T> {
     /// Removes all entries.
     pub fn clear(&mut self) {
         self.tags.fill(VACANT);
+    }
+}
+
+impl<T> SetAssocArray<T, NoRecency> {
+    /// Inserts a block that is not resident into a free way of its set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block is already resident or its set is full: an
+    /// array without recency chooses no victims, so the caller makes room
+    /// first.
+    pub fn insert(&mut self, block: u64, data: T) {
+        let base = self.base(block);
+        let (hit, len) = self.scan(base, block);
+        assert!(hit.is_none(), "block {block:#x} is already resident");
+        assert!(len < self.assoc, "the set of block {block:#x} is full");
+        self.fill(base, len, block, data);
+    }
+}
+
+impl<T> SetAssocArray<T, Lru> {
+    /// Makes `slot` the most recent way of the set at `base`. Vacant ways
+    /// may have their meaningless ranks raised; none overflows, because a
+    /// rank rises only while it is below the hit's.
+    #[inline]
+    fn touch(&mut self, base: usize, slot: usize) {
+        let r = self.ways[slot].rec.0;
+        for w in &mut self.ways[base..base + self.assoc] {
+            w.rec.0 += u16::from(w.rec.0 < r);
+        }
+        self.ways[slot].rec = Lru(0);
+    }
+
+    /// Looks up a block, refreshing its LRU position. Returns a mutable
+    /// reference to its payload if present.
+    #[inline]
+    pub fn lookup(&mut self, block: u64) -> Option<&mut T> {
+        let base = self.base(block);
+        let slot = self.find(base, block)?;
+        self.touch(base, slot);
+        Some(&mut self.ways[slot].data)
+    }
+
+    /// Inserts a block, evicting a victim if its set is full.
+    ///
+    /// Returns the evicted `(block, payload)` if an eviction happened. If
+    /// the block was already resident its payload is replaced (no eviction)
+    /// and the old payload is returned with the *same* block number.
+    pub fn insert(&mut self, block: u64, data: T) -> Option<(u64, T)> {
+        let base = self.base(block);
+        let (hit, len) = self.scan(base, block);
+        if let Some(slot) = hit {
+            self.touch(base, slot);
+            let old = std::mem::replace(&mut self.ways[slot].data, data);
+            return Some((block, old));
+        }
+        if len < self.assoc {
+            self.fill(base, len, block, data);
+            return None;
+        }
+        // Full set: the least recently used way is ranked `len - 1`.
+        let oldest = Lru((len - 1) as u16);
+        let ways = &self.ways[base..base + len];
+        let victim = base + ways.iter().position(|w| w.rec == oldest).expect("ranks are 0..len");
+        self.touch(base, victim);
+        let victim_tag = std::mem::replace(&mut self.tags[victim], block);
+        let victim_data = std::mem::replace(&mut self.ways[victim].data, data);
+        Some((victim_tag, victim_data))
     }
 }
 
@@ -396,6 +491,12 @@ mod tests {
     #[should_panic(expected = "sets and assoc must be positive")]
     fn zero_sets_panics() {
         let _ = lru_array(0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a power of two")]
+    fn non_power_of_two_sets_panics() {
+        let _ = lru_array(3, 1);
     }
 
     #[test]
@@ -556,7 +657,7 @@ mod tests {
 
     /// Asserts that both arrays hold the same entries, set by set in the
     /// same order.
-    fn assert_same(a: &SetAssocArray<u32>, r: &StampArray<u32>) {
+    fn assert_same<R: Recency>(a: &SetAssocArray<u32, R>, r: &StampArray<u32>) {
         assert_eq!(a.len(), r.len(), "len");
         let mut reference = Vec::with_capacity(r.len());
         for set in 0..a.sets() {
@@ -609,6 +710,108 @@ mod tests {
         }
     }
 
+    /// Applies one operation of the attraction memory's mix to an array
+    /// without recency, an LRU array and the stamp model, and asserts that
+    /// all three answer alike and hold the same entries, set by set in the
+    /// same order. `op` picks the operation (0–2 insert into a free way if
+    /// the block is absent, 3 peek, 4 peek_mut, 5 contains, 6–7
+    /// invalidate, above 7 clear); `block` and `value` are its arguments.
+    /// Returns `false` for an insert refused because the set was full.
+    fn step_am_mix(
+        a: &mut SetAssocArray<u32, NoRecency>,
+        l: &mut SetAssocArray<u32>,
+        r: &mut StampArray<u32>,
+        op: u8,
+        block: u64,
+        value: u32,
+    ) -> bool {
+        let mut placed = true;
+        match op {
+            0..=2 => {
+                assert_eq!(a.set_has_room(block), l.set_has_room(block), "room {block}");
+                if a.set_has_room(block) && !a.contains(block) {
+                    a.insert(block, value);
+                    assert_eq!(l.insert(block, value), None, "insert {block}");
+                    assert_eq!(r.insert(block, value), None, "insert {block}");
+                } else {
+                    placed = a.contains(block);
+                }
+            }
+            3 => {
+                let x = a.peek(block);
+                assert_eq!(x, l.peek(block), "peek {block}");
+                assert_eq!(x, r.peek(block), "peek {block}");
+            }
+            4 => {
+                let (x, y, z) = (a.peek_mut(block), l.peek_mut(block), r.peek_mut(block));
+                assert_eq!(x, y, "peek_mut {block}");
+                assert_eq!(x, z, "peek_mut {block}");
+                if let (Some(x), Some(y), Some(z)) = (x, y, z) {
+                    (*x, *y, *z) = (value, value, value);
+                }
+            }
+            5 => {
+                let x = a.contains(block);
+                assert_eq!(x, l.contains(block), "contains {block}");
+                assert_eq!(x, r.contains(block), "contains {block}");
+            }
+            6 | 7 => {
+                let x = a.invalidate(block);
+                assert_eq!(x, l.invalidate(block), "invalidate {block}");
+                assert_eq!(x, r.invalidate(block), "invalidate {block}");
+            }
+            _ => {
+                a.clear();
+                l.clear();
+                r.clear();
+            }
+        }
+        assert_same(a, r);
+        assert_same(l, r);
+        placed
+    }
+
+    #[test]
+    fn no_recency_matches_lru_on_the_am_mix() {
+        for (seed, assoc) in (1..).zip(WIDTHS) {
+            let sets = sets_for(assoc);
+            let capacity = sets * assoc;
+            let mut a: SetAssocArray<u32, NoRecency> = SetAssocArray::new(sets, assoc);
+            let mut l: SetAssocArray<u32> = SetAssocArray::new(sets, assoc);
+            let mut r = StampArray::new(sets, assoc);
+            let mut rng = DetRng::new(seed);
+            // Blocks span twice the capacity and inserts outnumber
+            // invalidations three to two, so sets fill and refuse inserts.
+            let blocks = footprint(capacity) as usize;
+            let mut refused = 0;
+            for _ in 0..16 * capacity.max(500) {
+                let op = if rng.gen_index(16 * capacity as usize) == 0 {
+                    8
+                } else {
+                    rng.gen_index(8) as u8
+                };
+                let block = rng.gen_index(blocks) as u64;
+                let value = rng.next_u64() as u32;
+                refused += u32::from(!step_am_mix(&mut a, &mut l, &mut r, op, block, value));
+            }
+            assert!(refused > 0, "{assoc}-way run never filled a set");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "is full")]
+    fn no_recency_insert_into_a_full_set_panics() {
+        let mut a: SetAssocArray<u32, NoRecency> = SetAssocArray::new(2, 1);
+        a.insert(0, 0);
+        a.insert(2, 2);
+    }
+
+    #[test]
+    fn no_recency_way_is_its_payload() {
+        assert_eq!(std::mem::size_of::<Way<u8, NoRecency>>(), 1);
+        assert_eq!(std::mem::size_of::<Way<u8, Lru>>(), 4);
+    }
+
     #[cfg(feature = "proptest-tests")]
     mod props {
         use super::*;
@@ -624,7 +827,7 @@ mod tests {
                 let assoc = WIDTHS[width];
                 let sets = sets_for(assoc);
                 let capacity = sets * assoc;
-                let mut a = SetAssocArray::new(sets, assoc);
+                let mut a: SetAssocArray<u32> = SetAssocArray::new(sets, assoc);
                 let mut r = StampArray::new(sets, assoc);
                 // Fill part or all of the array first, so that wide sets
                 // also evict within a short run.
@@ -636,6 +839,32 @@ mod tests {
                 for (op, block, value) in ops {
                     let op = if op == 0 { 8 } else { op % 8 };
                     step_both(&mut a, &mut r, op, block % footprint(capacity), value);
+                }
+            }
+
+            #[test]
+            fn no_recency_matches_lru(
+                width in 0usize..5,
+                prefill in 0u64..2048,
+                ops in proptest::collection::vec((0u8..128, 0u64..4096, 0u32..100), 1..200),
+            ) {
+                let assoc = WIDTHS[width];
+                let sets = sets_for(assoc);
+                let capacity = sets * assoc;
+                let mut a: SetAssocArray<u32, NoRecency> = SetAssocArray::new(sets, assoc);
+                let mut l: SetAssocArray<u32> = SetAssocArray::new(sets, assoc);
+                let mut r = StampArray::new(sets, assoc);
+                // Fill part or all of the array first, so that wide sets
+                // also fill within a short run.
+                for block in 0..prefill % (capacity + 1) {
+                    a.insert(block, block as u32);
+                    l.insert(block, block as u32);
+                    r.insert(block, block as u32);
+                }
+                assert_same(&a, &r);
+                for (op, block, value) in ops {
+                    let op = if op == 0 { 8 } else { op % 8 };
+                    step_am_mix(&mut a, &mut l, &mut r, op, block % footprint(capacity), value);
                 }
             }
 

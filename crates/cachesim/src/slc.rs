@@ -109,16 +109,11 @@ impl Slc {
 
     /// Invalidates every SLC block contained in a larger block of `ratio`
     /// SLC blocks (e.g. one 128-byte AM line spans two 64-byte SLC lines).
-    /// Returns the dirty SLC blocks found, which the caller must fold into
-    /// the AM line (their data is newer).
-    pub fn invalidate_span(&mut self, outer_block: u64, ratio: u64) -> Vec<u64> {
-        let mut dirty = Vec::new();
-        for b in outer_block * ratio..(outer_block + 1) * ratio {
-            if let Some(true) = self.invalidate(b) {
-                dirty.push(b);
-            }
-        }
-        dirty
+    /// Returns how many of them were dirty; their data is newer than the
+    /// AM line's.
+    pub fn invalidate_span(&mut self, outer_block: u64, ratio: u64) -> u64 {
+        let span = outer_block * ratio..(outer_block + 1) * ratio;
+        span.map(|b| u64::from(self.invalidate(b) == Some(true))).sum()
     }
 
     /// Returns `true` if the block is resident.
@@ -236,8 +231,7 @@ mod tests {
         // AM block 3 (128 B) spans SLC blocks 6 and 7 (64 B).
         c.access(6, AccessKind::Write);
         c.access(7, AccessKind::Read);
-        let dirty = c.invalidate_span(3, 2);
-        assert_eq!(dirty, vec![6]);
+        assert_eq!(c.invalidate_span(3, 2), 1);
         assert!(!c.contains(6));
         assert!(!c.contains(7));
     }

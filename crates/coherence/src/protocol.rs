@@ -2,7 +2,7 @@
 
 use crate::state::{Directory, Slot};
 use crate::{AmState, HomeTranslation, ProtocolStats};
-use vcoma_cachesim::SetAssocArray;
+use vcoma_cachesim::{NoRecency, SetAssocArray};
 use vcoma_faults::{FaultPlan, TxnFaults};
 use vcoma_net::{Crossbar, MsgKind, SendOutcome};
 use vcoma_types::{DetRng, MachineConfig, NodeId, Timing};
@@ -126,7 +126,10 @@ fn record_window(
 
 /// The blocks in `block`'s set of `am` held as plain Shared copies — the
 /// cheap replacement victims — in the set's fill order.
-fn shared_copies(am: &SetAssocArray<AmState>, block: u64) -> impl Iterator<Item = u64> + '_ {
+fn shared_copies(
+    am: &SetAssocArray<AmState, NoRecency>,
+    block: u64,
+) -> impl Iterator<Item = u64> + '_ {
     am.entries_in_set(block).filter(|(_, s)| !s.is_owner()).map(|(b, _)| b)
 }
 
@@ -240,7 +243,9 @@ impl Path {
 /// example.
 #[derive(Debug, Clone)]
 pub struct Protocol {
-    ams: Vec<SetAssocArray<AmState>>,
+    /// One attraction memory per node. They keep no recency state:
+    /// victims are drawn at random from a set's entries.
+    ams: Vec<SetAssocArray<AmState, NoRecency>>,
     dir: Directory,
     timing: Timing,
     nodes: u64,
@@ -673,8 +678,7 @@ impl Protocol {
                 self.dir.remove(vslot, node);
             }
         }
-        let evicted = self.ams[node.index()].insert(block, state);
-        debug_assert!(evicted.is_none(), "room was made above");
+        self.ams[node.index()].insert(block, state);
     }
 
     /// Picks the replacement victim in `node`'s set for `block`: a random

@@ -79,6 +79,10 @@ struct PathTable {
     am_shift: u32,
     /// FLC blocks per SLC block, for eviction-span back-invalidation.
     slc_flc_ratio: u64,
+    /// SLC and FLC blocks per AM block, for back-invalidation above an
+    /// attraction memory.
+    am_slc_ratio: u64,
+    am_flc_ratio: u64,
 }
 
 impl PathTable {
@@ -100,6 +104,8 @@ impl PathTable {
             slc_shift: m.slc.block_size.trailing_zeros(),
             am_shift: m.am.block_size.trailing_zeros(),
             slc_flc_ratio: m.slc.block_size / m.flc.block_size,
+            am_slc_ratio: m.am.block_size / m.slc.block_size,
+            am_flc_ratio: m.am.block_size / m.flc.block_size,
         }
     }
 }
@@ -980,15 +986,13 @@ impl Machine {
     /// Back-invalidates processor caches above every attraction memory the
     /// protocol removed a block from (inclusion, paper §2.2.2).
     fn apply_invalidations(&mut self, out: &Access) {
-        let m = &self.cfg.machine;
-        let slc_ratio = m.am.block_size / m.slc.block_size;
-        let flc_ratio = m.am.block_size / m.flc.block_size;
+        let (slc_ratio, flc_ratio) = (self.path.am_slc_ratio, self.path.am_flc_ratio);
         for &(node, am_block) in &out.invalidations {
             let ctx = &mut self.nodes[node.index()];
             // Dirty SLC sub-blocks fold into the departing AM block; the
             // protocol carries the data, so only the bookkeeping happens
             // here.
-            let _dirty = ctx.slc.invalidate_span(am_block, slc_ratio);
+            ctx.slc.invalidate_span(am_block, slc_ratio);
             ctx.flc.invalidate_span(am_block, flc_ratio);
         }
     }

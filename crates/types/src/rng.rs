@@ -26,6 +26,7 @@ impl DetRng {
     }
 
     /// Returns the next 64-bit value.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
@@ -39,6 +40,7 @@ impl DetRng {
     /// # Panics
     ///
     /// Panics if `bound` is zero.
+    #[inline]
     pub fn gen_range(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "gen_range bound must be positive");
         // Lemire's multiply-shift rejection-free variant is overkill here;
@@ -52,6 +54,7 @@ impl DetRng {
     /// # Panics
     ///
     /// Panics if `bound` is zero.
+    #[inline]
     pub fn gen_index(&mut self, bound: usize) -> usize {
         self.gen_range(bound as u64) as usize
     }

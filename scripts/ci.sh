@@ -18,9 +18,10 @@ cargo build --workspace --release
 echo "==> tier-1: tests"
 cargo test --workspace -q
 
-echo "==> property tests: cachesim, sim, TLB, VM, coherence, workloads"
+echo "==> property tests: cachesim, sim, TLB, VM, coherence, workloads, experiments"
 cargo test --release -q --features proptest-tests \
-    -p vcoma-cachesim -p vcoma-sim -p vcoma-tlb -p vcoma-vm -p vcoma-coherence -p vcoma-workloads
+    -p vcoma-cachesim -p vcoma-sim -p vcoma-tlb -p vcoma-vm -p vcoma-coherence -p vcoma-workloads \
+    -p vcoma-experiments
 
 echo "==> golden-report regression suite"
 cargo test -q -p vcoma-integration --test golden_reports

@@ -2,18 +2,20 @@
 //! peak heap of one 32-node V-COMA FFT point.
 //!
 //! A counting global allocator records the live heap's high-water mark.
-//! About 12.6 MB of the point is fixed by the machine, nearly all of it
+//! About 9.6 MB of the point is fixed by the machine, nearly all of it
 //! the attraction-memory arrays: 1 Mi lines at an 8-byte tag plus a
-//! 4-byte rank-and-state record each. With a `u64` LRU stamp per line as
-//! well the machine took 19.0 MB and the point 23.6 MB; the machine
-//! bound catches a per-line record that grows again. What grows with the
-//! workload's footprint is mostly the coherence directory, and the point
-//! bound catches a directory whose per-block record grows again: with a
-//! fixed 1024-node copy set (136 bytes per entry) the point peaked at
-//! 48.3 MB; with copy sets sized to the machine (16 bytes per entry at
-//! 32 nodes) at 25.3 MB. The buffered op streams are a small share:
-//! packing them at about two bytes per op instead of 16 took the point
-//! from 25.3 to 23.6 MB. `tests/heap_peak_streams.rs` guards the op
+//! 1-byte state each. They keep no recency state, because the protocol
+//! draws its victims at random. With a `u16` LRU rank per line, which
+//! padded each state to 4 bytes, the machine took 12.6 MB and the point
+//! 17.2 MB; with a `u64` LRU stamp per line, 19.0 and 23.6 MB. The
+//! machine bound catches a per-line record that grows again. What grows
+//! with the workload's footprint is mostly the coherence directory, and
+//! the point bound catches a directory whose per-block record grows
+//! again: with a fixed 1024-node copy set (136 bytes per entry) the point
+//! peaked at 48.3 MB; with copy sets sized to the machine (16 bytes per
+//! entry at 32 nodes) at 25.3 MB. The buffered op streams are a small
+//! share: packing them at about two bytes per op instead of 16 took the
+//! point from 25.3 to 23.6 MB. `tests/heap_peak_streams.rs` guards the op
 //! streams themselves.
 
 #[path = "support/counting_alloc.rs"]
@@ -30,10 +32,10 @@ static ALLOC: Counting = Counting;
 const SCALE: f64 = 0.05;
 
 /// Peak heap bound for building the paper machine, in MB (2^20 bytes).
-const MACHINE_BOUND_MB: f64 = 14.0;
+const MACHINE_BOUND_MB: f64 = 11.0;
 
 /// Peak heap bound for the point, in MB (2^20 bytes).
-const PEAK_BOUND_MB: f64 = 20.0;
+const PEAK_BOUND_MB: f64 = 16.0;
 
 #[test]
 fn vcoma_fft_point_stays_under_its_peak_heap_bound() {
