@@ -47,6 +47,6 @@ mod stats;
 mod translation;
 
 pub use protocol::{Access, InjectionPolicy, Protocol, TxnHop};
-pub use state::AmState;
+pub use state::{AmState, Directory, Slot};
 pub use stats::ProtocolStats;
 pub use translation::{HomeTranslation, NullTranslation};

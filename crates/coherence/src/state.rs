@@ -48,7 +48,7 @@ impl std::fmt::Display for AmState {
 /// until [`Directory::purge`] drops it, so a transaction looks its block
 /// up once and works on the handle from then on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Slot(u32);
+pub struct Slot(u32);
 
 impl Slot {
     const fn at(self) -> usize {
@@ -67,7 +67,7 @@ impl Slot {
 /// block. A block-to-slot map finds the record; records freed by
 /// [`Directory::purge`] are reused.
 #[derive(Debug, Clone)]
-pub(crate) struct Directory {
+pub struct Directory {
     index: IntMap<u64, u32>,
     recs: Vec<u64>,
     words: usize,

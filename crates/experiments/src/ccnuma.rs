@@ -9,80 +9,42 @@
 use crate::render::TextTable;
 use crate::sweep::{self, SweepPoint, SweepResult};
 use crate::ExperimentConfig;
-use vcoma::sim::ccnuma::{NumaMachine, NumaScheme};
-use vcoma::{Op, Scheme, SimConfig, VAddr};
+use vcoma::sim::ccnuma::{private_streams, NumaMachine, NumaReport, NumaScheme};
+use vcoma::{Scheme, SimConfig};
 
-/// The four CC-NUMA translation options of Figure 1.
-pub const NUMA_SCHEMES: [NumaScheme; 4] =
-    [NumaScheme::L0Tlb, NumaScheme::L1Tlb, NumaScheme::L2Tlb, NumaScheme::SharedTlb];
-
-/// One scheme's outcome.
-#[derive(Debug, Clone)]
-pub struct CcNumaRow {
-    /// The translation option.
-    pub scheme: NumaScheme,
-    /// Execution time in cycles.
-    pub exec_time: u64,
-    /// Translation misses machine-wide.
-    pub translation_misses: u64,
-    /// Fraction of memory accesses served by a remote home.
-    pub remote_fraction: f64,
-}
-
-/// Builds the private-working-set traces: each node streams over its own
-/// region, several times the SLC size, for `passes` passes.
-pub fn private_traces(cfg: &ExperimentConfig, bytes_per_node: u64, passes: u64) -> Vec<Vec<Op>> {
-    let nodes = cfg.machine.nodes;
-    let mut traces = vec![Vec::new(); nodes as usize];
-    for (i, t) in traces.iter_mut().enumerate() {
-        let base = 0x1000_0000 + i as u64 * (bytes_per_node * 2);
-        for _ in 0..passes {
-            for off in (0..bytes_per_node).step_by(64) {
-                t.push(Op::Read(VAddr::new(base + off)));
-                if off % 256 == 0 {
-                    t.push(Op::Write(VAddr::new(base + off)));
-                }
-            }
-        }
-    }
-    traces
-}
-
-/// Runs the experiment (one sweep point per CC-NUMA scheme; all four
-/// share the same generated traces).
-pub fn run(cfg: &ExperimentConfig) -> Vec<CcNumaRow> {
+/// Runs the experiment: one sweep point per CC-NUMA scheme, each
+/// replaying the same private streams of four SLCs (at least 64 KB) per
+/// node, two passes each ([`private_streams`]).
+///
+/// # Panics
+///
+/// Panics if a point fails, as the other standard artifacts do.
+pub fn run(cfg: &ExperimentConfig) -> Vec<NumaReport> {
     let bytes = (cfg.machine.slc.size_bytes * 4).max(64 << 10);
-    let traces = private_traces(cfg, bytes, 2);
+    let nodes = cfg.machine.nodes;
     let sim_cfg = SimConfig::new(cfg.machine.clone(), Scheme::L0_TLB)
         .with_translation_specs(vec![(32, vcoma::TlbOrg::FullyAssociative)])
         .with_seed(cfg.seed);
-    let points =
-        NUMA_SCHEMES.iter().map(|&s| SweepPoint::new(s.label(), s)).collect();
-    let traces = &traces;
+    let points = NumaScheme::ALL.iter().map(|&s| SweepPoint::new(s.label(), s)).collect();
     let sim_cfg = &sim_cfg;
     sweep::run(cfg, "ccnuma", points, |&scheme| {
-        let report = NumaMachine::new(sim_cfg.clone(), scheme).run(traces.clone());
-        SweepResult::new(
-            CcNumaRow {
-                scheme,
-                exec_time: report.exec_time,
-                translation_misses: report.translation_misses,
-                remote_fraction: report.remote_fraction(),
-            },
-            report.exec_time,
-        )
+        let report = NumaMachine::new(sim_cfg.clone(), scheme)
+            .run_sources(private_streams(nodes, bytes, 2))
+            .unwrap_or_else(|e| panic!("simulation failed: {e}"));
+        let cycles = report.exec_time();
+        SweepResult::new(report, cycles)
     })
 }
 
 /// Renders the rows.
-pub fn render(rows: &[CcNumaRow]) -> TextTable {
+pub fn render(rows: &[NumaReport]) -> TextTable {
     let mut t = TextTable::new(vec!["CC-NUMA scheme", "exec cycles", "xl-misses", "remote %"]);
     for r in rows {
         t.row(vec![
             r.scheme.label().to_string(),
-            r.exec_time.to_string(),
-            r.translation_misses.to_string(),
-            format!("{:.1}", 100.0 * r.remote_fraction),
+            r.exec_time().to_string(),
+            r.translation_misses().to_string(),
+            format!("{:.1}", 100.0 * r.remote_fraction()),
         ]);
     }
     t
@@ -99,17 +61,17 @@ mod tests {
         let shared = rows.last().unwrap();
         assert_eq!(shared.scheme, NumaScheme::SharedTlb);
         assert!(
-            shared.remote_fraction > 0.8,
+            shared.remote_fraction() > 0.8,
             "SHARED-TLB must push most misses remote (got {:.2})",
-            shared.remote_fraction
+            shared.remote_fraction()
         );
         for r in &rows[..3] {
             assert_eq!(
-                r.remote_fraction, 0.0,
+                r.remote_fraction(), 0.0,
                 "{}: first-touch placement keeps private misses local",
                 r.scheme
             );
-            assert!(shared.exec_time > r.exec_time, "{}", r.scheme);
+            assert!(shared.exec_time() > r.exec_time(), "{}", r.scheme);
         }
         assert!(render(&rows).render().contains("SHARED-TLB"));
     }

@@ -5,9 +5,8 @@ use serde::{Deserialize, Serialize};
 use vcoma_metrics::Mergeable;
 
 /// Cycles spent by one node (or summed over nodes), split into the paper's
-/// execution-time categories. The COMA machine derives it from its
-/// [`LatencyBreakdown`] through [`LatencyBreakdown::coarse`]; the CC-NUMA
-/// reference machine charges it directly.
+/// execution-time categories. Nothing charges it: reports derive it from
+/// the [`LatencyBreakdown`] ledger through [`LatencyBreakdown::coarse`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub struct TimeBreakdown {
     /// Instruction execution (`Compute` ops plus one issue cycle per memory
@@ -45,16 +44,6 @@ impl TimeBreakdown {
         }
     }
 
-}
-
-impl Mergeable for TimeBreakdown {
-    fn merge(&mut self, o: &Self) {
-        self.busy += o.busy;
-        self.sync += o.sync;
-        self.local_stall += o.local_stall;
-        self.remote_stall += o.remote_stall;
-        self.translation += o.translation;
-    }
 }
 
 /// Fine-grained latency attribution for one node (or summed over nodes).
@@ -210,14 +199,6 @@ mod tests {
     #[test]
     fn idle_breakdown_has_zero_ratio() {
         assert_eq!(TimeBreakdown::default().translation_over_stall(), 0.0);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = TimeBreakdown { busy: 1, ..TimeBreakdown::default() };
-        a.merge(&TimeBreakdown { busy: 2, sync: 3, ..TimeBreakdown::default() });
-        assert_eq!(a.busy, 3);
-        assert_eq!(a.sync, 3);
     }
 
     #[test]

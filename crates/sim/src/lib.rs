@@ -11,7 +11,8 @@
 //! clock executes its next operation atomically (protocol state changes are
 //! immediate; latencies are charged from the paper's fixed timing model),
 //! barriers and locks synchronise the clocks and accumulate the paper's
-//! *sync* time.
+//! *sync* time. The §2 CC-NUMA machine ([`ccnuma::NumaMachine`]) runs the
+//! same loop and charges the same per-node ledger.
 //!
 //! Per-reference accounting splits each node's time into the Figure-10
 //! categories — *busy*, *sync*, *local stall* (SLC and local AM hits),
@@ -57,6 +58,7 @@ mod breakdown;
 mod config;
 mod error;
 mod machine;
+mod replay;
 mod report;
 mod sync;
 mod trace;

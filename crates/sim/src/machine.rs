@@ -4,47 +4,19 @@
 use crate::audit::AuditError;
 use crate::breakdown::LatencyBreakdown;
 use crate::error::SimError;
-use crate::sync::{Barriers, Locks};
+use crate::replay::{Engine, NodeCtx, Replay, SliceSource};
 use crate::trace::Tracer;
 use crate::{SimConfig, SimReport};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use vcoma_cachesim::{Flc, Slc};
 use vcoma_coherence::{Access, HomeTranslation, NullTranslation, Protocol};
 use vcoma_faults::LinkFaultInjector;
 use vcoma_metrics::{Event, HistogramSlot, MetricsRegistry};
 use vcoma_net::{Crossbar, MsgKind};
-use vcoma_tlb::{AllocPolicy, ModelParams, TranslationModel, XlatePoint};
+use vcoma_tlb::{AllocPolicy, XlatePoint};
 use vcoma_types::{AccessKind, MachineConfig, NodeId, Op, OpSource, VAddr, VPage};
 use vcoma_vm::{
     ColoringAllocator, DirectoryAllocator, FrameAllocator, PageTable, PressureProfile,
     RoundRobinAllocator,
 };
-
-/// Fixed sync-episode costs in cycles: a barrier release and a lock
-/// acquire/release are short control-message exchanges on the crossbar.
-const BARRIER_RELEASE_COST: u64 = 32;
-const LOCK_ACQUIRE_COST: u64 = 32;
-const LOCK_RELEASE_COST: u64 = 16;
-
-/// Per-node simulation state.
-#[derive(Debug)]
-struct NodeCtx {
-    flc: Flc,
-    slc: Slc,
-    /// The node's translation model: its private TLB in `L0`–`L3` (and
-    /// the post-1998 schemes), its home-side DLB in V-COMA. Built by the
-    /// scheme's [`vcoma_tlb::SchemeSpec::build_model`]; owns the lookup,
-    /// fill, shootdown and miss-latency schedule.
-    xlb: Box<dyn TranslationModel>,
-    time: u64,
-    /// Fine latency attribution; every cycle of `time` lands in exactly
-    /// one of its categories (`fine.total() == time`).
-    fine: LatencyBreakdown,
-    refs: u64,
-    reads: u64,
-    writes: u64,
-}
 
 /// Per-scheme hot-path decisions, precomputed once at machine build time.
 ///
@@ -127,8 +99,6 @@ pub struct Machine {
     page_table: PageTable,
     phys_alloc: PhysAlloc,
     dir_alloc: DirectoryAllocator,
-    barriers: Barriers,
-    locks: Locks,
     /// Pages the page daemon swapped out to make room (§4.3). The swap
     /// I/O itself is not timed — the paper's runs are preloaded — but the
     /// count makes over-capacity workloads visible instead of fatal.
@@ -146,19 +116,6 @@ pub struct Machine {
     /// Causal transaction tracer ([`SimConfig::trace`]); `None` keeps the
     /// replay hot path free of any tracing work.
     tracer: Option<Tracer>,
-}
-
-/// Zero-copy [`OpSource`] over a borrowed trace slice: [`Machine::run`]
-/// streams pre-built traces through the same engine as lazy sources
-/// without cloning the ops.
-struct SliceSource<'a> {
-    ops: std::slice::Iter<'a, Op>,
-}
-
-impl OpSource for SliceSource<'_> {
-    fn next_op(&mut self) -> Option<Op> {
-        self.ops.next().copied()
-    }
 }
 
 /// The physical frame allocator matching the scheme.
@@ -222,27 +179,8 @@ impl Machine {
         cfg.machine.validate().expect("invalid machine configuration");
         let m = &cfg.machine;
         let spec = cfg.scheme.spec();
-        // Victima-style spills donate a quarter of the SLC's frames to
-        // cache-resident translations, serviced at SLC-hit latency.
-        let spill_entries = m.spill_entries();
         let nodes = (0..m.nodes)
-            .map(|i| NodeCtx {
-                flc: Flc::new(m.flc),
-                slc: Slc::new(m.slc),
-                xlb: (spec.build_model)(&ModelParams {
-                    specs: &cfg.translation_specs,
-                    seed: cfg.seed ^ (i << 17),
-                    walk_penalty: m.timing.translation_miss,
-                    spill_latency: m.timing.slc_hit,
-                    spill_entries,
-                    page_size: m.page_size,
-                }),
-                time: 0,
-                fine: LatencyBreakdown::default(),
-                refs: 0,
-                reads: 0,
-                writes: 0,
-            })
+            .map(|i| NodeCtx::new(&cfg, cfg.seed ^ (i << 17), spec.build_model))
             .collect();
         let phys_alloc = match spec.alloc {
             AllocPolicy::Directory => PhysAlloc::None,
@@ -274,8 +212,6 @@ impl Machine {
             page_table: PageTable::new(m.clone()),
             phys_alloc,
             dir_alloc: DirectoryAllocator::new(m),
-            barriers: Barriers::new(m.nodes as usize, BARRIER_RELEASE_COST),
-            locks: Locks::new(LOCK_ACQUIRE_COST, LOCK_RELEASE_COST),
             swap_outs: 0,
             audited_txns: 0,
             metrics,
@@ -305,12 +241,7 @@ impl Machine {
     /// acquires one it already holds, and [`SimError::Deadlock`] if some
     /// node parks on a barrier or lock that the other traces never reach.
     pub fn run(self, traces: Vec<Vec<Op>>) -> Result<SimReport, SimError> {
-        self.run_streaming(|| {
-            traces
-                .iter()
-                .map(|t| Box::new(SliceSource { ops: t.iter() }) as Box<dyn OpSource + '_>)
-                .collect()
-        })
+        self.run_streaming(|| SliceSource::boxed(&traces))
     }
 
     /// Replays one lazy [`OpSource`] per node to completion, never holding
@@ -330,12 +261,9 @@ impl Machine {
         F: FnMut() -> Vec<Box<dyn OpSource + 'a>>,
     {
         let passes = if self.cfg.warmup { 2 } else { 1 };
+        let mut replay = Replay::new(self.nodes.len());
         for pass in 0..passes {
-            let mut sources = make_sources();
-            if sources.len() != self.nodes.len() {
-                return Err(SimError::BadTraces { got: sources.len(), want: self.nodes.len() });
-            }
-            self.replay(&mut sources)?;
+            replay.run(&mut self, &mut make_sources())?;
             if pass + 1 < passes {
                 self.reset_stats();
             }
@@ -368,118 +296,6 @@ impl Machine {
         if let Some(tr) = self.tracer.as_mut() {
             tr.reset();
         }
-    }
-
-    /// Replays one op stream per node to completion once.
-    ///
-    /// Each node's next op is prefetched as soon as the previous one is
-    /// consumed, so "has this node finished?" is a local `Option` check and
-    /// lazy sources are pulled exactly one op ahead of the replay point.
-    fn replay<'a>(&mut self, sources: &mut [Box<dyn OpSource + 'a>]) -> Result<(), SimError> {
-        let mut next_op: Vec<Option<Op>> = sources.iter_mut().map(|s| s.next_op()).collect();
-        let mut done: Vec<bool> = next_op.iter().map(|o| o.is_none()).collect();
-        let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-        for (i, o) in next_op.iter().enumerate() {
-            if o.is_some() {
-                heap.push(Reverse((0, i)));
-            }
-        }
-        // Reused across iterations: the resume list is tiny (one entry for
-        // most ops, all nodes for a barrier release) and allocating it per
-        // op dominated the replay loop's heap traffic.
-        let mut resumes: Vec<(usize, u64)> = Vec::new();
-
-        while let Some(Reverse((t, n))) = heap.pop() {
-            self.nodes[n].time = t;
-            let op = next_op[n].take().expect("a scheduled node has a prefetched op");
-            next_op[n] = sources[n].next_op();
-            resumes.clear();
-            self.step_op(n, t, op, &mut resumes)?;
-            for &(node, resume) in &resumes {
-                self.nodes[node].time = resume;
-                if next_op[node].is_some() {
-                    heap.push(Reverse((resume, node)));
-                } else {
-                    done[node] = true;
-                }
-            }
-        }
-
-        let parked: Vec<u16> =
-            done.iter().enumerate().filter(|&(_, &d)| !d).map(|(i, _)| i as u16).collect();
-        if !parked.is_empty() {
-            return Err(SimError::Deadlock { parked });
-        }
-        Ok(())
-    }
-
-    /// Applies one op for node `n` at time `t`, appending every node it
-    /// resumes (with its resume time) to `resumes`.
-    ///
-    /// The caller has already set `nodes[n].time = t` and is responsible
-    /// for applying the resume times to the nodes' clocks.
-    fn step_op(
-        &mut self,
-        n: usize,
-        t: u64,
-        op: Op,
-        resumes: &mut Vec<(usize, u64)>,
-    ) -> Result<(), SimError> {
-        let lock_error = |lock| move |misuse| SimError::Lock { node: n as u16, lock, misuse };
-        match op {
-            Op::Compute(c) => {
-                self.nodes[n].fine.busy += c;
-                resumes.push((n, t + c));
-            }
-            Op::Read(va) => {
-                let dt = self.access(n, va, AccessKind::Read)?;
-                resumes.push((n, t + dt));
-            }
-            Op::Write(va) => {
-                let dt = self.access(n, va, AccessKind::Write)?;
-                resumes.push((n, t + dt));
-            }
-            Op::Barrier(id) => {
-                if let Some(released) = self.barriers.arrive(id, n, t) {
-                    for (node, resume, sync) in released {
-                        self.nodes[node].fine.sync += sync;
-                        resumes.push((node, resume));
-                    }
-                }
-            }
-            Op::Lock(id) => {
-                if let Some((resume, sync)) = self.locks.acquire(id, n, t).map_err(lock_error(id))? {
-                    self.nodes[n].fine.sync += sync;
-                    resumes.push((n, resume));
-                }
-            }
-            Op::Unlock(id) => {
-                let ((resume, sync), next) = self.locks.release(id, n, t).map_err(lock_error(id))?;
-                self.nodes[n].fine.sync += sync;
-                resumes.push((n, resume));
-                if let Some((waiter, wresume, wsync)) = next {
-                    self.nodes[waiter].fine.sync += wsync;
-                    resumes.push((waiter, wresume));
-                }
-            }
-            Op::Protect(va, _) => {
-                let dt = self.protect(n, va)?;
-                resumes.push((n, t + dt));
-            }
-        }
-        Ok(())
-    }
-
-    /// Executes one memory reference for node `n`; returns the elapsed
-    /// cycles and feeds the per-request latency histograms.
-    fn access(&mut self, n: usize, va: VAddr, kind: AccessKind) -> Result<u64, SimError> {
-        let dt = self.access_inner(n, va, kind)?;
-        let slot = match kind {
-            AccessKind::Read => self.latency_slots[0],
-            AccessKind::Write => self.latency_slots[1],
-        };
-        self.metrics.observe_slot(slot, dt);
-        Ok(dt)
     }
 
     fn access_inner(&mut self, n: usize, va: VAddr, kind: AccessKind) -> Result<u64, SimError> {
@@ -523,17 +339,8 @@ impl Machine {
             tr.begin(n, self.nodes[n].refs, class, va.raw(), t0);
         }
 
-        // Issue cycle.
-        {
-            let node = &mut self.nodes[n];
-            node.fine.busy += 1;
-            t += 1;
-            node.refs += 1;
-            match kind {
-                AccessKind::Read => node.reads += 1,
-                AccessKind::Write => node.writes += 1,
-            }
-        }
+        self.nodes[n].issue(kind);
+        t += 1;
         if let Some(tr) = self.tracer.as_mut() {
             tr.interval("issue", t0, t, va.raw());
         }
@@ -745,69 +552,6 @@ impl Machine {
         }))
     }
 
-    /// Charges a change of a page's protection (paper §4.3): translation
-    /// entries for the page are shot down — every node's TLB in the
-    /// private-TLB schemes, the home's DLB in V-COMA — and, in V-COMA, the
-    /// home's protocol engine sends update messages to every node holding
-    /// a block of the page. The rights themselves are not recorded: nothing
-    /// enforces them. Returns the elapsed cycles, charged as
-    /// translation-maintenance time.
-    fn protect(&mut self, n: usize, va: VAddr) -> Result<u64, SimError> {
-        let cfg = self.cfg.machine.clone();
-        let page = va.page(cfg.page_size);
-        let node_id = NodeId::new(n as u16);
-        let timing = cfg.timing;
-        let t0 = self.nodes[n].time;
-        let mut t = t0 + 1;
-        self.nodes[n].fine.busy += 1;
-        if self.path.virtual_protocol {
-            self.ensure_directory_mapping(n, page)?;
-            let home = cfg.home_of_vpage(page);
-            // Request to the home PE, which updates the page table and its
-            // DLB entry…
-            let mut arrive = self.net.send(node_id, home, MsgKind::Ack, t);
-            self.nodes[home.index()].xlb.shootdown(VPage::new(page.raw() / cfg.nodes));
-            // …then notifies every holder of the page's blocks.
-            let first = page.raw() * cfg.blocks_per_page();
-            let mut holders = std::collections::BTreeSet::new();
-            for b in first..first + cfg.blocks_per_page() {
-                holders.extend(self.protocol.holders_of(b).into_iter().map(|h| h.raw()));
-            }
-            let mut last_ack = arrive;
-            for h in holders {
-                let h = NodeId::new(h);
-                let upd = self.net.send(home, h, MsgKind::Ack, arrive);
-                last_ack = last_ack.max(self.net.send(h, node_id, MsgKind::Ack, upd));
-            }
-            arrive = last_ack.max(self.net.send(home, node_id, MsgKind::Ack, arrive));
-            self.nodes[n].fine.dlb_lookup += arrive - t;
-            self.metrics.trace(Event {
-                cycle: arrive,
-                node: home.raw(),
-                kind: "shootdown",
-                addr: page.raw(),
-            });
-            t = arrive;
-        } else {
-            self.ensure_physical_mapping(n, page)?;
-            // TLB consistency: shoot the page down in every node's TLB and
-            // charge one broadcast round trip.
-            for node in &mut self.nodes {
-                node.xlb.shootdown(page);
-            }
-            let cost = 2 * timing.net_request;
-            self.nodes[n].fine.tlb_walk += cost;
-            self.metrics.trace(Event {
-                cycle: t + cost,
-                node: n as u16,
-                kind: "shootdown",
-                addr: page.raw(),
-            });
-            t += cost;
-        }
-        Ok(t - t0)
-    }
-
     /// Maps `page` to a V-COMA directory page for requester `n`, swapping
     /// a resident page of the same global page set out if the set is
     /// saturated (§4.3).
@@ -1003,20 +747,7 @@ impl Machine {
         let metrics = self.metrics.snapshot();
         SimReport {
             cfg: self.cfg,
-            nodes: self
-                .nodes
-                .into_iter()
-                .map(|n| crate::report::NodeReport {
-                    time: n.time,
-                    fine: n.fine,
-                    refs: n.refs,
-                    reads: n.reads,
-                    writes: n.writes,
-                    translation: n.xlb.all_stats(),
-                    flc: *n.flc.stats(),
-                    slc: *n.slc.stats(),
-                })
-                .collect(),
+            nodes: self.nodes.into_iter().map(NodeCtx::into_report).collect(),
             protocol: *self.protocol.stats(),
             net: self.net.stats().clone(),
             pressure,
@@ -1024,6 +755,87 @@ impl Machine {
             metrics,
             trace: self.tracer.as_ref().map(Tracer::snapshot),
         }
+    }
+}
+
+impl Engine for Machine {
+    fn node(&mut self, n: usize) -> &mut NodeCtx {
+        &mut self.nodes[n]
+    }
+
+    /// Executes one memory reference for node `n`; returns the elapsed
+    /// cycles and feeds the per-request latency histograms.
+    fn access(&mut self, n: usize, va: VAddr, kind: AccessKind) -> Result<u64, SimError> {
+        let dt = self.access_inner(n, va, kind)?;
+        let slot = match kind {
+            AccessKind::Read => self.latency_slots[0],
+            AccessKind::Write => self.latency_slots[1],
+        };
+        self.metrics.observe_slot(slot, dt);
+        Ok(dt)
+    }
+
+    /// Charges a change of a page's protection (paper §4.3): translation
+    /// entries for the page are shot down — every node's TLB in the
+    /// private-TLB schemes, the home's DLB in V-COMA — and, in V-COMA, the
+    /// home's protocol engine sends update messages to every node holding
+    /// a block of the page. The rights themselves are not recorded: nothing
+    /// enforces them. Returns the elapsed cycles, charged as
+    /// translation-maintenance time.
+    fn protect(&mut self, n: usize, va: VAddr) -> Result<u64, SimError> {
+        let cfg = self.cfg.machine.clone();
+        let page = va.page(cfg.page_size);
+        let node_id = NodeId::new(n as u16);
+        let timing = cfg.timing;
+        let t0 = self.nodes[n].time;
+        let mut t = t0 + 1;
+        self.nodes[n].fine.busy += 1;
+        if self.path.virtual_protocol {
+            self.ensure_directory_mapping(n, page)?;
+            let home = cfg.home_of_vpage(page);
+            // Request to the home PE, which updates the page table and its
+            // DLB entry…
+            let mut arrive = self.net.send(node_id, home, MsgKind::Ack, t);
+            self.nodes[home.index()].xlb.shootdown(VPage::new(page.raw() / cfg.nodes));
+            // …then notifies every holder of the page's blocks.
+            let first = page.raw() * cfg.blocks_per_page();
+            let mut holders = std::collections::BTreeSet::new();
+            for b in first..first + cfg.blocks_per_page() {
+                holders.extend(self.protocol.holders_of(b).into_iter().map(|h| h.raw()));
+            }
+            let mut last_ack = arrive;
+            for h in holders {
+                let h = NodeId::new(h);
+                let upd = self.net.send(home, h, MsgKind::Ack, arrive);
+                last_ack = last_ack.max(self.net.send(h, node_id, MsgKind::Ack, upd));
+            }
+            arrive = last_ack.max(self.net.send(home, node_id, MsgKind::Ack, arrive));
+            self.nodes[n].fine.dlb_lookup += arrive - t;
+            self.metrics.trace(Event {
+                cycle: arrive,
+                node: home.raw(),
+                kind: "shootdown",
+                addr: page.raw(),
+            });
+            t = arrive;
+        } else {
+            self.ensure_physical_mapping(n, page)?;
+            // TLB consistency: shoot the page down in every node's TLB and
+            // charge one broadcast round trip.
+            for node in &mut self.nodes {
+                node.xlb.shootdown(page);
+            }
+            let cost = 2 * timing.net_request;
+            self.nodes[n].fine.tlb_walk += cost;
+            self.metrics.trace(Event {
+                cycle: t + cost,
+                node: n as u16,
+                kind: "shootdown",
+                addr: page.raw(),
+            });
+            t += cost;
+        }
+        Ok(t - t0)
     }
 }
 
@@ -1378,7 +1190,8 @@ mod tests {
     #[test]
     fn auditor_reports_deliberate_protocol_corruption() {
         let mut m = Machine::new(tiny(Scheme::V_COMA).with_audit());
-        m.replay(&mut vcoma_types::sources_from_traces(sharing_traces(4, 4096, 32))).unwrap();
+        let mut sources = vcoma_types::sources_from_traces(sharing_traces(4, 4096, 32));
+        Replay::new(4).run(&mut m, &mut sources).unwrap();
         let block = *m.protocol.cached_blocks().first().expect("the run cached blocks");
         assert!(m.protocol.corrupt_master_for_tests(block));
         let err = m.audit_full(777).expect_err("corruption must be caught");
@@ -1494,6 +1307,7 @@ mod tests {
     #[cfg(feature = "proptest-tests")]
     mod props {
         use super::*;
+        use crate::ccnuma::{NumaMachine, NumaScheme};
         use proptest::prelude::*;
         use vcoma_types::SyncId;
 
@@ -1538,8 +1352,20 @@ mod tests {
                     push_op(&mut traces[i % n], kind, v);
                 }
                 let first = format!("{:?}", Machine::new(cfg.clone()).run(traces.clone()));
-                let second = format!("{:?}", Machine::new(cfg).run(traces));
+                let second = format!("{:?}", Machine::new(cfg.clone()).run(traces.clone()));
                 prop_assert_eq!(first, second);
+
+                // The CC-NUMA machine replays the same traces through the
+                // same loop: as reproducible, and conserving every cycle.
+                let numa = NumaScheme::ALL[scheme_ix % NumaScheme::ALL.len()];
+                let first = NumaMachine::new(cfg.clone(), numa).run(traces.clone());
+                let second = NumaMachine::new(cfg, numa).run(traces);
+                prop_assert_eq!(format!("{first:?}"), format!("{second:?}"));
+                if let Ok(report) = first {
+                    for n in &report.nodes {
+                        prop_assert_eq!(n.time, n.fine.total());
+                    }
+                }
             }
         }
     }

@@ -147,11 +147,6 @@ impl TlbBank {
         self.with_filtered(self.members[index].stats())
     }
 
-    /// The primary member's statistics.
-    pub fn primary_stats(&self) -> TlbStats {
-        self.stats(0)
-    }
-
     /// Iterates over every member's statistics in spec order.
     pub fn all_stats(&self) -> impl Iterator<Item = TlbStats> + '_ {
         self.members.iter().map(|t| self.with_filtered(t.stats()))
@@ -245,7 +240,7 @@ mod tests {
         let misses: Vec<u64> = b.all_stats().map(|s| s.misses).collect();
         assert_eq!(misses.len(), 2);
         assert!(misses[0] >= misses[1]);
-        assert_eq!(b.primary_stats().misses, misses[0]);
+        assert_eq!(b.stats(0).misses, misses[0]);
     }
 
     #[test]

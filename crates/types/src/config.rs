@@ -303,13 +303,15 @@ impl MachineConfig {
     /// of the page number (paper §4.2 / Figure 6). Used by V-COMA and by the
     /// SHARED-TLB organisation.
     pub const fn home_of_vpage(&self, vpage: VPage) -> NodeId {
-        NodeId::new((vpage.raw() % self.nodes) as u16)
+        debug_assert!(self.nodes.is_power_of_two(), "validate requires power-of-two nodes");
+        NodeId::new((vpage.raw() & (self.nodes - 1)) as u16)
     }
 
     /// Home node of a physical frame: round-robin on the frame number,
     /// matching the paper's round-robin physical page assignment.
     pub const fn home_of_pframe(&self, frame: u64) -> NodeId {
-        NodeId::new((frame % self.nodes) as u16)
+        debug_assert!(self.nodes.is_power_of_two(), "validate requires power-of-two nodes");
+        NodeId::new((frame & (self.nodes - 1)) as u16)
     }
 }
 

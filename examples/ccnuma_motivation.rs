@@ -12,47 +12,30 @@
 //! cargo run --release --example ccnuma_motivation
 //! ```
 
-use vcoma::sim::ccnuma::{NumaMachine, NumaScheme};
-use vcoma::{MachineConfig, Op, Scheme, SimConfig, VAddr};
-
-/// Every node streams repeatedly over its own private working set — the
-/// pattern first-touch placement is built for.
-fn private_working_sets(nodes: u64, bytes_per_node: u64, passes: u64) -> Vec<Vec<Op>> {
-    let mut traces = vec![Vec::new(); nodes as usize];
-    for (i, t) in traces.iter_mut().enumerate() {
-        let base = 0x1000_0000 + i as u64 * (bytes_per_node * 2);
-        for _ in 0..passes {
-            for off in (0..bytes_per_node).step_by(64) {
-                t.push(Op::Read(VAddr::new(base + off)));
-                if off % 256 == 0 {
-                    t.push(Op::Write(VAddr::new(base + off)));
-                }
-            }
-        }
-    }
-    traces
-}
+use vcoma::sim::ccnuma::{private_streams, NumaMachine, NumaScheme};
+use vcoma::{MachineConfig, Scheme, SimConfig};
 
 fn main() {
     let machine = MachineConfig::paper_baseline();
-    // 256 KB per node: four times the SLC, so capacity misses are
-    // plentiful.
-    let traces = private_working_sets(machine.nodes, 256 << 10, 3);
+    let nodes = machine.nodes;
     let cfg = SimConfig::new(machine, Scheme::L0_TLB).with_entries(32);
 
     println!(
         "{:<12} {:>12} {:>10} {:>10} {:>10} {:>9}",
         "scheme", "exec cycles", "xl-misses", "local-mem", "remote-mem", "remote %"
     );
-    for scheme in
-        [NumaScheme::L0Tlb, NumaScheme::L1Tlb, NumaScheme::L2Tlb, NumaScheme::SharedTlb]
-    {
-        let report = NumaMachine::new(cfg.clone(), scheme).run(traces.clone());
+    for scheme in NumaScheme::ALL {
+        // Every node streams three times over its own 256 KB working set
+        // (four times the SLC, so capacity misses are plentiful): the
+        // pattern first-touch placement is built for.
+        let report = NumaMachine::new(cfg.clone(), scheme)
+            .run_sources(private_streams(nodes, 256 << 10, 3))
+            .expect("the working sets fit the frame pool");
         println!(
             "{:<12} {:>12} {:>10} {:>10} {:>10} {:>9.1}",
             scheme.label(),
-            report.exec_time,
-            report.translation_misses,
+            report.exec_time(),
+            report.translation_misses(),
             report.local_mem_accesses,
             report.remote_mem_accesses,
             100.0 * report.remote_fraction()

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # The one CI definition (.github/workflows/ci.yml only runs this and
 # uploads its artifacts): clippy, tier-1 build+test, property tests, the
-# golden-report regression suite, CLI-level checks that parallel sweeps are
-# byte-deterministic, the micro benches, the parent-vs-head perf A/B
-# (scripts/perf_ab.sh), the fault matrix, the trace smoke and the sweep
-# server's crash-resume run. Leaves BENCH_sweep.json,
-# BENCH_sweep_64node.json and trace.json in the repository root.
+# golden-report regression suite, the CC-NUMA example, CLI-level checks
+# that parallel sweeps are byte-deterministic, the micro benches, the
+# parent-vs-head perf A/B (scripts/perf_ab.sh), the fault matrix, the
+# trace smoke and the sweep server's crash-resume run. Leaves
+# BENCH_sweep.json, BENCH_sweep_64node.json and trace.json in the
+# repository root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,6 +26,16 @@ cargo test --release -q --features proptest-tests \
 
 echo "==> golden-report regression suite"
 cargo test -q -p vcoma-integration --test golden_reports
+
+echo "==> CC-NUMA example (paper §2): first touch keeps misses local, SHARED-TLB sends them remote"
+cargo run --release -q --example ccnuma_motivation | python3 -c '
+import sys
+rows = {f[0]: f[-1] for f in map(str.split, sys.stdin) if f and f[0].endswith("-TLB")}
+assert sorted(rows) == ["L0-TLB", "L1-TLB", "L2-TLB", "SHARED-TLB"], rows
+assert all(rows[s] == "0.0" for s in ("L0-TLB", "L1-TLB", "L2-TLB")), rows
+assert float(rows["SHARED-TLB"]) > 90.0, rows
+print("remote %:", rows)
+'
 
 echo "==> report fixtures: v4 is v3 without the counter registry and write-only net stats"
 python3 - <<'PY'

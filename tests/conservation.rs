@@ -274,3 +274,49 @@ fn no_spills_on_paper_workloads() {
         }
     }
 }
+
+#[test]
+fn ccnuma_ledger_conserves_every_cycle() {
+    use vcoma::sim::ccnuma::{private_streams, NumaMachine, NumaScheme};
+    use vcoma::{LatencyBreakdown, MachineConfig, Protection, Scheme, SimConfig, SyncId, VAddr};
+    // Each node's private stream, with writes and reads of eight shared
+    // blocks, a lock-protected counter, a protection change and a closing
+    // barrier mixed in.
+    let traces: Vec<Vec<Op>> = private_streams(4, 4 << 10, 2)
+        .into_iter()
+        .enumerate()
+        .map(|(node, mut private)| {
+            let mut trace = Vec::new();
+            for (k, op) in std::iter::from_fn(|| private.next_op()).enumerate() {
+                trace.push(op);
+                if k % 16 == 0 {
+                    let shared = VAddr::new(0x40 * (k as u64 / 16 % 8));
+                    let write = (k / 16 + node) % 2 == 0;
+                    trace.push(if write { Op::Write(shared) } else { Op::Read(shared) });
+                }
+                if k % 200 == 0 {
+                    let counter = VAddr::new(0x800);
+                    trace.extend([Op::Lock(SyncId(1)), Op::Write(counter), Op::Unlock(SyncId(1))]);
+                }
+            }
+            trace.push(Op::Protect(VAddr::new(0x40), Protection::read_only()));
+            trace.push(Op::Barrier(SyncId(0)));
+            trace
+        })
+        .collect();
+    for scheme in NumaScheme::ALL {
+        let cfg = SimConfig::new(MachineConfig::tiny(), Scheme::L0_TLB);
+        let report = NumaMachine::new(cfg, scheme).run(traces.clone()).unwrap();
+        for (i, n) in report.nodes.iter().enumerate() {
+            assert_eq!(n.time, n.fine.total(), "{scheme} node {i}: the ledger leaks cycles");
+            assert!(n.fine.busy >= n.refs, "{scheme} node {i}");
+        }
+        let sum = |f: fn(&LatencyBreakdown) -> u64| -> u64 {
+            report.nodes.iter().map(|n| f(&n.fine)).sum()
+        };
+        assert!(sum(|b| b.sync) > 0, "{scheme}: the lock and barrier cost sync time");
+        assert!(sum(|b| b.network) > 0, "{scheme}: shared blocks cross the network");
+        let translation = sum(|b| b.tlb_walk + b.dlb_lookup);
+        assert!(translation > 0, "{scheme}: translation misses are charged");
+    }
+}
