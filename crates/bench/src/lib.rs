@@ -40,7 +40,7 @@ pub mod micro {
     use vcoma::workloads::{by_name, UniformRandom};
     use vcoma::{
         codec, AccessKind, DetRng, Machine, MachineConfig, NodeId, Op, Scheme, SimConfig,
-        SimReport, Simulator, Tlb, TlbBank, TlbOrg, VAddr, VPage,
+        SimReport, Tlb, TlbBank, TlbOrg, VAddr, VPage,
     };
 
     /// Pulls up to `ops` ops from FFT's per-node sources on the paper
@@ -303,7 +303,8 @@ pub mod micro {
     #[must_use]
     pub fn codec_report() -> SimReport {
         let w = UniformRandom { pages: 64, refs_per_node: 200, write_fraction: 0.3 };
-        Simulator::new(Scheme::V_COMA).machine(MachineConfig::paper_baseline()).seed(9).run(&w)
+        let cfg = SimConfig::new(MachineConfig::paper_baseline(), Scheme::V_COMA).with_seed(9);
+        vcoma::simulate(cfg, &w).expect("codec report run completes")
     }
 
     /// Encodes `report` into a store envelope and decodes it back, `iters`

@@ -76,7 +76,7 @@ pub fn contention(cfg: &ExperimentConfig) -> Vec<AblationRow> {
         |w| {
             (
                 cfg.run_cached(cfg.simulator(Scheme::V_COMA), w),
-                cfg.run_cached(cfg.simulator(Scheme::V_COMA).contention(), w),
+                cfg.run_cached(cfg.simulator(Scheme::V_COMA).with_contention(), w),
             )
         },
         |r| r.mean_breakdown().remote_stall,
@@ -116,7 +116,8 @@ pub fn injection(cfg: &ExperimentConfig) -> Vec<AblationRow> {
             (
                 cfg.run_cached(cfg.simulator(Scheme::V_COMA), w),
                 cfg.run_cached(
-                    cfg.simulator(Scheme::V_COMA).injection_policy(InjectionPolicy::HomeDisplace),
+                    cfg.simulator(Scheme::V_COMA)
+                        .with_injection_policy(InjectionPolicy::HomeDisplace),
                     w,
                 ),
             )
@@ -136,8 +137,8 @@ pub fn software_managed(cfg: &ExperimentConfig) -> Vec<AblationRow> {
         cfg,
         |w| {
             (
-                cfg.run_cached(cfg.simulator(Scheme::L2_TLB_NO_WB).entries(8), w),
-                cfg.run_cached(cfg.simulator(Scheme::L2_TLB_NO_WB).entries(0), w),
+                cfg.run_cached(cfg.simulator(Scheme::L2_TLB_NO_WB).with_entries(8), w),
+                cfg.run_cached(cfg.simulator(Scheme::L2_TLB_NO_WB).with_entries(0), w),
             )
         },
         |r| r.mean_breakdown().translation,

@@ -139,7 +139,7 @@ mod tests {
 
     fn key_for(cfg: &ExperimentConfig, scheme: Scheme) -> PointKey {
         let w = by_name("RADIX", cfg.scale).expect("RADIX exists");
-        point_key(cfg.simulator(scheme).config(), w.as_ref(), cfg.scale, code_fingerprint())
+        point_key(&cfg.simulator(scheme), w.as_ref(), cfg.scale, code_fingerprint())
     }
 
     #[test]
@@ -185,7 +185,7 @@ mod tests {
         // Workload identity.
         let w = by_name("FFT", base.scale).expect("FFT exists");
         let other = point_key(
-            base.simulator(Scheme::V_COMA).config(),
+            &base.simulator(Scheme::V_COMA),
             w.as_ref(),
             base.scale,
             code_fingerprint(),
@@ -194,7 +194,7 @@ mod tests {
         // Code fingerprint.
         let w = by_name("RADIX", base.scale).expect("RADIX exists");
         let foreign = point_key(
-            base.simulator(Scheme::V_COMA).config(),
+            &base.simulator(Scheme::V_COMA),
             w.as_ref(),
             base.scale,
             "other-build",
@@ -207,15 +207,16 @@ mod tests {
         let cfg = ExperimentConfig::smoke();
         let w = by_name("RADIX", cfg.scale).expect("RADIX exists");
         let base_sim = cfg.simulator(Scheme::L2_TLB);
-        let k = point_key(base_sim.config(), w.as_ref(), cfg.scale, "fp");
+        let k = point_key(&base_sim, w.as_ref(), cfg.scale, "fp");
         for sim in [
-            cfg.simulator(Scheme::L2_TLB).entries(64),
-            cfg.simulator(Scheme::L2_TLB).warmup(),
-            cfg.simulator(Scheme::L2_TLB).contention(),
-            cfg.simulator(Scheme::L2_TLB).trace(8, 1 << 10),
+            cfg.simulator(Scheme::L2_TLB).with_entries(64),
+            cfg.simulator(Scheme::L2_TLB).with_warmup(),
+            cfg.simulator(Scheme::L2_TLB).with_contention(),
+            cfg.simulator(Scheme::L2_TLB)
+                .with_trace(vcoma::TraceConfig { sample_every: 8, capacity: 1 << 10 }),
         ] {
-            let other = point_key(sim.config(), w.as_ref(), cfg.scale, "fp");
-            assert_ne!(other.digest, k.digest, "{:?}", sim.config());
+            let other = point_key(&sim, w.as_ref(), cfg.scale, "fp");
+            assert_ne!(other.digest, k.digest, "{sim:?}");
         }
     }
 
@@ -252,13 +253,13 @@ mod tests {
                 let cfg = ExperimentConfig::smoke();
                 let w = by_name("FFT", cfg.scale).expect("FFT exists");
                 let sim_a = cfg.simulator(Scheme::V_COMA)
-                    .seed(seed_a)
-                    .entries(1 << entries_pow_a);
+                    .with_seed(seed_a)
+                    .with_entries(1 << entries_pow_a);
                 let sim_b = cfg.simulator(Scheme::V_COMA)
-                    .seed(seed_b)
-                    .entries(1 << entries_pow_b);
-                let ka = point_key(sim_a.config(), w.as_ref(), cfg.scale, "fp");
-                let kb = point_key(sim_b.config(), w.as_ref(), cfg.scale, "fp");
+                    .with_seed(seed_b)
+                    .with_entries(1 << entries_pow_b);
+                let ka = point_key(&sim_a, w.as_ref(), cfg.scale, "fp");
+                let kb = point_key(&sim_b, w.as_ref(), cfg.scale, "fp");
                 let same = seed_a == seed_b && entries_pow_a == entries_pow_b;
                 prop_assert_eq!(ka.digest == kb.digest, same);
                 prop_assert_eq!(ka.material == kb.material, same);

@@ -69,12 +69,12 @@ pub fn run(cfg: &ExperimentConfig, base: &FaultPlan) -> Result<Vec<FaultRow>, Si
         }
     }
     let results = sweep::run(cfg, "faults", points, |&(scheme, intensity)| {
-        let mut sim = cfg.simulator(scheme).audit();
+        let mut sim = cfg.simulator(scheme).with_audit();
         let plan = base.scaled(intensity);
         if !plan.is_zero() {
-            sim = sim.fault_plan(plan);
+            sim = sim.with_fault_plan(plan);
         }
-        match sim.try_run(workload.as_ref()) {
+        match vcoma::simulate(sim, workload.as_ref()) {
             Ok(report) => {
                 let cycles = report.simulated_cycles();
                 SweepResult::new(Ok((scheme, intensity, report)), cycles)

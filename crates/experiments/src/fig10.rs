@@ -67,7 +67,8 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<Fig10Panel> {
         }
     }
     let bars = sweep::run(cfg, "fig10", points, |&(label, scheme, specs, wl)| {
-        let report = cfg.run_cached(cfg.simulator(scheme).specs(specs.to_vec()).warmup(), wl);
+        let sim = cfg.simulator(scheme).with_translation_specs(specs.to_vec()).with_warmup();
+        let report = cfg.run_cached(sim, wl);
         SweepResult::new(Bar::from_report(label, &report), report.simulated_cycles())
     });
     let mut bars = bars.into_iter();

@@ -58,7 +58,7 @@ pub fn run_schemes(cfg: &ExperimentConfig, schemes: &[Scheme]) -> Vec<Fig8Panel>
         .collect();
     let specs = &specs;
     let curves = sweep::run(cfg, "fig8", points, |&(w, scheme)| {
-        let report = cfg.run_cached(cfg.simulator(scheme).specs(specs.clone()), w);
+        let report = cfg.run_cached(cfg.simulator(scheme).with_translation_specs(specs.clone()), w);
         SweepResult::new(
             Curve {
                 scheme,

@@ -55,7 +55,7 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<Fig9Panel> {
         .collect();
     let specs = &specs;
     let curves = sweep::run(cfg, "fig9", points, |&(w, scheme)| {
-        let report = cfg.run_cached(cfg.simulator(scheme).specs(specs.clone()), w);
+        let report = cfg.run_cached(cfg.simulator(scheme).with_translation_specs(specs.clone()), w);
         SweepResult::new(
             DmFaCurves {
                 scheme,

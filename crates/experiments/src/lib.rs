@@ -52,7 +52,7 @@ pub mod trace;
 use std::sync::Arc;
 
 use vcoma::workloads::{all_benchmarks, Workload};
-use vcoma::{MachineConfig, Scheme, SchemeSet, SimReport, Simulator};
+use vcoma::{simulate, MachineConfig, Scheme, SchemeSet, SimConfig, SimReport};
 
 /// Shared configuration for all experiments.
 #[derive(Clone)]
@@ -192,28 +192,33 @@ impl ExperimentConfig {
 
     /// Runs `sim` on `w`, consulting the configured result store first.
     ///
-    /// Without a store this is exactly `sim.run(w)`. With one, the
-    /// point's [`cache::PointKey`] — built from the simulator's full
-    /// [`vcoma::SimConfig`], the workload, the scale and the process
+    /// Without a store this is exactly [`vcoma::simulate`]. With one, the
+    /// point's [`cache::PointKey`] — built from the full [`SimConfig`],
+    /// the workload, the scale and the process
     /// [`cache::code_fingerprint`] — is looked up; a hit returns the
     /// stored report (byte-identical to a fresh run by the codec's
     /// round-trip guarantee), a miss simulates and persists.
-    pub fn run_cached(&self, sim: Simulator, w: &dyn Workload) -> SimReport {
+    ///
+    /// # Panics
+    ///
+    /// Panics on a [`vcoma::SimError`] (virtual-memory exhaustion or an
+    /// audit violation).
+    pub fn run_cached(&self, sim: SimConfig, w: &dyn Workload) -> SimReport {
         let Some(store) = &self.cache else {
-            let report = sim.run(w);
+            let report = run(sim, w);
             if let Some(p) = &self.progress {
                 p.point_resolved(report.simulated_cycles(), false);
             }
             return report;
         };
-        let key = cache::point_key(sim.config(), w, self.scale, cache::code_fingerprint());
-        if let Some(report) = store.load(&key, sim.config()) {
+        let key = cache::point_key(&sim, w, self.scale, cache::code_fingerprint());
+        if let Some(report) = store.load(&key, &sim) {
             if let Some(p) = &self.progress {
                 p.point_resolved(report.simulated_cycles(), true);
             }
             return report;
         }
-        let report = sim.run(w);
+        let report = run(sim, w);
         store.store(&key, &report);
         if let Some(p) = &self.progress {
             p.point_resolved(report.simulated_cycles(), false);
@@ -221,10 +226,16 @@ impl ExperimentConfig {
         report
     }
 
-    /// A simulator for `scheme` on this configuration's machine.
-    pub fn simulator(&self, scheme: Scheme) -> Simulator {
-        Simulator::new(scheme).machine(self.machine.clone()).seed(self.seed)
+    /// The run configuration for `scheme` on this configuration's machine
+    /// and seed.
+    pub fn simulator(&self, scheme: Scheme) -> SimConfig {
+        SimConfig::new(self.machine.clone(), scheme).with_seed(self.seed)
     }
+}
+
+/// [`simulate`], panicking on a failed run.
+fn run(sim: SimConfig, w: &dyn Workload) -> SimReport {
+    simulate(sim, w).unwrap_or_else(|e| panic!("simulation failed: {e}"))
 }
 
 impl Default for ExperimentConfig {
@@ -265,7 +276,7 @@ mod tests {
     fn simulator_carries_machine_and_seed() {
         let c = ExperimentConfig::smoke();
         let s = c.simulator(Scheme::V_COMA);
-        assert_eq!(s.config().machine.nodes, 32);
-        assert_eq!(s.config().seed, c.seed);
+        assert_eq!(s.machine.nodes, 32);
+        assert_eq!(s.seed, c.seed);
     }
 }

@@ -10,13 +10,10 @@ use std::sync::Arc;
 use vcoma_experiments::progress::StderrProgress;
 use vcoma_experiments::{artifacts, breakdown, cache, client, faults, sweep, trace, ExperimentConfig};
 
-/// Every artifact name the CLI accepts, in default execution order
-/// (`breakdown`, `faults` and `trace` opt in through their flags or by
-/// name rather than running under `all`).
-const VALID_ARTIFACTS: [&str; 14] = [
-    "table1", "fig8", "table2", "table3", "fig9", "table4", "fig10", "fig11", "table5",
-    "ablations", "ccnuma", "breakdown", "faults", "trace",
-];
+/// The artifacts that run only when named or armed by their flags, in
+/// execution order after [`artifacts::STANDARD`] (which is what `all`
+/// runs).
+const OPT_IN: [&str; 3] = ["breakdown", "faults", "trace"];
 
 const USAGE: &str = "\
 usage: vcoma-experiments [ARTIFACT...] [--scale F] [--nodes N] [--jobs N]
@@ -232,13 +229,13 @@ fn main() {
     }
     // Validate every artifact name before any work runs, so a typo fails
     // fast instead of surfacing minutes into a sweep.
-    let unknown: Vec<&String> =
-        artifacts.iter().filter(|a| *a != "all" && !VALID_ARTIFACTS.contains(&a.as_str())).collect();
+    let known = |a: &str| a == "all" || artifacts::STANDARD.contains(&a) || OPT_IN.contains(&a);
+    let unknown: Vec<&String> = artifacts.iter().filter(|a| !known(a)).collect();
     if !unknown.is_empty() {
         for a in &unknown {
             eprintln!("error: unknown artifact '{a}'");
         }
-        eprintln!("valid artifacts: {} all", VALID_ARTIFACTS.join(" "));
+        eprintln!("valid artifacts: {} {} all", artifacts::STANDARD.join(" "), OPT_IN.join(" "));
         std::process::exit(2);
     }
     if want_breakdown || metrics_out.is_some() {
@@ -257,22 +254,9 @@ fn main() {
         artifacts.push("trace".to_string());
     }
     if artifacts.is_empty() || artifacts.iter().any(|a| a == "all") {
-        let keep_breakdown = artifacts.iter().any(|a| a == "breakdown");
-        let keep_faults = artifacts.iter().any(|a| a == "faults");
-        let keep_trace = artifacts.iter().any(|a| a == "trace");
-        artifacts = ["table1", "fig8", "table2", "table3", "fig9", "table4", "fig10", "fig11", "table5", "ablations", "ccnuma"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        if keep_breakdown {
-            artifacts.push("breakdown".to_string());
-        }
-        if keep_faults {
-            artifacts.push("faults".to_string());
-        }
-        if keep_trace {
-            artifacts.push("trace".to_string());
-        }
+        let kept: Vec<&str> =
+            OPT_IN.into_iter().filter(|o| artifacts.iter().any(|a| a == o)).collect();
+        artifacts = artifacts::STANDARD.into_iter().chain(kept).map(str::to_string).collect();
     }
 
     let machine = vcoma::MachineConfig::builder().nodes(nodes).build().unwrap_or_else(|e| {

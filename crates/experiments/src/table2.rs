@@ -43,7 +43,7 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<Table2Row> {
         .collect();
     let specs = &specs;
     let by_scheme = sweep::run(cfg, "table2", points, |&(w, scheme)| {
-        let report = cfg.run_cached(cfg.simulator(scheme).specs(specs.clone()), w);
+        let report = cfg.run_cached(cfg.simulator(scheme).with_translation_specs(specs.clone()), w);
         SweepResult::new(
             (0..TABLE2_SIZES.len())
                 .map(|i| report.translation_miss_rate(i))

@@ -57,11 +57,12 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<Table3Row> {
     let probes = sweep::run(cfg, "table3", points, |&(w, scheme)| {
         match scheme {
             None => {
-                let vc = cfg.run_cached(cfg.simulator(Scheme::V_COMA).entries(8), w);
+                let vc = cfg.run_cached(cfg.simulator(Scheme::V_COMA).with_entries(8), w);
                 SweepResult::new(Probe::Target(vc.translation_misses_total(0)), vc.simulated_cycles())
             }
             Some(scheme) => {
-                let report = cfg.run_cached(cfg.simulator(scheme).specs(specs.clone()), w);
+                let sim = cfg.simulator(scheme).with_translation_specs(specs.clone());
+                let report = cfg.run_cached(sim, w);
                 let curve = GRID
                     .iter()
                     .enumerate()

@@ -40,7 +40,7 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<Table4Col> {
         }
     }
     let ratios = sweep::run(cfg, "table4", points, |&(w, scheme, entries)| {
-        let report = cfg.run_cached(cfg.simulator(scheme).entries(entries).warmup(), w);
+        let report = cfg.run_cached(cfg.simulator(scheme).with_entries(entries).with_warmup(), w);
         SweepResult::new(
             report.aggregate_breakdown().translation_over_stall(),
             report.simulated_cycles(),

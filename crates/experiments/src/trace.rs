@@ -16,7 +16,7 @@ use crate::sweep::{self, SweepPoint, SweepResult};
 use crate::ExperimentConfig;
 use std::collections::BTreeMap;
 use vcoma::metrics::{critical_paths, trace_export, Histogram, TraceSnapshot};
-use vcoma::{paper_schemes, Scheme};
+use vcoma::{paper_schemes, Scheme, TraceConfig};
 
 /// Sampling period of the artifact's runs: one in eight references per
 /// node (deterministic keyed-hash selection, not strided).
@@ -71,8 +71,8 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<TraceRow> {
         .map(|scheme| SweepPoint::new(format!("{}/{scheme}", w.name()), scheme))
         .collect();
     sweep::run(cfg, "trace", points, |&scheme| {
-        let report =
-            cfg.run_cached(cfg.simulator(scheme).trace(SAMPLE_EVERY, CAPACITY), w.as_ref());
+        let tc = TraceConfig { sample_every: SAMPLE_EVERY, capacity: CAPACITY };
+        let report = cfg.run_cached(cfg.simulator(scheme).with_trace(tc), w.as_ref());
         let snapshot = report.trace().expect("traced run carries a snapshot").clone();
         let mut latency = Histogram::new();
         let mut attributed: BTreeMap<&'static str, u64> = BTreeMap::new();

@@ -88,3 +88,21 @@ fn nested_out_directories_are_created_on_demand() {
     assert!(base.join("BENCH_sweep.json").exists(), "the throughput report lands in the cwd");
     let _ = std::fs::remove_dir_all(&base);
 }
+
+#[test]
+fn unknown_artifacts_fail_with_exit_2_and_list_the_valid_ones() {
+    let output = bin().arg("no_such_artifact").output().expect("run vcoma-experiments");
+    assert_eq!(output.status.code(), Some(2));
+    let err = stderr_line(&output);
+    let mut lines = err.lines();
+    assert_eq!(lines.next(), Some("error: unknown artifact 'no_such_artifact'"));
+    let valid = lines.next().expect("a valid-artifacts line");
+    let listed = valid.strip_prefix("valid artifacts: ").unwrap_or_else(|| panic!("got: {valid}"));
+    let names: Vec<&str> = listed.split(' ').collect();
+    let standard = vcoma_experiments::artifacts::STANDARD;
+    for name in standard.iter().chain(&["breakdown", "faults", "trace", "all"]) {
+        assert!(names.contains(name), "{name} missing from: {valid}");
+    }
+    assert_eq!(names.len(), standard.len() + 4, "{valid}");
+    assert_eq!(lines.next(), None, "got: {err}");
+}

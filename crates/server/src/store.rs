@@ -133,7 +133,7 @@ impl ReportCache for DiskStore {
 mod tests {
     use super::*;
     use vcoma::workloads::{UniformRandom, Workload};
-    use vcoma::{Machine, Scheme, Simulator};
+    use vcoma::{simulate, Machine, MachineConfig, Scheme, SimConfig};
     use vcoma_experiments::cache::point_key;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -143,9 +143,9 @@ mod tests {
         dir
     }
 
-    fn small_run() -> (Simulator, UniformRandom) {
+    fn small_run() -> (SimConfig, UniformRandom) {
         let w = UniformRandom { pages: 16, refs_per_node: 100, write_fraction: 0.25 };
-        (Simulator::new(Scheme::V_COMA).tiny().seed(7), w)
+        (SimConfig::new(MachineConfig::tiny(), Scheme::V_COMA).with_seed(7), w)
     }
 
     #[test]
@@ -153,16 +153,16 @@ mod tests {
         let dir = tmpdir("roundtrip");
         let store = DiskStore::open(&dir).expect("open");
         let (sim, w) = small_run();
-        let key = point_key(sim.config(), &w, 1.0, code_fingerprint());
+        let key = point_key(&sim, &w, 1.0, code_fingerprint());
 
-        assert!(store.load(&key, sim.config()).is_none(), "store starts empty");
+        assert!(store.load(&key, &sim).is_none(), "store starts empty");
         assert_eq!((store.hits(), store.misses()), (0, 1));
 
-        let report = sim.run(&w);
+        let report = simulate(sim.clone(), &w).expect("runs");
         store.store(&key, &report);
         assert_eq!(store.writes(), 1);
 
-        let loaded = store.load(&key, sim.config()).expect("hit after store");
+        let loaded = store.load(&key, &sim).expect("hit after store");
         assert_eq!(format!("{loaded:?}"), format!("{report:?}"));
         assert_eq!((store.hits(), store.misses()), (1, 1));
 
@@ -180,8 +180,9 @@ mod tests {
         let dir = tmpdir("overflow");
         let store = DiskStore::open(&dir).expect("open");
         let w = UniformRandom { pages: 200, refs_per_node: 1000, write_fraction: 0.3 };
-        let cfg =
-            Simulator::new(Scheme::L0_TLB).tiny().seed(9).config().clone().with_event_capacity(4);
+        let cfg = SimConfig::new(MachineConfig::tiny(), Scheme::L0_TLB)
+            .with_seed(9)
+            .with_event_capacity(4);
         let key = point_key(&cfg, &w, 1.0, code_fingerprint());
         let report = Machine::new(cfg.clone()).run(w.generate(&cfg.machine)).expect("runs");
         store.store(&key, &report);
@@ -195,8 +196,8 @@ mod tests {
         let dir = tmpdir("foreign");
         let store = DiskStore::open(&dir).expect("open");
         let (sim, w) = small_run();
-        let key = point_key(sim.config(), &w, 1.0, code_fingerprint());
-        let report = sim.run(&w);
+        let key = point_key(&sim, &w, 1.0, code_fingerprint());
+        let report = simulate(sim.clone(), &w).expect("runs");
         store.store(&key, &report);
 
         // Corrupt: a future schema version must be ignored, not served.
@@ -204,15 +205,15 @@ mod tests {
         let text = std::fs::read_to_string(&path).expect("entry");
         let current = format!("\"version\":{}", codec::VERSION);
         std::fs::write(&path, text.replace(&current, "\"version\":999")).expect("rewrite");
-        assert!(store.load(&key, sim.config()).is_none());
+        assert!(store.load(&key, &sim).is_none());
 
         // Truncated file: also a miss.
         std::fs::write(&path, &text[..text.len() / 2]).expect("truncate");
-        assert!(store.load(&key, sim.config()).is_none());
+        assert!(store.load(&key, &sim).is_none());
 
         // Restoring the original bytes restores the hit.
         std::fs::write(&path, &text).expect("restore");
-        assert!(store.load(&key, sim.config()).is_some());
+        assert!(store.load(&key, &sim).is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -222,14 +223,14 @@ mod tests {
         // everything the first handle wrote.
         let dir = tmpdir("reopen");
         let (sim, w) = small_run();
-        let key = point_key(sim.config(), &w, 1.0, code_fingerprint());
-        let report = sim.run(&w);
+        let key = point_key(&sim, &w, 1.0, code_fingerprint());
+        let report = simulate(sim.clone(), &w).expect("runs");
         {
             let store = DiskStore::open(&dir).expect("open");
             store.store(&key, &report);
         }
         let store = DiskStore::open(&dir).expect("reopen");
-        let loaded = store.load(&key, sim.config()).expect("persisted entry");
+        let loaded = store.load(&key, &sim).expect("persisted entry");
         assert_eq!(format!("{loaded:?}"), format!("{report:?}"));
         assert_eq!((store.hits(), store.misses(), store.writes()), (1, 0, 0));
         let _ = std::fs::remove_dir_all(&dir);

@@ -44,12 +44,14 @@
 //! assert_eq!(report.total_refs(), 2);
 //! ```
 
-use crate::replay::{Engine, NodeCtx, Replay, SliceSource};
+use crate::replay::{Engine, NodeCtx, Replay};
 use crate::{NodeReport, SimConfig, SimError};
 use vcoma_coherence::Directory;
 use vcoma_tlb::BankModel;
 use vcoma_net::{Crossbar, MsgKind};
-use vcoma_types::{AccessKind, MachineConfig, NodeId, Op, OpSource, PFrame, VAddr, VPage};
+use vcoma_types::{
+    trace_sources, AccessKind, MachineConfig, NodeId, Op, OpSource, PFrame, VAddr, VPage,
+};
 use vcoma_vm::{FrameAllocator, PageTable, VmError};
 
 /// Where translation happens in the CC-NUMA machine (paper Figure 1).
@@ -112,18 +114,9 @@ pub fn private_streams(nodes: u64, bytes: u64, passes: u64) -> Vec<Box<dyn OpSou
                     std::iter::once(Op::Read(va)).chain(write)
                 })
             });
-            Box::new(IterSource(ops)) as Box<dyn OpSource>
+            Box::new(ops) as Box<dyn OpSource>
         })
         .collect()
-}
-
-/// An [`OpSource`] over an op iterator.
-struct IterSource<I>(I);
-
-impl<I: Iterator<Item = Op>> OpSource for IterSource<I> {
-    fn next_op(&mut self) -> Option<Op> {
-        self.0.next()
-    }
 }
 
 /// Results of a CC-NUMA run.
@@ -270,7 +263,7 @@ impl NumaMachine {
     /// [`SimError::Deadlock`] if some node parks on a barrier or lock that
     /// the other traces never reach.
     pub fn run(self, traces: Vec<Vec<Op>>) -> Result<NumaReport, SimError> {
-        self.run_sources(SliceSource::boxed(&traces))
+        self.run_sources(trace_sources(&traces))
     }
 
     /// Replays one lazy [`OpSource`] per node to completion, in global
@@ -597,7 +590,7 @@ mod tests {
             Vec::new(),
             Vec::new(),
         ];
-        Replay::new(4).run(&mut machine, &mut SliceSource::boxed(&traces)).unwrap();
+        Replay::new(4).run(&mut machine, &mut trace_sources(&traces)).unwrap();
         assert_eq!(machine.net.stats().msgs_of(MsgKind::ForwardReq), 0, "the read found no owner");
         assert_eq!(machine.net.stats().msgs_of(MsgKind::Invalidate), 1);
         assert!(!machine.nodes[1].slc.contains(block), "the write must invalidate the reader");

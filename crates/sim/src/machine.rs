@@ -4,7 +4,7 @@
 use crate::audit::AuditError;
 use crate::breakdown::LatencyBreakdown;
 use crate::error::SimError;
-use crate::replay::{Engine, NodeCtx, Replay, SliceSource};
+use crate::replay::{Engine, NodeCtx, Replay};
 use crate::trace::Tracer;
 use crate::{SimConfig, SimReport};
 use vcoma_coherence::{Access, HomeTranslation, NullTranslation, Protocol};
@@ -12,7 +12,7 @@ use vcoma_faults::LinkFaultInjector;
 use vcoma_metrics::{Event, HistogramSlot, MetricsRegistry};
 use vcoma_net::{Crossbar, MsgKind};
 use vcoma_tlb::{AllocPolicy, XlatePoint};
-use vcoma_types::{AccessKind, MachineConfig, NodeId, Op, OpSource, VAddr, VPage};
+use vcoma_types::{trace_sources, AccessKind, MachineConfig, NodeId, Op, OpSource, VAddr, VPage};
 use vcoma_vm::{
     ColoringAllocator, DirectoryAllocator, FrameAllocator, PageTable, PressureProfile,
     RoundRobinAllocator,
@@ -241,7 +241,7 @@ impl Machine {
     /// acquires one it already holds, and [`SimError::Deadlock`] if some
     /// node parks on a barrier or lock that the other traces never reach.
     pub fn run(self, traces: Vec<Vec<Op>>) -> Result<SimReport, SimError> {
-        self.run_streaming(|| SliceSource::boxed(&traces))
+        self.run_streaming(|| trace_sources(&traces))
     }
 
     /// Replays one lazy [`OpSource`] per node to completion, never holding
@@ -848,6 +848,11 @@ mod tests {
         SimConfig::new(MachineConfig::tiny(), scheme)
     }
 
+    /// Owned per-node sources over copies of `traces`.
+    fn owned_sources(traces: &[Vec<Op>]) -> Vec<Box<dyn OpSource>> {
+        traces.iter().map(|t| Box::new(t.clone().into_iter()) as Box<dyn OpSource>).collect()
+    }
+
     /// One node streams reads over a small array; a second node then reads
     /// the same array (producer→consumer sharing).
     fn sharing_traces(nodes: usize, bytes: u64, stride: u64) -> Vec<Vec<Op>> {
@@ -1053,7 +1058,7 @@ mod tests {
         let materialized =
             Machine::new(tiny(Scheme::V_COMA).with_seed(5)).run(traces.clone()).unwrap();
         let streamed = Machine::new(tiny(Scheme::V_COMA).with_seed(5))
-            .run_streaming(|| vcoma_types::sources_from_traces(traces.clone()))
+            .run_streaming(|| owned_sources(&traces))
             .unwrap();
         assert_eq!(format!("{materialized:?}"), format!("{streamed:?}"));
     }
@@ -1068,7 +1073,7 @@ mod tests {
         let streamed = Machine::new(tiny(Scheme::L2_TLB).with_seed(5).with_warmup())
             .run_streaming(|| {
                 factory_calls += 1;
-                vcoma_types::sources_from_traces(traces.clone())
+                owned_sources(&traces)
             })
             .unwrap();
         assert_eq!(factory_calls, 2, "warm-up replays a freshly generated stream");
@@ -1190,7 +1195,8 @@ mod tests {
     #[test]
     fn auditor_reports_deliberate_protocol_corruption() {
         let mut m = Machine::new(tiny(Scheme::V_COMA).with_audit());
-        let mut sources = vcoma_types::sources_from_traces(sharing_traces(4, 4096, 32));
+        let traces = sharing_traces(4, 4096, 32);
+        let mut sources = trace_sources(&traces);
         Replay::new(4).run(&mut m, &mut sources).unwrap();
         let block = *m.protocol.cached_blocks().first().expect("the run cached blocks");
         assert!(m.protocol.corrupt_master_for_tests(block));

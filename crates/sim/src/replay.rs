@@ -111,29 +111,6 @@ pub(crate) trait Engine {
     fn protect(&mut self, n: usize, va: VAddr) -> Result<u64, SimError>;
 }
 
-/// Zero-copy [`OpSource`] over a borrowed trace slice: the machines'
-/// `run` methods stream pre-built traces through the same loop as lazy
-/// sources without cloning the ops.
-pub(crate) struct SliceSource<'a> {
-    ops: std::slice::Iter<'a, Op>,
-}
-
-impl<'a> SliceSource<'a> {
-    /// One boxed source per trace.
-    pub(crate) fn boxed(traces: &'a [Vec<Op>]) -> Vec<Box<dyn OpSource + 'a>> {
-        traces
-            .iter()
-            .map(|t| Box::new(SliceSource { ops: t.iter() }) as Box<dyn OpSource + 'a>)
-            .collect()
-    }
-}
-
-impl OpSource for SliceSource<'_> {
-    fn next_op(&mut self) -> Option<Op> {
-        self.ops.next().copied()
-    }
-}
-
 /// The barrier and lock state of one run. It outlives a replay pass, so a
 /// warm-up pass and the measured pass share it as they share the machine.
 #[derive(Debug)]

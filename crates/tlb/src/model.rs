@@ -80,11 +80,6 @@ pub trait TranslationModel: std::fmt::Debug + Send {
     /// diagnostic entries after the spec-aligned ones.
     fn all_stats(&self) -> Vec<TlbStats>;
 
-    /// The primary member's statistics.
-    fn primary_stats(&self) -> TlbStats {
-        self.all_stats()[0]
-    }
-
     /// Zeroes the statistics, keeping resident mappings (between a warm-up
     /// pass and the measured pass).
     fn reset_stats(&mut self);
@@ -470,8 +465,8 @@ mod tests {
         let mut m = BankModel::new(&params(&specs));
         assert_eq!(m.lookup(VPage::new(1)), Xlation { cycles: 40, missed: true });
         assert_eq!(m.lookup(VPage::new(1)), Xlation::HIT);
-        assert_eq!(m.primary_stats().accesses, 2);
-        assert_eq!(m.primary_stats().misses, 1);
+        assert_eq!(m.all_stats()[0].accesses, 2);
+        assert_eq!(m.all_stats()[0].misses, 1);
     }
 
     #[test]
@@ -616,7 +611,7 @@ mod tests {
         for m in &mut models {
             m.lookup(VPage::new(3));
             m.reset_stats();
-            assert_eq!(m.primary_stats(), TlbStats::default());
+            assert_eq!(m.all_stats()[0], TlbStats::default());
             assert_eq!(m.lookup(VPage::new(3)), Xlation::HIT, "residency survives reset");
         }
     }

@@ -39,7 +39,7 @@ pub use hash::{IntBuildHasher, IntHasher, IntMap};
 pub use op::{AccessKind, Op, SyncId};
 pub use protection::Protection;
 pub use rng::DetRng;
-pub use source::{materialize, sources_from_traces, Materialized, OpSource};
+pub use source::{materialize, trace_sources, OpSource};
 
 /// Identifier of a processing node in the simulated machine.
 ///

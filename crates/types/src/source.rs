@@ -7,8 +7,9 @@
 //! as the engine asks for them, so peak memory is bounded by the
 //! generator's working set instead of the full trace length.
 //!
-//! [`Materialized`] adapts a pre-built trace to the interface for tests,
-//! trace files and any caller that already owns a `Vec<Op>`;
+//! Every iterator of [`Op`]s is an [`OpSource`], so an owned trace is a
+//! source as `ops.into_iter()` and a borrowed one as `ops.iter().copied()`;
+//! [`trace_sources`] boxes a borrowed trace set, one source per node, and
 //! [`materialize`] drains a full set of sources back into plain traces.
 //!
 //! Sources are deliberately **not** required to be `Send`: a machine pulls
@@ -25,34 +26,15 @@ pub trait OpSource {
     fn next_op(&mut self) -> Option<Op>;
 }
 
-/// An [`OpSource`] over a pre-built op vector.
-///
-/// The adapter for callers that already hold a full trace: tests, the
-/// trace-file loader, and fixed-trace workloads.
-#[derive(Debug, Clone)]
-pub struct Materialized {
-    ops: std::vec::IntoIter<Op>,
-}
-
-impl Materialized {
-    /// Wraps one node's pre-built ops.
-    pub fn new(ops: Vec<Op>) -> Self {
-        Materialized { ops: ops.into_iter() }
-    }
-}
-
-impl OpSource for Materialized {
+impl<I: Iterator<Item = Op>> OpSource for I {
     fn next_op(&mut self) -> Option<Op> {
-        self.ops.next()
+        self.next()
     }
 }
 
-/// Wraps pre-built per-node traces as boxed sources, one per node.
-pub fn sources_from_traces(traces: Vec<Vec<Op>>) -> Vec<Box<dyn OpSource>> {
-    traces
-        .into_iter()
-        .map(|t| Box::new(Materialized::new(t)) as Box<dyn OpSource>)
-        .collect()
+/// Boxes one zero-copy source per pre-built trace, borrowing the ops.
+pub fn trace_sources(traces: &[Vec<Op>]) -> Vec<Box<dyn OpSource + '_>> {
+    traces.iter().map(|t| Box::new(t.iter().copied()) as Box<dyn OpSource + '_>).collect()
 }
 
 /// Drains every source to completion, returning plain per-node traces.
@@ -80,7 +62,7 @@ mod tests {
 
     #[test]
     fn materialized_yields_in_order_then_none() {
-        let mut s = Materialized::new(ops());
+        let mut s = ops().into_iter();
         assert_eq!(s.next_op(), Some(Op::Read(VAddr::new(0x40))));
         assert_eq!(s.next_op(), Some(Op::Compute(3)));
         assert_eq!(s.next_op(), Some(Op::Barrier(SyncId(0))));
@@ -91,7 +73,12 @@ mod tests {
     #[test]
     fn traces_roundtrip_through_sources() {
         let traces = vec![ops(), Vec::new(), vec![Op::Write(VAddr::new(0x80))]];
-        let roundtripped = materialize(sources_from_traces(traces.clone()));
-        assert_eq!(roundtripped, traces);
+        let replayed: Vec<Vec<Op>> = trace_sources(&traces)
+            .iter_mut()
+            .map(|s| std::iter::from_fn(|| s.next_op()).collect())
+            .collect();
+        assert_eq!(replayed, traces);
+        let owned = traces.iter().map(|t| Box::new(t.clone().into_iter()) as Box<dyn OpSource>);
+        assert_eq!(materialize(owned.collect()), traces);
     }
 }

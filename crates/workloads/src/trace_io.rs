@@ -21,9 +21,9 @@
 //! `b`, `l` and `u` carry barrier/lock identifiers in decimal; `p` carries
 //! an address and a rights string (`rw`, `r-`, `-w`, `--`).
 //!
-//! Loaded traces replay through the streaming engine via the
-//! [`vcoma_types::sources_from_traces`] adapter, which wraps each node's
-//! `Vec<Op>` in a [`vcoma_types::Materialized`] cursor.
+//! Loaded traces replay through the streaming engine like any other op
+//! stream: every `Op` iterator is a [`vcoma_types::OpSource`], and
+//! [`vcoma_types::trace_sources`] boxes one borrowing cursor per node.
 
 use vcoma_types::{Op, Protection, SyncId, VAddr};
 
@@ -201,7 +201,7 @@ mod tests {
         let cfg = vcoma_types::MachineConfig::tiny();
         let traces = crate::PingPong { rounds: 5 }.generate(&cfg);
         let loaded = load_traces(&save_traces(&traces)).unwrap();
-        let mut sources = vcoma_types::sources_from_traces(loaded);
+        let mut sources = vcoma_types::trace_sources(&loaded);
         let replayed: Vec<Vec<Op>> = sources
             .iter_mut()
             .map(|s| std::iter::from_fn(|| s.next_op()).collect())

@@ -11,9 +11,9 @@
 
 use vcoma::vm::AddressSpaceLayout;
 use vcoma::workloads::TraceBuilder;
-use vcoma::{MachineConfig, Scheme, Simulator};
+use vcoma::{Machine, MachineConfig, Scheme, SimConfig, SimError};
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let machine = MachineConfig::paper_baseline();
 
     // A tiny "work stealing" pattern: a shared task counter guarded by a
@@ -49,7 +49,8 @@ fn main() {
 
     println!("custom work-stealing workload: {} total ops\n", traces.iter().map(Vec::len).sum::<usize>());
     for scheme in [Scheme::L0_TLB, Scheme::L3_TLB, Scheme::V_COMA] {
-        let report = Simulator::new(scheme).entries(8).run_traces(traces.clone());
+        let sim = SimConfig::new(machine.clone(), scheme).with_entries(8);
+        let report = Machine::new(sim).run(traces.clone())?;
         println!(
             "{:<8} exec {:>10} cycles | translation misses {:>6} | sync {:>8.0} cyc/node",
             scheme.label(),
@@ -58,4 +59,5 @@ fn main() {
             report.mean_breakdown().sync,
         );
     }
+    Ok(())
 }

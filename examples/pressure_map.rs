@@ -10,12 +10,13 @@
 //! ```
 
 use vcoma::workloads::all_benchmarks;
-use vcoma::{Scheme, Simulator};
+use vcoma::{simulate, MachineConfig, Scheme, SimConfig, SimError};
 
-fn main() {
+fn main() -> Result<(), SimError> {
     println!("global-page-set pressure profiles under V-COMA (paper Fig. 11)\n");
     for workload in all_benchmarks(0.02) {
-        let report = Simulator::new(Scheme::V_COMA).run(workload.as_ref());
+        let sim = SimConfig::new(MachineConfig::paper_baseline(), Scheme::V_COMA);
+        let report = simulate(sim, workload.as_ref())?;
         let p = report.pressure();
         // Bucket the 256 global page sets into 32 columns for display.
         let cols = 32;
@@ -47,4 +48,5 @@ fn main() {
          global set' claim — program locality in the virtual space spreads\n\
          pages evenly over the colors without any OS intervention."
     );
+    Ok(())
 }

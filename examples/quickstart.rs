@@ -7,9 +7,9 @@
 //! ```
 
 use vcoma::workloads::{Radix, Workload};
-use vcoma::{Scheme, Simulator};
+use vcoma::{simulate, MachineConfig, Scheme, SimConfig, SimError};
 
-fn main() {
+fn main() -> Result<(), SimError> {
     // The paper's RADIX benchmark, replaying 10 % of the keys so the
     // example finishes in a couple of seconds. The arrays keep their full
     // size, so the translation behaviour keeps its shape.
@@ -23,7 +23,8 @@ fn main() {
 
     for scheme in [Scheme::L0_TLB, Scheme::V_COMA] {
         // 32-node paper machine, 8-entry fully-associative TLB/DLB.
-        let report = Simulator::new(scheme).entries(8).run(&workload);
+        let sim = SimConfig::new(MachineConfig::paper_baseline(), scheme).with_entries(8);
+        let report = simulate(sim, &workload)?;
         let b = report.mean_breakdown();
         println!("{scheme}:");
         println!("  references           {:>12}", report.total_refs());
@@ -45,4 +46,5 @@ fn main() {
          relative to a same-sized private TLB (the paper's sharing + prefetching\n\
          effects)."
     );
+    Ok(())
 }

@@ -12,9 +12,9 @@
 //! ```
 
 use vcoma::workloads::Radix;
-use vcoma::{Scheme, Simulator, TlbOrg};
+use vcoma::{simulate, MachineConfig, Scheme, SimConfig, SimError, TlbOrg};
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let sizes: Vec<u64> = vec![8, 16, 32, 64, 128, 256, 512];
     let workload = Radix::paper().scaled(0.1);
 
@@ -31,7 +31,9 @@ fn main() {
     println!();
 
     for scheme in [Scheme::L0_TLB, Scheme::L2_TLB, Scheme::L3_TLB, Scheme::V_COMA] {
-        let report = Simulator::new(scheme).specs(specs.clone()).run(&workload);
+        let sim = SimConfig::new(MachineConfig::paper_baseline(), scheme)
+            .with_translation_specs(specs.clone());
+        let report = simulate(sim, &workload)?;
         print!("{:<16}", scheme.label());
         for bank in 0..sizes.len() {
             print!("{:>10.0}", report.translation_misses_per_node(bank));
@@ -45,4 +47,5 @@ fn main() {
          the V-COMA row is orders of magnitude lower at *every* size because DLB\n\
          entries are shared by all writers of a page and prefetch for each other."
     );
+    Ok(())
 }

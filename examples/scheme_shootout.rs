@@ -12,9 +12,9 @@
 //! (default 0.1).
 
 use vcoma::workloads::{by_name, Workload};
-use vcoma::{all_schemes, Simulator};
+use vcoma::{all_schemes, simulate, MachineConfig, SimConfig, SimError};
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let mut args = std::env::args().skip(1);
     let name = args.next().unwrap_or_else(|| "OCEAN".to_string());
     let scale: f64 = args.next().map(|s| s.parse().expect("SCALE must be a number")).unwrap_or(0.1);
@@ -33,7 +33,8 @@ fn main() {
     );
 
     for scheme in all_schemes() {
-        let report = Simulator::new(scheme).entries(8).run(workload.as_ref());
+        let sim = SimConfig::new(MachineConfig::paper_baseline(), scheme).with_entries(8);
+        let report = simulate(sim, workload.as_ref())?;
         let b = report.mean_breakdown();
         println!(
             "{:<16} {:>9} {:>10} {:>9.3} {:>9} {:>12} {:>8.0} {:>8.0} {:>8.0} {:>8.0} {:>8.0}",
@@ -56,4 +57,5 @@ fn main() {
          V-COMA, except that L2-TLB's writeback translations can push it above\n\
          L2-TLB/no_wback (and sometimes above L1) on streaming workloads."
     );
+    Ok(())
 }

@@ -6,9 +6,9 @@
 //! ```
 
 use vcoma::workloads::{by_name, load_traces, save_traces, TraceAnalysis};
-use vcoma::{MachineConfig, Scheme, Simulator};
+use vcoma::{Machine, MachineConfig, Scheme, SimConfig, SimError};
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let mut args = std::env::args().skip(1);
     let name = args.next().unwrap_or_else(|| "BARNES".to_string());
     let scale: f64 = args.next().map(|s| s.parse().expect("SCALE")).unwrap_or(0.02);
@@ -35,10 +35,11 @@ fn main() {
     assert_eq!(reloaded, traces, "round trip must be lossless");
 
     // Replay the reloaded copy.
-    let report = Simulator::new(Scheme::V_COMA).run_traces(reloaded);
+    let report = Machine::new(SimConfig::new(machine, Scheme::V_COMA)).run(reloaded)?;
     println!(
         "  replay         {:>12} cycles under V-COMA, {} DLB misses",
         report.exec_time(),
         report.translation_misses_total(0)
     );
+    Ok(())
 }

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # The one CI definition (.github/workflows/ci.yml only runs this and
 # uploads its artifacts): clippy, tier-1 build+test, property tests, the
-# golden-report regression suite, the CC-NUMA example, CLI-level checks
-# that parallel sweeps are byte-deterministic, the micro benches, the
-# parent-vs-head perf A/B (scripts/perf_ab.sh), the fault matrix, the
-# trace smoke and the sweep server's crash-resume run. Leaves
+# golden-report regression suite, the perfbench smoke test, the CC-NUMA
+# example, CLI-level checks that parallel sweeps are byte-deterministic,
+# the micro benches, the parent-vs-head perf A/B (scripts/perf_ab.sh), the
+# fault matrix, the trace smoke and the sweep server's crash-resume run. Leaves
 # BENCH_sweep.json, BENCH_sweep_64node.json and trace.json in the
 # repository root.
 set -euo pipefail
@@ -26,6 +26,16 @@ cargo test --release -q --features proptest-tests \
 
 echo "==> golden-report regression suite"
 cargo test -q -p vcoma-integration --test golden_reports
+
+echo "==> perfbench: builds against the workspace API and passes its smoke test"
+# perfbench's build rewrites its tracked Cargo.lock; put the committed one back.
+lock_copy=$(mktemp)
+cp perfbench/Cargo.lock "$lock_copy"
+smoke_status=0
+python3 perfbench/test_smoke.py || smoke_status=$?
+cp "$lock_copy" perfbench/Cargo.lock
+rm -f "$lock_copy"
+[ "$smoke_status" -eq 0 ] || { echo "perfbench smoke test failed"; exit 1; }
 
 echo "==> CC-NUMA example (paper §2): first touch keeps misses local, SHARED-TLB sends them remote"
 cargo run --release -q --example ccnuma_motivation | python3 -c '

@@ -2,12 +2,17 @@
 //! stack, whatever the scheme or workload.
 
 use vcoma::workloads::all_benchmarks;
-use vcoma::{all_schemes, Simulator};
+use vcoma::{all_schemes, simulate, Machine, MachineConfig, Scheme, SimConfig};
 use vcoma_types::Op;
+
+/// The paper's 32-node machine running `scheme`.
+fn paper(scheme: Scheme) -> SimConfig {
+    SimConfig::new(MachineConfig::paper_baseline(), scheme)
+}
 
 #[test]
 fn reference_counts_match_the_traces() {
-    let machine = vcoma::MachineConfig::paper_baseline();
+    let machine = MachineConfig::paper_baseline();
     for w in all_benchmarks(0.003) {
         let traces = w.generate(&machine);
         let trace_reads = traces
@@ -21,7 +26,7 @@ fn reference_counts_match_the_traces() {
             .filter(|op| matches!(op, Op::Write(_)))
             .count() as u64;
         for scheme in all_schemes() {
-            let report = Simulator::new(scheme).run_traces(traces.clone());
+            let report = Machine::new(paper(scheme)).run(traces.clone()).unwrap();
             assert_eq!(report.total_refs(), trace_reads + trace_writes, "{scheme}");
             assert_eq!(report.total_writes(), trace_writes, "{scheme}");
         }
@@ -32,7 +37,7 @@ fn reference_counts_match_the_traces() {
 fn time_accounting_is_consistent() {
     for w in all_benchmarks(0.003) {
         for scheme in all_schemes() {
-            let report = Simulator::new(scheme).run(w.as_ref());
+            let report = simulate(paper(scheme), w.as_ref()).unwrap();
             for (i, n) in report.nodes().iter().enumerate() {
                 // A node's final clock equals the sum of its breakdown
                 // categories, fine and Figure-10 alike: every elapsed
@@ -53,7 +58,7 @@ fn fine_breakdown_conserves_every_cycle() {
     // every simulated cycle, per node and machine-wide, in every scheme.
     for w in all_benchmarks(0.003) {
         for scheme in all_schemes() {
-            let report = Simulator::new(scheme).run(w.as_ref());
+            let report = simulate(paper(scheme), w.as_ref()).unwrap();
             for (i, n) in report.nodes().iter().enumerate() {
                 let ctx = || format!("{} {scheme} node {i}", w.name());
                 assert_eq!(n.time, n.fine.total(), "{}: fine breakdown leaks cycles", ctx());
@@ -89,7 +94,7 @@ fn both_ledgers_conserve_at_nonzero_flc_hit() {
     machine.timing.flc_hit = 2;
     for w in all_benchmarks(0.003) {
         for scheme in [Scheme::L0_TLB, Scheme::V_COMA] {
-            let report = Simulator::new(scheme).machine(machine.clone()).run(w.as_ref());
+            let report = simulate(SimConfig::new(machine.clone(), scheme), w.as_ref()).unwrap();
             for (i, n) in report.nodes().iter().enumerate() {
                 let ctx = || format!("{} {scheme} flc_hit=2 node {i}", w.name());
                 let coarse = n.fine.coarse();
@@ -107,7 +112,7 @@ fn metrics_reconcile_with_report_counters() {
     // statistics it mirrors.
     for w in all_benchmarks(0.003) {
         for scheme in all_schemes() {
-            let report = Simulator::new(scheme).run(w.as_ref());
+            let report = simulate(paper(scheme), w.as_ref()).unwrap();
             let m = report.metrics();
             let reads: u64 = report.nodes().iter().map(|n| n.reads).sum();
             let writes = report.total_writes();
@@ -133,7 +138,7 @@ fn metrics_reconcile_with_report_counters() {
 fn translation_misses_never_exceed_accesses() {
     for w in all_benchmarks(0.003) {
         for scheme in all_schemes() {
-            let report = Simulator::new(scheme).run(w.as_ref());
+            let report = simulate(paper(scheme), w.as_ref()).unwrap();
             assert!(
                 report.translation_misses_total(0) <= report.translation_accesses_total(0),
                 "{} {scheme}",
@@ -150,7 +155,7 @@ fn protocol_hits_plus_transactions_cover_probes() {
     // the reference count.
     for w in all_benchmarks(0.003) {
         for scheme in all_schemes() {
-            let report = Simulator::new(scheme).run(w.as_ref());
+            let report = simulate(paper(scheme), w.as_ref()).unwrap();
             let p = report.protocol();
             let am_level = p.local_read_hits + p.local_write_hits + p.remote_transactions();
             assert!(
@@ -178,8 +183,7 @@ fn over_capacity_workload_swaps_and_conserves_refs() {
                 tr.push(Op::Read(VAddr::new(page * machine.page_size)));
             }
         }
-        let report =
-            Simulator::new(scheme).machine(machine).run_traces(traces);
+        let report = Machine::new(SimConfig::new(machine, scheme)).run(traces).unwrap();
         assert_eq!(report.total_refs(), 1600, "{scheme}");
         assert!(report.swap_outs() > 0, "{scheme}: must swap");
         for n in report.nodes() {
@@ -209,8 +213,8 @@ fn protection_changes_are_accounted_and_deterministic() {
         traces
     };
     for scheme in [Scheme::L0_TLB, Scheme::L3_TLB, Scheme::V_COMA] {
-        let a = Simulator::new(scheme).seed(4).run_traces(mk());
-        let b = Simulator::new(scheme).seed(4).run_traces(mk());
+        let a = Machine::new(paper(scheme).with_seed(4)).run(mk()).unwrap();
+        let b = Machine::new(paper(scheme).with_seed(4)).run(mk()).unwrap();
         assert_eq!(a.exec_time(), b.exec_time(), "{scheme}");
         assert_eq!(a.total_refs(), 32 * 50, "{scheme}: protects are not refs");
         let shootdowns: u64 =
@@ -229,7 +233,7 @@ fn fixed_seed_grid_conserves_refs_and_messages() {
     for &seed in &[1u64, 0x5EED] {
         for w in all_benchmarks(0.003) {
             for scheme in all_schemes() {
-                let report = Simulator::new(scheme).seed(seed).run(w.as_ref());
+                let report = simulate(paper(scheme).with_seed(seed), w.as_ref()).unwrap();
                 for (i, n) in report.nodes().iter().enumerate() {
                     let ctx = || format!("{} {scheme} seed {seed} node {i}", w.name());
                     assert_eq!(n.refs, n.reads + n.writes, "{}", ctx());
@@ -263,7 +267,7 @@ fn no_spills_on_paper_workloads() {
     // never be forced to spill a master copy to backing store.
     for w in all_benchmarks(0.01) {
         for scheme in all_schemes() {
-            let report = Simulator::new(scheme).run(w.as_ref());
+            let report = simulate(paper(scheme), w.as_ref()).unwrap();
             assert_eq!(
                 report.protocol().spills,
                 0,

@@ -2,14 +2,19 @@
 //! seed, workload).
 
 use vcoma::workloads::{all_benchmarks, UniformRandom};
-use vcoma::{all_schemes, Scheme, Simulator};
+use vcoma::{all_schemes, simulate, MachineConfig, Scheme, SimConfig};
+
+/// The paper's 32-node machine running `scheme`.
+fn paper(scheme: Scheme) -> SimConfig {
+    SimConfig::new(MachineConfig::paper_baseline(), scheme)
+}
 
 #[test]
 fn identical_seeds_give_identical_reports() {
     for scheme in all_schemes() {
-        let sim = Simulator::new(scheme).entries(8).seed(1234);
+        let sim = paper(scheme).with_entries(8).with_seed(1234);
         let w = UniformRandom { pages: 200, refs_per_node: 1500, write_fraction: 0.4 };
-        let (a, b) = (sim.run(&w), sim.run(&w));
+        let (a, b) = (simulate(sim.clone(), &w).unwrap(), simulate(sim, &w).unwrap());
         assert_eq!(a.exec_time(), b.exec_time(), "{scheme}");
         assert_eq!(a.total_refs(), b.total_refs(), "{scheme}");
         assert_eq!(
@@ -32,8 +37,8 @@ fn different_seeds_perturb_random_replacement() {
     // With random TLB replacement, different seeds give (almost surely)
     // different miss counts on a thrashing workload.
     let w = UniformRandom { pages: 64, refs_per_node: 4000, write_fraction: 0.3 };
-    let a = Simulator::new(Scheme::L0_TLB).entries(8).seed(1).run(&w);
-    let b = Simulator::new(Scheme::L0_TLB).entries(8).seed(2).run(&w);
+    let a = simulate(paper(Scheme::L0_TLB).with_entries(8).with_seed(1), &w).unwrap();
+    let b = simulate(paper(Scheme::L0_TLB).with_entries(8).with_seed(2), &w).unwrap();
     assert_ne!(
         a.translation_misses_total(0),
         b.translation_misses_total(0),
@@ -54,9 +59,10 @@ fn benchmark_generation_is_reproducible_through_the_facade() {
 #[test]
 fn warmup_changes_stats_not_determinism() {
     let w = UniformRandom { pages: 64, refs_per_node: 1000, write_fraction: 0.3 };
-    let cold = Simulator::new(Scheme::V_COMA).seed(7).run(&w);
-    let warm_a = Simulator::new(Scheme::V_COMA).seed(7).warmup().run(&w);
-    let warm_b = Simulator::new(Scheme::V_COMA).seed(7).warmup().run(&w);
+    let cold = simulate(paper(Scheme::V_COMA).with_seed(7), &w).unwrap();
+    let warm = paper(Scheme::V_COMA).with_seed(7).with_warmup();
+    let warm_a = simulate(warm.clone(), &w).unwrap();
+    let warm_b = simulate(warm, &w).unwrap();
     assert_eq!(warm_a.exec_time(), warm_b.exec_time());
     // The warm window must see fewer protocol cold fills than the cold one.
     assert!(warm_a.protocol().cold_fills < cold.protocol().cold_fills);

@@ -5,7 +5,15 @@
 
 use vcoma::faults::FaultPlan;
 use vcoma::workloads::{PingPong, UniformRandom, Workload};
-use vcoma::{all_schemes, Scheme, Simulator};
+use vcoma::{all_schemes, simulate, MachineConfig, Scheme, SimConfig, TraceConfig};
+
+/// The 4-node test machine running `scheme`.
+fn tiny(scheme: Scheme) -> SimConfig {
+    SimConfig::new(MachineConfig::tiny(), scheme)
+}
+
+/// The tracing the traced cases arm.
+const TRACE: TraceConfig = TraceConfig { sample_every: 7, capacity: 256 };
 
 fn workload() -> UniformRandom {
     UniformRandom { pages: 96, refs_per_node: 800, write_fraction: 0.4 }
@@ -15,9 +23,9 @@ fn workload() -> UniformRandom {
 fn every_scheme_survives_a_lossy_crossbar_with_the_auditor_armed() {
     let plan = FaultPlan::parse("drop=0.01,dup=0.005,delay=32,nack=0.02").unwrap();
     for (scheme, traced) in all_schemes().into_iter().flat_map(|s| [(s, false), (s, true)]) {
-        let sim = Simulator::new(scheme).tiny().fault_plan(plan.clone()).audit();
-        let sim = if traced { sim.trace(7, 256) } else { sim };
-        let report = sim.try_run(&workload()).unwrap_or_else(|e| panic!("{scheme}: {e}"));
+        let sim = tiny(scheme).with_fault_plan(plan.clone()).with_audit();
+        let sim = if traced { sim.with_trace(TRACE) } else { sim };
+        let report = simulate(sim, &workload()).unwrap_or_else(|e| panic!("{scheme}: {e}"));
         assert_eq!(report.trace().is_some(), traced, "{scheme}");
         assert_eq!(report.total_refs(), 4 * 800, "{scheme}");
         let p = report.protocol();
@@ -41,12 +49,9 @@ fn every_scheme_survives_a_lossy_crossbar_with_the_auditor_armed() {
 #[test]
 fn zero_probability_plan_is_byte_inert() {
     for scheme in all_schemes() {
-        let plain = Simulator::new(scheme).tiny().run(&workload());
-        let zeroed = Simulator::new(scheme)
-            .tiny()
-            .fault_plan(FaultPlan::default())
-            .try_run(&workload())
-            .unwrap();
+        let plain = simulate(tiny(scheme), &workload()).unwrap();
+        let zeroed =
+            simulate(tiny(scheme).with_fault_plan(FaultPlan::default()), &workload()).unwrap();
         assert_eq!(plain.exec_time(), zeroed.exec_time(), "{scheme}");
         assert_eq!(plain.protocol(), zeroed.protocol(), "{scheme}");
         assert_eq!(plain.net(), zeroed.net(), "{scheme}");
@@ -64,9 +69,9 @@ fn fault_runs_are_a_pure_function_of_plan_and_seed() {
         [(&workload(), false), (&PingPong { rounds: 300 }, true)];
     for (w, traced) in cases {
         let run = || {
-            let sim = Simulator::new(Scheme::V_COMA).tiny().fault_plan(plan.clone()).audit();
-            let sim = if traced { sim.trace(7, 256) } else { sim };
-            sim.try_run(w).unwrap()
+            let sim = tiny(Scheme::V_COMA).with_fault_plan(plan.clone()).with_audit();
+            let sim = if traced { sim.with_trace(TRACE) } else { sim };
+            simulate(sim, w).unwrap()
         };
         let (a, b) = (run(), run());
         assert_eq!(a.exec_time(), b.exec_time());
@@ -81,11 +86,8 @@ fn fault_runs_are_a_pure_function_of_plan_and_seed() {
 fn fault_seed_changes_the_fault_pattern_but_not_the_references() {
     let plan = FaultPlan::parse("drop=0.03,nack=0.05").unwrap();
     let run = |seed: u64| {
-        Simulator::new(Scheme::L0_TLB)
-            .tiny()
-            .fault_plan(plan.clone().with_seed(seed))
-            .try_run(&workload())
-            .unwrap()
+        let sim = tiny(Scheme::L0_TLB).with_fault_plan(plan.clone().with_seed(seed));
+        simulate(sim, &workload()).unwrap()
     };
     let (a, b) = (run(1), run(2));
     assert_eq!(a.total_refs(), b.total_refs());

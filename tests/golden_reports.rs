@@ -17,7 +17,9 @@
 use std::fs;
 use std::path::PathBuf;
 use vcoma::workloads::UniformRandom;
-use vcoma::{all_schemes, paper_schemes, MachineConfig, Scheme, SimReport, Simulator};
+use vcoma::{
+    all_schemes, paper_schemes, simulate, MachineConfig, Scheme, SimConfig, SimReport, TraceConfig,
+};
 use vcoma_experiments::{ccnuma, fig10, fig8, table2, ExperimentConfig};
 
 fn golden_dir() -> PathBuf {
@@ -113,10 +115,8 @@ fn scale_up_summary(schemes: &[Scheme], nodes: u64, refs_per_node: u64) -> Strin
     let mut out = String::new();
     for &scheme in schemes {
         // Tracing is armed so the fixtures also show it stays inert at scale.
-        let report = Simulator::new(scheme)
-            .machine(machine.clone())
-            .trace(17, 128)
-            .try_run(&w)
+        let tc = TraceConfig { sample_every: 17, capacity: 128 };
+        let report = simulate(SimConfig::new(machine.clone(), scheme).with_trace(tc), &w)
             .unwrap_or_else(|e| panic!("{scheme} @ {nodes} nodes: {e}"));
         out.push_str(&summary_line(scheme, &report));
     }

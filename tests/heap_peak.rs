@@ -23,7 +23,7 @@ mod counting_alloc;
 
 use counting_alloc::{peak_mb_of, Counting};
 use vcoma::workloads::by_name;
-use vcoma::{Machine, MachineConfig, Scheme, SimConfig, Simulator};
+use vcoma::{simulate, Machine, MachineConfig, Scheme, SimConfig};
 
 #[global_allocator]
 static ALLOC: Counting = Counting;
@@ -53,9 +53,8 @@ fn vcoma_fft_point_stays_under_its_peak_heap_bound() {
 
     let w = by_name("FFT", SCALE).expect("FFT is a paper benchmark");
     let (report, peak_mb) = peak_mb_of(|| {
-        Simulator::new(Scheme::V_COMA)
-            .machine(MachineConfig::paper_baseline())
-            .run(w.as_ref())
+        let sim = SimConfig::new(MachineConfig::paper_baseline(), Scheme::V_COMA);
+        simulate(sim, w.as_ref()).unwrap()
     });
     assert!(report.total_refs() > 0);
     eprintln!("peak heap {peak_mb:.1} MB over {} refs", report.total_refs());

@@ -20,7 +20,7 @@ mod counting_alloc;
 
 use counting_alloc::{peak_mb_of, Counting};
 use vcoma::workloads::by_name;
-use vcoma::{MachineConfig, Scheme, Simulator, TlbOrg};
+use vcoma::{simulate, MachineConfig, Scheme, SimConfig, TlbOrg};
 use vcoma_experiments::table2::TABLE2_SIZES;
 
 #[global_allocator]
@@ -60,10 +60,9 @@ fn fmm_op_streams_stay_under_their_peak_heap_bounds() {
     let w = by_name("FMM", 0.1).expect("FMM is a paper benchmark");
     let bank = TABLE2_SIZES.iter().map(|&s| (s, TlbOrg::FullyAssociative)).collect();
     let (report, point_mb) = peak_mb_of(|| {
-        Simulator::new(Scheme::L0_TLB)
-            .machine(MachineConfig::paper_baseline())
-            .specs(bank)
-            .run(w.as_ref())
+        let sim = SimConfig::new(MachineConfig::paper_baseline(), Scheme::L0_TLB)
+            .with_translation_specs(bank);
+        simulate(sim, w.as_ref()).unwrap()
     });
     eprintln!("FMM L0-TLB point at scale 0.1: peak heap {point_mb:.1} MB over {} refs", report.total_refs());
 

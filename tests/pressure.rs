@@ -4,7 +4,7 @@
 
 use vcoma::vm::AddressSpaceLayout;
 use vcoma::workloads::TraceBuilder;
-use vcoma::{MachineConfig, Scheme, Simulator};
+use vcoma::{Machine, MachineConfig, Scheme, SimConfig};
 use vcoma_experiments::{fig11, ExperimentConfig};
 
 #[test]
@@ -42,7 +42,8 @@ fn skewed_virtual_layout_is_visible_in_the_profile() {
             b.read(n, region.addr(i * stride));
         }
     }
-    let report = Simulator::new(Scheme::V_COMA).run_traces(b.into_traces());
+    let sim = SimConfig::new(MachineConfig::paper_baseline(), Scheme::V_COMA);
+    let report = Machine::new(sim).run(b.into_traces()).unwrap();
     let p = report.pressure();
     assert!(
         p.coefficient_of_variation() > 5.0,
@@ -64,7 +65,8 @@ fn pressure_counts_match_touched_pages() {
     for i in 0..machine.global_page_sets() {
         b.read(0, region.addr(i * machine.page_size));
     }
-    let report = Simulator::new(Scheme::V_COMA).run_traces(b.into_traces());
+    let sim = SimConfig::new(MachineConfig::paper_baseline(), Scheme::V_COMA);
+    let report = Machine::new(sim).run(b.into_traces()).unwrap();
     let p = report.pressure();
     let expected = 1.0 / machine.page_slots_per_global_set() as f64;
     for set in 0..machine.global_page_sets() {

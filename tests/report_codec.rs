@@ -20,7 +20,7 @@
 use std::fs;
 use std::path::PathBuf;
 use vcoma::workloads::UniformRandom;
-use vcoma::{codec, MachineConfig, Scheme, SimReport, Simulator};
+use vcoma::{codec, simulate, MachineConfig, Scheme, SimConfig, SimReport, TraceConfig};
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden"))
@@ -50,7 +50,10 @@ fn workload() -> UniformRandom {
 }
 
 fn traced_report() -> SimReport {
-    Simulator::new(Scheme::V_COMA).tiny().seed(9).trace(4, 1 << 14).run(&workload())
+    let sim = SimConfig::new(MachineConfig::tiny(), Scheme::V_COMA)
+        .with_seed(9)
+        .with_trace(TraceConfig { sample_every: 4, capacity: 1 << 14 });
+    simulate(sim, &workload()).unwrap()
 }
 
 #[test]
@@ -72,10 +75,8 @@ fn paper_machine_envelope_is_one_compact_line() {
     // A stored point of the paper's 32-node machine: one line of compact
     // JSON without the event ring, small enough that a store hit is cheap.
     let w = UniformRandom { pages: 64, refs_per_node: 200, write_fraction: 0.3 };
-    let report = Simulator::new(Scheme::V_COMA)
-        .machine(MachineConfig::paper_baseline())
-        .seed(9)
-        .run(&w);
+    let sim = SimConfig::new(MachineConfig::paper_baseline(), Scheme::V_COMA).with_seed(9);
+    let report = simulate(sim, &w).unwrap();
     assert_eq!(report.nodes().len(), 32);
     let text = codec::encode(&report, "fp", "key");
     assert!(!text.contains('\n'), "the envelope is one line");
@@ -100,7 +101,8 @@ fn traced_report_round_trips_exactly() {
 
 #[test]
 fn untraced_report_round_trips_with_null_trace() {
-    let report = Simulator::new(Scheme::L0_TLB).tiny().seed(3).run(&workload());
+    let sim = SimConfig::new(MachineConfig::tiny(), Scheme::L0_TLB).with_seed(3);
+    let report = simulate(sim, &workload()).unwrap();
     assert!(report.trace().is_none());
     let text = codec::encode(&report, "fp", "key");
     assert!(text.contains("\"trace\":null"));

@@ -2,14 +2,19 @@
 //! end to end on the paper machine.
 
 use vcoma::workloads::{all_benchmarks, PingPong, PrivateStream, UniformRandom};
-use vcoma::{all_schemes, Scheme, Simulator};
+use vcoma::{all_schemes, simulate, MachineConfig, Scheme, SimConfig};
+
+/// The paper's 32-node machine running `scheme`.
+fn paper(scheme: Scheme) -> SimConfig {
+    SimConfig::new(MachineConfig::paper_baseline(), scheme)
+}
 
 #[test]
 fn every_scheme_runs_every_benchmark() {
     for w in all_benchmarks(0.003) {
         let mut refs = Vec::new();
         for scheme in all_schemes() {
-            let report = Simulator::new(scheme).entries(8).run(w.as_ref());
+            let report = simulate(paper(scheme).with_entries(8), w.as_ref()).unwrap();
             assert!(report.exec_time() > 0, "{} {}", w.name(), scheme);
             assert!(report.total_refs() > 0, "{} {}", w.name(), scheme);
             refs.push(report.total_refs());
@@ -30,7 +35,7 @@ fn private_data_stays_local_in_steady_state() {
     // this size) — and almost none in the physical ones.
     let w = PrivateStream { bytes_per_node: 64 << 10, passes: 3 };
     for scheme in [Scheme::L3_TLB, Scheme::V_COMA] {
-        let report = Simulator::new(scheme).warmup().run(&w);
+        let report = simulate(paper(scheme).with_warmup(), &w).unwrap();
         let b = report.aggregate_breakdown();
         assert_eq!(
             b.remote_stall, 0,
@@ -43,7 +48,7 @@ fn private_data_stays_local_in_steady_state() {
 fn ping_pong_is_remote_bound_everywhere() {
     let w = PingPong { rounds: 200 };
     for scheme in all_schemes() {
-        let report = Simulator::new(scheme).run(&w);
+        let report = simulate(paper(scheme), &w).unwrap();
         let b = report.aggregate_breakdown();
         assert!(
             b.remote_stall > b.local_stall,
@@ -59,7 +64,7 @@ fn vcoma_never_uses_a_processor_tlb() {
     // access count equals the number of home lookups, which is bounded by
     // the protocol transactions, not by the reference count.
     let w = UniformRandom { pages: 128, refs_per_node: 2000, write_fraction: 0.3 };
-    let report = Simulator::new(Scheme::V_COMA).run(&w);
+    let report = simulate(paper(Scheme::V_COMA), &w).unwrap();
     assert!(
         report.translation_accesses_total(0) <= report.protocol().remote_transactions(),
         "DLB accesses ({}) cannot exceed protocol transactions ({})",
@@ -67,7 +72,7 @@ fn vcoma_never_uses_a_processor_tlb() {
         report.protocol().remote_transactions()
     );
     // While L0 translates every single reference.
-    let l0 = Simulator::new(Scheme::L0_TLB).run(&w);
+    let l0 = simulate(paper(Scheme::L0_TLB), &w).unwrap();
     assert_eq!(l0.translation_accesses_total(0), l0.total_refs());
 }
 
@@ -78,7 +83,7 @@ fn translation_access_counts_are_filtered_down_the_hierarchy() {
     // identical, so filtering is strict: L0 ≥ L1 ≥ L2.
     let mut last = u64::MAX;
     for scheme in [Scheme::L0_TLB, Scheme::L1_TLB, Scheme::L2_TLB_NO_WB] {
-        let report = Simulator::new(scheme).run(&w);
+        let report = simulate(paper(scheme), &w).unwrap();
         let accesses = report.translation_accesses_total(0);
         assert!(
             accesses <= last,
@@ -89,9 +94,9 @@ fn translation_access_counts_are_filtered_down_the_hierarchy() {
     // L3 and V-COMA use page coloring / virtual homes, which perturbs the
     // coherence dynamics slightly; allow a small band against L0 while
     // still requiring deep filtering relative to the top of the hierarchy.
-    let l0 = Simulator::new(Scheme::L0_TLB).run(&w).translation_accesses_total(0);
+    let l0 = simulate(paper(Scheme::L0_TLB), &w).unwrap().translation_accesses_total(0);
     for scheme in [Scheme::L3_TLB, Scheme::V_COMA] {
-        let accesses = Simulator::new(scheme).run(&w).translation_accesses_total(0);
+        let accesses = simulate(paper(scheme), &w).unwrap().translation_accesses_total(0);
         assert!(
             accesses <= l0,
             "{scheme}: {accesses} accesses, more than L0's {l0}"

@@ -2,12 +2,16 @@
 //! reduced scale. Absolute numbers differ from the paper — the claims here
 //! are about orderings and magnitudes of effects.
 
-use vcoma::workloads::{Radix, Raytrace};
-use vcoma::{Scheme, TlbOrg};
+use vcoma::workloads::{Radix, Raytrace, Workload};
+use vcoma::{simulate, Scheme, SimConfig, SimReport, TlbOrg};
 use vcoma_experiments::{fig8, fig9, table2, table4, ExperimentConfig};
 
 fn cfg() -> ExperimentConfig {
     ExperimentConfig::smoke().with_scale(0.02)
+}
+
+fn run(sim: SimConfig, w: &dyn Workload) -> SimReport {
+    simulate(sim, w).unwrap()
 }
 
 /// Claim 1 (filtering effect): translation *accesses* fall monotonically
@@ -20,7 +24,7 @@ fn filtering_effect_on_access_counts() {
         // protocol dynamics)…
         let mut last = u64::MAX;
         for scheme in [Scheme::L0_TLB, Scheme::L1_TLB, Scheme::L2_TLB_NO_WB] {
-            let report = cfg.simulator(scheme).entries(8).run(w.as_ref());
+            let report = run(cfg.simulator(scheme).with_entries(8), w.as_ref());
             let acc = report.translation_accesses_total(0);
             assert!(acc <= last, "{} {}: {} > {}", w.name(), scheme, acc, last);
             last = acc;
@@ -29,17 +33,11 @@ fn filtering_effect_on_access_counts() {
         // changes the coherence dynamics (RAYTRACE's 32 KB-aligned stacks
         // conflict under coloring — the paper's §5.3 effect), so they get
         // a 15 % band against L2 and must sit well below L0.
-        let l0 = cfg
-            .simulator(Scheme::L0_TLB)
-            .entries(8)
-            .run(w.as_ref())
+        let l0 = run(cfg.simulator(Scheme::L0_TLB).with_entries(8), w.as_ref())
             .translation_accesses_total(0);
         for scheme in [Scheme::L3_TLB, Scheme::V_COMA] {
-            let acc = cfg
-                .simulator(scheme)
-                .entries(8)
-                .run(w.as_ref())
-                .translation_accesses_total(0);
+            let acc =
+                run(cfg.simulator(scheme).with_entries(8), w.as_ref()).translation_accesses_total(0);
             assert!(
                 acc as f64 <= (last as f64 * 1.15).max(l0 as f64),
                 "{} {}: {} above L2's {} band",
@@ -62,8 +60,8 @@ fn writeback_effect_on_l2() {
         if !matches!(w.name(), "FFT" | "OCEAN" | "RADIX") {
             continue;
         }
-        let with_wb = cfg.simulator(Scheme::L2_TLB).entries(8).run(w.as_ref());
-        let no_wb = cfg.simulator(Scheme::L2_TLB_NO_WB).entries(8).run(w.as_ref());
+        let with_wb = run(cfg.simulator(Scheme::L2_TLB).with_entries(8), w.as_ref());
+        let no_wb = run(cfg.simulator(Scheme::L2_TLB_NO_WB).with_entries(8), w.as_ref());
         assert!(
             with_wb.translation_misses_total(0) > no_wb.translation_misses_total(0),
             "{}: writebacks must add L2 misses ({} vs {})",
@@ -81,8 +79,8 @@ fn writeback_effect_on_l2() {
 fn radix_dlb_sharing_and_prefetching() {
     let cfg = cfg();
     let w = Radix::paper().scaled(cfg.scale);
-    let dlb16 = cfg.simulator(Scheme::V_COMA).entries(16).run(&w);
-    let tlb512 = cfg.simulator(Scheme::L3_TLB).entries(512).run(&w);
+    let dlb16 = run(cfg.simulator(Scheme::V_COMA).with_entries(16), &w);
+    let tlb512 = run(cfg.simulator(Scheme::L3_TLB).with_entries(512), &w);
     assert!(
         dlb16.translation_misses_total(0) < tlb512.translation_misses_total(0),
         "16-entry DLB ({}) must beat a 512-entry L3 TLB ({})",
@@ -103,7 +101,7 @@ fn radix_has_no_small_working_set() {
         .iter()
         .map(|&s| (s, TlbOrg::FullyAssociative))
         .collect();
-    let report = cfg.simulator(Scheme::L0_TLB).specs(specs).run(&w);
+    let report = run(cfg.simulator(Scheme::L0_TLB).with_translation_specs(specs), &w);
     // Compare *capacity* misses (above the compulsory floor measured at
     // 2048 entries, where everything fits).
     let floor = report.translation_misses_total(3) as f64;
@@ -165,16 +163,9 @@ fn dlb_overhead_is_negligible() {
 #[test]
 fn raytrace_v2_recovers_time() {
     let cfg = cfg();
-    let v1 = cfg
-        .simulator(Scheme::V_COMA)
-        .entries(8)
-        .warmup()
-        .run(&Raytrace::paper().scaled(cfg.scale));
-    let v2 = cfg
-        .simulator(Scheme::V_COMA)
-        .entries(8)
-        .warmup()
-        .run(&Raytrace::v2().scaled(cfg.scale));
+    let sim = cfg.simulator(Scheme::V_COMA).with_entries(8).with_warmup();
+    let v1 = run(sim.clone(), &Raytrace::paper().scaled(cfg.scale));
+    let v2 = run(sim, &Raytrace::v2().scaled(cfg.scale));
     assert!(
         v2.exec_time() <= v1.exec_time() * 102 / 100,
         "V2 layout must not be slower than the 32 KB-aligned one ({} vs {})",

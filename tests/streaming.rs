@@ -7,8 +7,8 @@
 
 use vcoma::workloads::{all_benchmarks, PingPong, PrivateStream, UniformRandom, Workload};
 use vcoma::{
-    sources_from_traces, MachineConfig, Op, OpSource, Scheme, SimError, Simulator, SyncId,
-    all_schemes,
+    all_schemes, simulate, Machine, MachineConfig, Op, OpSource, Scheme, SimConfig, SimError,
+    SyncId,
 };
 
 /// The paper's six benchmarks at smoke scale plus the three
@@ -71,10 +71,11 @@ fn sources_concatenate_to_the_generated_traces() {
 
 #[test]
 fn streaming_reports_match_materialized_reports_for_every_workload() {
+    let machine = MachineConfig::paper_baseline();
     for w in every_workload() {
-        let sim = Simulator::new(Scheme::V_COMA).seed(42).warmup();
-        let streamed = sim.run(w.as_ref());
-        let built = sim.run_traces(w.generate(&sim.config().machine));
+        let sim = SimConfig::new(machine.clone(), Scheme::V_COMA).with_seed(42).with_warmup();
+        let streamed = simulate(sim.clone(), w.as_ref()).unwrap();
+        let built = Machine::new(sim).run(w.generate(&machine)).unwrap();
         assert_eq!(format!("{streamed:?}"), format!("{built:?}"), "{}", w.name());
     }
 }
@@ -82,11 +83,35 @@ fn streaming_reports_match_materialized_reports_for_every_workload() {
 #[test]
 fn streaming_matches_materialized_for_every_scheme() {
     let w = UniformRandom { pages: 128, refs_per_node: 800, write_fraction: 0.4 };
+    let machine = MachineConfig::paper_baseline();
     for scheme in all_schemes() {
-        let sim = Simulator::new(scheme).entries(8).seed(7);
-        let streamed = sim.run(&w);
-        let built = sim.run_traces(w.generate(&sim.config().machine));
+        let sim = SimConfig::new(machine.clone(), scheme).with_entries(8).with_seed(7);
+        let streamed = simulate(sim.clone(), &w).unwrap();
+        let built = Machine::new(sim).run(w.generate(&machine)).unwrap();
         assert_eq!(format!("{streamed:?}"), format!("{built:?}"), "{scheme}");
+    }
+}
+
+/// The same per-node ops reach the machine three ways — the workload's
+/// own sources, owned `Vec<Op>` iterators, and [`Machine::run`]'s
+/// borrowed traces — and every way must give the same report, warm-up
+/// pass included.
+#[test]
+fn every_op_source_adapter_gives_identical_reports() {
+    let w = UniformRandom { pages: 32, refs_per_node: 300, write_fraction: 0.4 };
+    let machine = MachineConfig::tiny();
+    let traces = w.generate(&machine);
+    for scheme in all_schemes() {
+        let sim = SimConfig::new(machine.clone(), scheme).with_seed(3).with_warmup();
+        let generated = simulate(sim.clone(), &w).unwrap();
+        let owned_sources = || {
+            traces.iter().map(|t| Box::new(t.clone().into_iter()) as Box<dyn OpSource>).collect()
+        };
+        let owned = Machine::new(sim.clone()).run_streaming(owned_sources).unwrap();
+        let borrowed = Machine::new(sim).run(traces.clone()).unwrap();
+        let generated = format!("{generated:?}");
+        assert_eq!(generated, format!("{owned:?}"), "{scheme}: owned iterators");
+        assert_eq!(generated, format!("{borrowed:?}"), "{scheme}: borrowed traces");
     }
 }
 
@@ -110,15 +135,15 @@ impl Workload for Unbalanced {
     fn sources(&self, cfg: &MachineConfig) -> Vec<Box<dyn OpSource>> {
         let mut traces = vec![Vec::new(); cfg.nodes as usize];
         traces[0].push(Op::Barrier(SyncId(0)));
-        sources_from_traces(traces)
+        traces.into_iter().map(|t| Box::new(t.into_iter()) as Box<dyn OpSource>).collect()
     }
 }
 
 #[test]
 fn missing_barrier_participant_surfaces_as_a_deadlock_error() {
-    let sim = Simulator::new(Scheme::L0_TLB).tiny();
-    let built = sim.try_run_traces(Unbalanced.generate(&sim.config().machine));
-    for result in [sim.try_run(&Unbalanced), built] {
+    let sim = SimConfig::new(MachineConfig::tiny(), Scheme::L0_TLB);
+    let built = Machine::new(sim.clone()).run(Unbalanced.generate(&sim.machine));
+    for result in [simulate(sim, &Unbalanced), built] {
         match result {
             Err(SimError::Deadlock { parked }) => assert_eq!(parked, vec![0]),
             other => panic!("expected a deadlock error, got {other:?}"),
@@ -143,15 +168,15 @@ impl Workload for WrongArity {
     }
 
     fn sources(&self, _cfg: &MachineConfig) -> Vec<Box<dyn OpSource>> {
-        sources_from_traces(vec![vec![Op::Compute(1)]])
+        vec![Box::new(std::iter::once(Op::Compute(1)))]
     }
 }
 
 #[test]
 fn wrong_source_count_surfaces_as_bad_traces() {
-    let sim = Simulator::new(Scheme::V_COMA).tiny();
-    let built = sim.try_run_traces(WrongArity.generate(&sim.config().machine));
-    for result in [sim.try_run(&WrongArity), built] {
+    let sim = SimConfig::new(MachineConfig::tiny(), Scheme::V_COMA);
+    let built = Machine::new(sim.clone()).run(WrongArity.generate(&sim.machine));
+    for result in [simulate(sim, &WrongArity), built] {
         match result {
             Err(SimError::BadTraces { got, want }) => {
                 assert_eq!((got, want), (1, 4));

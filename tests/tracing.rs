@@ -11,7 +11,7 @@ use std::path::PathBuf;
 use vcoma_experiments::render::TextTable;
 use vcoma_experiments::sweep::{self, SweepPoint, SweepResult};
 use vcoma_experiments::{table2, trace, ExperimentConfig};
-use vcoma::{all_schemes, paper_schemes, Scheme, SimReport};
+use vcoma::{all_schemes, paper_schemes, simulate, Scheme, SimReport, TraceConfig};
 
 fn cfg() -> ExperimentConfig {
     ExperimentConfig::smoke().with_jobs(2)
@@ -22,8 +22,9 @@ fn run_one(cfg: &ExperimentConfig, scheme: Scheme, traced: bool) -> SimReport {
     let benchmarks = cfg.benchmarks();
     let w = &benchmarks[0];
     let sim = cfg.simulator(scheme);
-    let sim = if traced { sim.trace(trace::SAMPLE_EVERY, trace::CAPACITY) } else { sim };
-    sim.run(w.as_ref())
+    let tc = TraceConfig { sample_every: trace::SAMPLE_EVERY, capacity: trace::CAPACITY };
+    let sim = if traced { sim.with_trace(tc) } else { sim };
+    simulate(sim, w.as_ref()).unwrap()
 }
 
 /// A small artifact-style sweep table over all schemes, built from either
