@@ -1,12 +1,12 @@
 //! Hot-path micro-benchmarks: op generation, TLB lookup, the TLB bank,
 //! FLC/SLC probe, attraction-memory probes at paper scale, page-table
 //! mapping, a coherence transaction, a
-//! paper-scale directory fill, the full per-reference access path, and
-//! the store codec's encode plus decode, isolated from artifact
-//! generation.
+//! paper-scale directory fill, the full per-reference access path, the
+//! replay loop at paper scale, and the store codec's encode plus decode,
+//! isolated from artifact generation.
 //!
 //! These show which layer moved. The end-to-end figure for the same
-//! change is the whole-sweep simulated cycles/s that
+//! change is the whole-sweep simulated references/s that
 //! `cargo run --release -p vcoma-experiments -- table2 fig8 --jobs 1`
 //! writes to `BENCH_sweep.json`; `scripts/perf_ab.sh` compares it between
 //! the parent commit and the head commit.
@@ -23,6 +23,7 @@ const MAP_ITERS: u64 = 200_000;
 const COHERENCE_ITERS: u64 = 200_000;
 const DIRECTORY_BLOCKS: u64 = 100_000;
 const E2E_REFS: u64 = 20_000;
+const REPLAY_REFS: u64 = 20_000;
 const CODEC_ITERS: u64 = 100;
 
 fn main() {
@@ -37,6 +38,7 @@ fn main() {
     println!("directory_fill({DIRECTORY_BLOCKS}) = {}", micro::directory_fill(DIRECTORY_BLOCKS));
     println!("end_to_end({E2E_REFS}, v_coma) = {}", micro::end_to_end(E2E_REFS, Scheme::V_COMA));
     println!("end_to_end({E2E_REFS}, l0_tlb) = {}", micro::end_to_end(E2E_REFS, Scheme::L0_TLB));
+    println!("replay_paper({REPLAY_REFS}) = {}", micro::replay_paper(REPLAY_REFS));
     let report = micro::codec_report();
     println!("codec_roundtrip({CODEC_ITERS}) = {}", micro::codec_roundtrip(&report, CODEC_ITERS));
 
@@ -70,6 +72,9 @@ fn main() {
     });
     plain_bench("hotpath_micro/access_l0_tlb", 20, || {
         std::hint::black_box(micro::end_to_end(E2E_REFS, Scheme::L0_TLB));
+    });
+    plain_bench("hotpath_micro/replay_paper", 20, || {
+        std::hint::black_box(micro::replay_paper(REPLAY_REFS));
     });
     plain_bench("hotpath_micro/codec_roundtrip", 20, || {
         std::hint::black_box(micro::codec_roundtrip(&report, CODEC_ITERS));

@@ -27,7 +27,8 @@ pub fn plain_bench<F: FnMut()>(label: &str, samples: u32, mut f: F) {
 /// simulator — op generation, TLB lookup, the TLB bank, FLC/SLC probe,
 /// attraction-memory probes at paper scale, page-table mapping, a
 /// coherence transaction, a directory fill at paper scale, the full
-/// `Machine::access` path, and the store codec — returning a checksum so
+/// `Machine::access` path, the replay loop at paper scale, and the store
+/// codec — returning a checksum so
 /// the optimizer cannot discard the work and so the smoke test can pin
 /// the result.
 /// The `hotpath_micro` bench target times them; `cargo test` runs them
@@ -39,8 +40,8 @@ pub mod micro {
     use vcoma::vm::{PageTable, RoundRobinAllocator};
     use vcoma::workloads::{by_name, UniformRandom};
     use vcoma::{
-        codec, AccessKind, DetRng, Machine, MachineConfig, NodeId, Op, Scheme, SimConfig,
-        SimReport, Tlb, TlbBank, TlbOrg, VAddr, VPage,
+        codec, AccessKind, DetRng, Machine, MachineConfig, NodeId, Op, OpSource, Scheme,
+        SimConfig, SimReport, Tlb, TlbBank, TlbOrg, VAddr, VPage,
     };
 
     /// Pulls up to `ops` ops from FFT's per-node sources on the paper
@@ -297,6 +298,39 @@ pub mod micro {
         report.exec_time() + report.total_refs()
     }
 
+    /// The shared replay loop on the paper's 32-node machine under
+    /// L0-TLB: every node streams `refs_per_node` references, each after a
+    /// `Compute(2)` as the workload generators emit them. Seven references
+    /// in eight walk the node's own two pages (FLC and TLB hits), the rest
+    /// hit a 2 KB region every node shares, and one in five is a write.
+    /// [`end_to_end`]'s 4 nodes and compute-free traces barely exercise the
+    /// `(time, node)` heap; this kernel's 32 do. Returns simulated exec
+    /// time plus total refs.
+    pub fn replay_paper(refs_per_node: u64) -> u64 {
+        let m = MachineConfig::paper_baseline();
+        let (page, nodes) = (m.page_size, m.nodes);
+        let cfg = SimConfig::new(m, Scheme::L0_TLB).with_seed(12);
+        let report = Machine::new(cfg)
+            .run_streaming(|| {
+                (0..nodes)
+                    .map(|n| {
+                        let mut rng = DetRng::new(0xCAFE + n);
+                        Box::new((0..refs_per_node).flat_map(move |i| {
+                            let addr = if i % 8 == 0 {
+                                VAddr::new(rng.gen_index(64) as u64 * 32)
+                            } else {
+                                VAddr::new(page * (n + 1) * 2 + (i * 32) % (page * 2))
+                            };
+                            let op = if i % 5 == 0 { Op::Write(addr) } else { Op::Read(addr) };
+                            [Op::Compute(2), op]
+                        })) as Box<dyn OpSource>
+                    })
+                    .collect()
+            })
+            .expect("micro-bench streams replay");
+        report.exec_time() + report.total_refs()
+    }
+
     /// The report [`codec_roundtrip`] stores: a short V-COMA run of
     /// `UniformRandom` on the paper's 32-node machine, the shape of one
     /// sweep point in the daemon's store.
@@ -367,6 +401,10 @@ mod tests {
         assert!(e2e > 4_000, "exec time plus 4 nodes x 1000 refs");
         assert_eq!(e2e, micro::end_to_end(1_000, Scheme::V_COMA));
         assert!(micro::end_to_end(1_000, Scheme::L0_TLB) > 4_000);
+
+        let replay = micro::replay_paper(500);
+        assert!(replay > 32 * 500 * 3, "exec time covers two compute cycles per ref, plus refs");
+        assert_eq!(replay, micro::replay_paper(500));
 
         let report = micro::codec_report();
         let codec = micro::codec_roundtrip(&report, 2);

@@ -49,7 +49,8 @@ pub struct Access {
     /// transaction (coherence invalidations, replacement victims and
     /// injection displacements). The caller must back-invalidate the
     /// processor caches above those attraction memories to preserve
-    /// inclusion.
+    /// inclusion, and can then hand the list back with
+    /// [`Protocol::recycle`].
     pub invalidations: Vec<(NodeId, u64)>,
 }
 
@@ -260,6 +261,12 @@ pub struct Protocol {
     /// default) keeps untraced transactions on a zero-overhead path.
     /// Capture never influences timing or protocol decisions.
     hops: Option<Vec<TxnHop>>,
+    /// The empty invalidation list the next transaction fills, lent out in
+    /// [`Access::invalidations`] and handed back with
+    /// [`Protocol::recycle`], so a transaction allocates no new list.
+    spare_invals: Vec<(NodeId, u64)>,
+    /// Scratch for a forwarded injection's random candidate order.
+    forward_order: Vec<u16>,
 }
 
 impl Protocol {
@@ -276,6 +283,8 @@ impl Protocol {
             stats: ProtocolStats::default(),
             faults: TxnFaults::new(FaultPlan::default(), cfg.nodes as usize),
             hops: None,
+            spare_invals: Vec::new(),
+            forward_order: Vec::new(),
         }
     }
 
@@ -291,6 +300,17 @@ impl Protocol {
     /// when capture is disabled).
     pub fn take_hops(&mut self) -> Vec<TxnHop> {
         self.hops.as_mut().map(std::mem::take).unwrap_or_default()
+    }
+
+    /// Takes back the invalidation list of a finished transaction's
+    /// `access` for the next transaction to fill. A caller that drops its
+    /// accesses instead only costs the next transaction a fresh list.
+    pub fn recycle(&mut self, access: Access) {
+        let mut invals = access.invalidations;
+        if invals.capacity() >= self.spare_invals.capacity() {
+            invals.clear();
+            self.spare_invals = invals;
+        }
     }
 
     /// Selects the injection policy (default [`InjectionPolicy::RandomForward`]).
@@ -486,7 +506,7 @@ impl Protocol {
             self.stats.local_read_hits += 1;
             return Access::local();
         }
-        let mut invals = Vec::new();
+        let mut invals = std::mem::take(&mut self.spare_invals);
         let mut path = Path::start(now);
         self.request_phase(&mut path, net, requester, home, MsgKind::ReadReq);
         path.lookup(xl.home_lookup(home, block));
@@ -543,7 +563,7 @@ impl Protocol {
             self.stats.local_write_hits += 1;
             return Access::local();
         }
-        let mut invals = Vec::new();
+        let mut invals = std::mem::take(&mut self.spare_invals);
         let mut path = Path::start(now);
         match local_state {
             Some(_) => self.request_phase(&mut path, net, requester, home, MsgKind::UpgradeReq),
@@ -739,13 +759,15 @@ impl Protocol {
         }
 
         // Forward to the other nodes in random order; each accepts with an
-        // Invalid way or by displacing a Shared copy.
-        let mut order: Vec<u16> = (0..self.nodes as u16)
-            .filter(|&i| i != home.raw() && i != from.raw())
-            .collect();
+        // Invalid way or by displacing a Shared copy. The order is built in
+        // a buffer the protocol keeps, so forwarding allocates nothing.
+        let mut order = std::mem::take(&mut self.forward_order);
+        order.clear();
+        order.extend((0..self.nodes as u16).filter(|&i| i != home.raw() && i != from.raw()));
         self.rng.shuffle(&mut order);
         let mut prev = home;
-        for cand_raw in order {
+        let mut accepted = false;
+        for &cand_raw in &order {
             let cand = NodeId::new(cand_raw);
             self.stats.injection_hops += 1;
             t = self.lossy_send_offpath(net, prev, cand, MsgKind::InjectForward, t);
@@ -754,20 +776,23 @@ impl Protocol {
                 // The candidate already holds a Shared copy: promote it.
                 *s = AmState::MasterShared;
                 self.dir.set_master(slot, Some(cand));
-                self.stats.injections_forwarded += 1;
-                return;
-            }
-            if self.ams[cand.index()].set_has_room(block) {
+                accepted = true;
+            } else if self.ams[cand.index()].set_has_room(block) {
                 self.accept_injection(slot, cand, block);
-                self.stats.injections_forwarded += 1;
-                return;
-            }
-            if let Some(displaced) = self.displace_shared(cand, block) {
+                accepted = true;
+            } else if let Some(displaced) = self.displace_shared(cand, block) {
                 invals.push((cand, displaced));
                 self.accept_injection(slot, cand, block);
-                self.stats.injections_forwarded += 1;
-                return;
+                accepted = true;
             }
+            if accepted {
+                self.stats.injections_forwarded += 1;
+                break;
+            }
+        }
+        self.forward_order = order;
+        if accepted {
+            return;
         }
         // No node can take the block: it spills to the home's backing
         // store; the next access will cold-fill it. With memory pressure

@@ -64,6 +64,7 @@ where
             },
             cycles,
         )
+        .with_refs(base.total_refs() + variant.total_refs())
     })
 }
 

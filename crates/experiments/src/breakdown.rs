@@ -67,6 +67,7 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<BreakdownRow> {
             BreakdownRow::from_report(wl.name(), scheme, &report),
             report.simulated_cycles(),
         )
+        .with_refs(report.total_refs())
     })
 }
 

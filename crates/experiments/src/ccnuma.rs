@@ -31,8 +31,8 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<NumaReport> {
         let report = NumaMachine::new(sim_cfg.clone(), scheme)
             .run_sources(private_streams(nodes, bytes, 2))
             .unwrap_or_else(|e| panic!("simulation failed: {e}"));
-        let cycles = report.exec_time();
-        SweepResult::new(report, cycles)
+        let (cycles, refs) = (report.exec_time(), report.total_refs());
+        SweepResult::new(report, cycles).with_refs(refs)
     })
 }
 

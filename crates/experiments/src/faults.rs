@@ -76,8 +76,8 @@ pub fn run(cfg: &ExperimentConfig, base: &FaultPlan) -> Result<Vec<FaultRow>, Si
         }
         match vcoma::simulate(sim, workload.as_ref()) {
             Ok(report) => {
-                let cycles = report.simulated_cycles();
-                SweepResult::new(Ok((scheme, intensity, report)), cycles)
+                let (cycles, refs) = (report.simulated_cycles(), report.total_refs());
+                SweepResult::new(Ok((scheme, intensity, report)), cycles).with_refs(refs)
             }
             Err(e) => SweepResult::new(Err(e), 0),
         }

@@ -70,6 +70,7 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<Fig10Panel> {
         let sim = cfg.simulator(scheme).with_translation_specs(specs.to_vec()).with_warmup();
         let report = cfg.run_cached(sim, wl);
         SweepResult::new(Bar::from_report(label, &report), report.simulated_cycles())
+            .with_refs(report.total_refs())
     });
     let mut bars = bars.into_iter();
     benchmarks

@@ -38,6 +38,7 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<Fig11Row> {
             },
             report.simulated_cycles(),
         )
+        .with_refs(report.total_refs())
     })
 }
 

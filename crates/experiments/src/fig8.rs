@@ -70,6 +70,7 @@ pub fn run_schemes(cfg: &ExperimentConfig, schemes: &[Scheme]) -> Vec<Fig8Panel>
             },
             report.simulated_cycles(),
         )
+        .with_refs(report.total_refs())
     });
     benchmarks
         .iter()

@@ -73,6 +73,7 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<Fig9Panel> {
             },
             report.simulated_cycles(),
         )
+        .with_refs(report.total_refs())
     });
     benchmarks
         .iter()

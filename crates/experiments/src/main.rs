@@ -15,6 +15,7 @@ use vcoma_experiments::{artifacts, breakdown, cache, client, faults, sweep, trac
 /// runs).
 const OPT_IN: [&str; 3] = ["breakdown", "faults", "trace"];
 
+/// The `--help` text; [`usage`] fills in `{ARTIFACTS}`.
 const USAGE: &str = "\
 usage: vcoma-experiments [ARTIFACT...] [--scale F] [--nodes N] [--jobs N]
                          [--schemes LIST] [--out DIR]
@@ -22,9 +23,7 @@ usage: vcoma-experiments [ARTIFACT...] [--scale F] [--nodes N] [--jobs N]
                          [--fault-plan SPEC] [--fault-seed S] [--trace-out FILE]
                          [--progress]
 
-artifacts: table1 fig8 table2 table3 fig9 table4 fig10 fig11 table5 ablations
-           ccnuma breakdown faults trace all
-           (default: all, which runs everything except breakdown, faults and trace)
+{ARTIFACTS}
 
 client mode (talks to a running vcoma-sweepd; see submit --help):
   vcoma-experiments submit [ARTIFACT...] --server ENDPOINT [--out DIR]
@@ -67,6 +66,28 @@ Sweep throughput is printed per artifact and summarised in
 BENCH_sweep.json (written to the current directory, never to --out).
 ";
 
+/// The `--help` text, its artifact list built from
+/// [`artifacts::STANDARD`] and [`OPT_IN`] and wrapped to 78 columns.
+fn usage() -> String {
+    const INDENT: &str = "           ";
+    let mut lines = vec![String::from("artifacts:")];
+    for name in artifacts::STANDARD.iter().chain(&OPT_IN).chain(&["all"]) {
+        let line = lines.last_mut().expect("one line to start");
+        if line.len() + 1 + name.len() > 78 {
+            lines.push(format!("{INDENT}{name}"));
+        } else {
+            line.push(' ');
+            line.push_str(name);
+        }
+    }
+    let (last, rest) = OPT_IN.split_last().expect("some artifacts are opt-in");
+    lines.push(format!(
+        "{INDENT}(default: all, which runs everything except {} and {last})",
+        rest.join(", ")
+    ));
+    USAGE.replace("{ARTIFACTS}", &lines.join("\n"))
+}
+
 /// Parses a numeric flag value, exiting with a one-line usage error (status
 /// 2) on garbage instead of a panic backtrace.
 fn parse_flag<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
@@ -95,7 +116,7 @@ fn flag_value(flag: &str, value: Option<String>) -> String {
 fn print_sweeps(ledger: &mut Vec<sweep::SweepStats>) {
     for s in sweep::take_stats() {
         println!(
-            "[sweep {}: {} points on {} jobs, {:.2}s wall, {} sim cycles, {:.1} points/s, {:.3e} cycles/s]",
+            "[sweep {}: {} points on {} jobs, {:.2}s wall, {} sim cycles, {:.1} points/s, {:.3e} cycles/s, {:.3e} refs/s]",
             s.sweep,
             s.points,
             s.jobs,
@@ -103,6 +124,7 @@ fn print_sweeps(ledger: &mut Vec<sweep::SweepStats>) {
             s.simulated_cycles,
             s.points_per_second(),
             s.cycles_per_second(),
+            s.refs_per_second(),
         );
         ledger.push(s);
     }
@@ -217,7 +239,7 @@ fn main() {
             }
             "--progress" => progress = true,
             "--help" | "-h" => {
-                print!("{USAGE}");
+                print!("{}", usage());
                 return;
             }
             other if other.starts_with('-') => {
@@ -390,12 +412,12 @@ fn main() {
         );
         write_output_file(Path::new("BENCH_sweep.json"), &json);
         let total_wall: f64 = stats.iter().map(|s| s.wall_seconds).sum();
-        let total_cycles: u64 = stats.iter().map(|s| s.simulated_cycles).sum();
+        let total_refs: u64 = stats.iter().map(|s| s.refs).sum();
         println!(
-            "sweeps: {} points in {:.1}s wall ({:.3e} simulated cycles/s) -> BENCH_sweep.json",
+            "sweeps: {} points in {:.1}s wall ({:.3e} simulated refs/s) -> BENCH_sweep.json",
             stats.iter().map(|s| s.points).sum::<usize>(),
             total_wall,
-            if total_wall > 0.0 { total_cycles as f64 / total_wall } else { 0.0 }
+            if total_wall > 0.0 { total_refs as f64 / total_wall } else { 0.0 }
         );
     }
 }

@@ -9,10 +9,10 @@
 //! finished — `--jobs 1` and `--jobs 8` produce the same tables and CSVs.
 //!
 //! Each sweep also records a [`SweepStats`] entry (wall-clock, simulated
-//! cycles, throughput) in a process-wide ledger and prints nothing: the
-//! CLI drains the ledger with [`take_stats`], prints one `[sweep …]` line
-//! per entry and writes `BENCH_sweep.json`, while the sweep daemon keeps
-//! its stdout to its readiness line.
+//! cycles and references, throughput) in a process-wide ledger and prints
+//! nothing: the CLI drains the ledger with [`take_stats`], prints one
+//! `[sweep …]` line per entry and writes `BENCH_sweep.json`, while the
+//! sweep daemon keeps its stdout to its readiness line.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -39,20 +39,30 @@ impl<I> SweepPoint<I> {
     }
 }
 
-/// One evaluated point: the artifact datum plus the simulated cycles spent
-/// producing it (0 for non-simulation work such as trace summarisation).
+/// One evaluated point: the artifact datum plus the simulated cycles and
+/// memory references spent producing it (0 for non-simulation work such
+/// as trace summarisation).
 #[derive(Debug, Clone)]
 pub struct SweepResult<T> {
     /// The artifact datum.
     pub value: T,
     /// Simulated cycles consumed by the point's runs.
     pub simulated_cycles: u64,
+    /// Memory references the point's runs measured.
+    pub refs: u64,
 }
 
 impl<T> SweepResult<T> {
-    /// Wraps a value with its simulated-cycle cost.
+    /// Wraps a value with its simulated-cycle cost and no references.
     pub fn new(value: T, simulated_cycles: u64) -> Self {
-        SweepResult { value, simulated_cycles }
+        SweepResult { value, simulated_cycles, refs: 0 }
+    }
+
+    /// Sets the memory references the point's runs measured.
+    #[must_use]
+    pub fn with_refs(mut self, refs: u64) -> Self {
+        self.refs = refs;
+        self
     }
 }
 
@@ -69,6 +79,9 @@ pub struct SweepStats {
     pub wall_seconds: f64,
     /// Total simulated cycles across all points.
     pub simulated_cycles: u64,
+    /// Total memory references the points' runs measured (a warm-up
+    /// pass's references are not counted, as its cycles are not).
+    pub refs: u64,
     /// Peak resident-set size of the process when the sweep finished, in
     /// KB (`VmHWM` from `/proc/self/status`; 0 where unavailable). A
     /// high-water mark, so it only ever grows across sweeps — compare the
@@ -101,11 +114,21 @@ impl SweepStats {
 
     /// Simulated cycles retired per wall-clock second.
     pub fn cycles_per_second(&self) -> f64 {
-        if self.wall_seconds > 0.0 {
-            self.simulated_cycles as f64 / self.wall_seconds
-        } else {
-            0.0
-        }
+        per_second(self.simulated_cycles, self.wall_seconds)
+    }
+
+    /// Simulated memory references per wall-clock second.
+    pub fn refs_per_second(&self) -> f64 {
+        per_second(self.refs, self.wall_seconds)
+    }
+}
+
+/// `count` per second over `wall_seconds`, or 0 for no elapsed time.
+fn per_second(count: u64, wall_seconds: f64) -> f64 {
+    if wall_seconds > 0.0 {
+        count as f64 / wall_seconds
+    } else {
+        0.0
     }
 }
 
@@ -170,10 +193,11 @@ where
     });
 
     let mut values = Vec::with_capacity(n);
-    let mut simulated_cycles = 0u64;
+    let (mut simulated_cycles, mut refs) = (0u64, 0u64);
     for slot in slots {
         let r = slot.into_inner().unwrap().expect("every sweep point is evaluated");
         simulated_cycles = simulated_cycles.saturating_add(r.simulated_cycles);
+        refs = refs.saturating_add(r.refs);
         values.push(r.value);
     }
 
@@ -183,6 +207,7 @@ where
         jobs,
         wall_seconds: t0.elapsed().as_secs_f64(),
         simulated_cycles,
+        refs,
         peak_rss_kb: peak_rss_kb(),
     };
     LEDGER.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(stats);
@@ -215,6 +240,8 @@ struct BenchDoc {
     total_points: usize,
     total_simulated_cycles: u64,
     total_cycles_per_second: f64,
+    total_refs: u64,
+    total_refs_per_second: f64,
     max_peak_rss_kb: u64,
     sweeps: Vec<SweepRecord>,
 }
@@ -227,8 +254,10 @@ struct SweepRecord {
     jobs: usize,
     wall_seconds: f64,
     simulated_cycles: u64,
+    refs: u64,
     points_per_second: f64,
     cycles_per_second: f64,
+    refs_per_second: f64,
     peak_rss_kb: u64,
 }
 
@@ -237,7 +266,7 @@ struct SweepRecord {
 pub fn bench_json(stats: &[SweepStats], ctx: BenchContext) -> String {
     let total_wall: f64 = stats.iter().map(|s| s.wall_seconds).sum();
     let total_cycles: u64 = stats.iter().map(|s| s.simulated_cycles).sum();
-    let cycles_per_sec = if total_wall > 0.0 { total_cycles as f64 / total_wall } else { 0.0 };
+    let total_refs: u64 = stats.iter().map(|s| s.refs).sum();
     let max_rss: u64 = stats.iter().map(|s| s.peak_rss_kb).max().unwrap_or(0);
     let doc = BenchDoc {
         jobs: ctx.jobs,
@@ -246,7 +275,9 @@ pub fn bench_json(stats: &[SweepStats], ctx: BenchContext) -> String {
         total_wall_seconds: total_wall,
         total_points: stats.iter().map(|s| s.points).sum(),
         total_simulated_cycles: total_cycles,
-        total_cycles_per_second: cycles_per_sec,
+        total_cycles_per_second: per_second(total_cycles, total_wall),
+        total_refs,
+        total_refs_per_second: per_second(total_refs, total_wall),
         max_peak_rss_kb: max_rss,
         sweeps: stats
             .iter()
@@ -256,8 +287,10 @@ pub fn bench_json(stats: &[SweepStats], ctx: BenchContext) -> String {
                 jobs: s.jobs,
                 wall_seconds: s.wall_seconds,
                 simulated_cycles: s.simulated_cycles,
+                refs: s.refs,
                 points_per_second: s.points_per_second(),
                 cycles_per_second: s.cycles_per_second(),
+                refs_per_second: s.refs_per_second(),
                 peak_rss_kb: s.peak_rss_kb,
             })
             .collect(),
@@ -338,11 +371,14 @@ mod tests {
     #[test]
     fn stats_accumulate_cycles() {
         take_stats(); // other tests share the process-wide ledger
-        let _ = run(&jobs(2), "test_stats", square_points(5), |&i| SweepResult::new(i, 100));
+        let _ = run(&jobs(2), "test_stats", square_points(5), |&i| {
+            SweepResult::new(i, 100).with_refs(i)
+        });
         let stats = take_stats();
         let s = stats.iter().find(|s| s.sweep == "test_stats").expect("ledger entry");
         assert_eq!(s.points, 5);
         assert_eq!(s.simulated_cycles, 500);
+        assert_eq!(s.refs, 10);
         assert!(s.wall_seconds >= 0.0);
         assert!(s.jobs <= 2);
     }
@@ -356,6 +392,7 @@ mod tests {
                 jobs: 4,
                 wall_seconds: 1.5,
                 simulated_cycles: 3_000_000,
+                refs: 600_000,
                 peak_rss_kb: 18_000,
             },
             SweepStats {
@@ -364,6 +401,7 @@ mod tests {
                 jobs: 4,
                 wall_seconds: 0.5,
                 simulated_cycles: 1_000_000,
+                refs: 200_000,
                 peak_rss_kb: 20_000,
             },
         ];
@@ -384,6 +422,10 @@ mod tests {
         assert!(j.contains("\"sweep\": \"fig8\""));
         assert!(j.contains("\"total_points\": 66"));
         assert!(j.contains("\"total_simulated_cycles\": 4000000"));
+        assert!(j.contains("\"total_refs\": 800000"));
+        assert!(j.contains("\"total_refs_per_second\": 400000"), "800k refs in 2 s: {j}");
+        assert!(j.contains("\"refs\": 600000"));
+        assert!(j.contains("\"refs_per_second\": 400000"), "600k refs in 1.5 s: {j}");
         assert!(j.contains("\"max_peak_rss_kb\": 20000"));
         assert!(j.contains("\"peak_rss_kb\": 18000"));
         assert_eq!(j.matches('{').count(), j.matches('}').count());

@@ -50,6 +50,7 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<Table2Row> {
                 .collect::<Vec<f64>>(),
             report.simulated_cycles(),
         )
+        .with_refs(report.total_refs())
     });
     benchmarks
         .iter()

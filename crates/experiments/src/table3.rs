@@ -59,6 +59,7 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<Table3Row> {
             None => {
                 let vc = cfg.run_cached(cfg.simulator(Scheme::V_COMA).with_entries(8), w);
                 SweepResult::new(Probe::Target(vc.translation_misses_total(0)), vc.simulated_cycles())
+                    .with_refs(vc.total_refs())
             }
             Some(scheme) => {
                 let sim = cfg.simulator(scheme).with_translation_specs(specs.clone());
@@ -69,6 +70,7 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<Table3Row> {
                     .map(|(i, &s)| (s, report.translation_misses_total(i)))
                     .collect();
                 SweepResult::new(Probe::Curve(curve), report.simulated_cycles())
+                    .with_refs(report.total_refs())
             }
         }
     });

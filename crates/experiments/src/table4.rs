@@ -45,6 +45,7 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<Table4Col> {
             report.aggregate_breakdown().translation_over_stall(),
             report.simulated_cycles(),
         )
+        .with_refs(report.total_refs())
     });
     benchmarks
         .iter()

@@ -69,6 +69,7 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<Table5Row> {
             ),
             report.simulated_cycles(),
         )
+        .with_refs(report.total_refs())
     });
     let mut rows = Vec::new();
     for (w, chunk) in benchmarks.iter().zip(cells.chunks(schemes.len())) {

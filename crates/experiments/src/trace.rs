@@ -96,6 +96,7 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<TraceRow> {
             },
             cycles,
         )
+        .with_refs(report.total_refs())
     })
 }
 

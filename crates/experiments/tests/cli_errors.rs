@@ -1,8 +1,9 @@
 //! CLI contract tests for the usage-error handling: unwritable
 //! `--out`/`--metrics-out`/`--trace-out` destinations and machines the
 //! simulator cannot model must fail with a one-line `error:` message and
-//! exit code 2, and writable nested destinations must be created on
-//! demand.
+//! exit code 2, writable nested destinations must be created on demand,
+//! and both the unknown-artifact error and `--help` must name every
+//! artifact.
 
 use std::process::Command;
 
@@ -105,4 +106,25 @@ fn unknown_artifacts_fail_with_exit_2_and_list_the_valid_ones() {
     }
     assert_eq!(names.len(), standard.len() + 4, "{valid}");
     assert_eq!(lines.next(), None, "got: {err}");
+}
+
+#[test]
+fn help_names_every_artifact() {
+    let output = bin().arg("--help").output().expect("run vcoma-experiments");
+    assert!(output.status.success());
+    let help = String::from_utf8_lossy(&output.stdout);
+    let start = help.find("artifacts:").expect("an artifacts list");
+    let end = help[start..].find("(default:").expect("a default line") + start;
+    let listed: Vec<&str> =
+        help[start + "artifacts:".len()..end].split_whitespace().collect();
+    let opt_in = ["breakdown", "faults", "trace"];
+    let standard = vcoma_experiments::artifacts::STANDARD;
+    let want: Vec<&str> = standard.iter().chain(&opt_in).chain(&["all"]).copied().collect();
+    assert_eq!(listed, want, "{help}");
+    let default = help[end..].lines().next().expect("the default line");
+    assert_eq!(
+        default,
+        "(default: all, which runs everything except breakdown, faults and trace)"
+    );
+    assert!(help[start..end].lines().all(|l| l.len() <= 78), "the list wraps: {help}");
 }

@@ -506,6 +506,7 @@ impl Machine {
         if self.cfg.audit {
             self.audit_transaction(am_block, &out, t)?;
         }
+        self.protocol.recycle(out);
         if let Some(tr) = self.tracer.as_mut() {
             tr.finish(t);
         }

@@ -9,10 +9,10 @@ use crate::error::SimError;
 use crate::sync::{Barriers, Locks};
 use crate::{NodeReport, SimConfig};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use vcoma_cachesim::{Flc, Slc};
 use vcoma_tlb::{ModelParams, TranslationModel};
-use vcoma_types::{AccessKind, Op, OpSource, VAddr};
+use vcoma_types::{AccessKind, Op, OpSource, VAddr, MAX_NODES};
 
 /// A translation-model constructor, as in
 /// [`SchemeSpec::build_model`](vcoma_tlb::SchemeSpec::build_model).
@@ -97,9 +97,10 @@ impl NodeCtx {
 
 /// What a machine supplies to the replay loop.
 pub(crate) trait Engine {
-    /// Node `n`'s state. The loop sets its clock to each op's start time
-    /// before the op runs and to its resume time afterwards, and charges
-    /// compute and sync cycles to its ledger.
+    /// Node `n`'s state. While an op runs, the node's clock reads the op's
+    /// start time; the loop then moves it on to the node's next memory or
+    /// sync op (the op's resume time plus the compute ops that follow),
+    /// and charges compute and sync cycles to its ledger.
     fn node(&mut self, n: usize) -> &mut NodeCtx;
 
     /// Executes one memory reference for node `n`, charging its cycles to
@@ -123,6 +124,7 @@ pub(crate) struct Replay {
 impl Replay {
     /// Sync state for a machine of `nodes` nodes.
     pub(crate) fn new(nodes: usize) -> Self {
+        assert!(nodes as u64 <= MAX_NODES, "{nodes} nodes do not fit the heap key");
         Replay {
             barriers: Barriers::new(nodes, BARRIER_RELEASE_COST),
             locks: Locks::new(LOCK_ACQUIRE_COST, LOCK_RELEASE_COST),
@@ -132,9 +134,16 @@ impl Replay {
 
     /// Replays one op stream per node to completion once.
     ///
-    /// Each node's next op is prefetched as soon as the previous one is
-    /// consumed, so "has this node finished?" is a local `Option` check and
-    /// lazy sources are pulled exactly one op ahead of the replay point.
+    /// Only ops that touch shared state are scheduled. A `Compute` op
+    /// changes nothing but its own node's clock and ledger, and no op reads
+    /// another node's clock, so [`advance`] charges compute ops as it pulls
+    /// them and the `(time, node)` heap holds each node at the start time
+    /// of its next memory or sync op: lazy sources are pulled up to one
+    /// non-compute op ahead of the replay point. The node that just ran is
+    /// rescheduled by overwriting the heap top (one sift-down); only a sync
+    /// op, which may park its node or resume others, pops and pushes. The
+    /// memory and sync ops run in the same `(time, node)` order as when
+    /// every compute op took a heap step of its own.
     ///
     /// # Errors
     ///
@@ -150,31 +159,50 @@ impl Replay {
         if sources.len() != self.nodes {
             return Err(SimError::BadTraces { got: sources.len(), want: self.nodes });
         }
-        let mut next_op: Vec<Option<Op>> = sources.iter_mut().map(|s| s.next_op()).collect();
-        let mut done: Vec<bool> = next_op.iter().map(|o| o.is_none()).collect();
-        let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-        for (i, o) in next_op.iter().enumerate() {
-            if o.is_some() {
-                heap.push(Reverse((0, i)));
+        let mut next_op: Vec<Option<Op>> = Vec::with_capacity(self.nodes);
+        let mut heap = BinaryHeap::with_capacity(self.nodes);
+        for (n, source) in sources.iter_mut().enumerate() {
+            let op = advance(engine.node(n), 0, source.as_mut());
+            if op.is_some() {
+                heap.push(Reverse(key(engine.node(n).time, n)));
             }
+            next_op.push(op);
         }
-        // Reused across iterations: the resume list is tiny (one entry for
-        // most ops, all nodes for a barrier release) and allocating it per
-        // op dominated the replay loop's heap traffic.
+        let mut done: Vec<bool> = next_op.iter().map(Option::is_none).collect();
+        // Reused across sync ops: the resume list is tiny (one entry for
+        // most, all nodes for a barrier release).
         let mut resumes: Vec<(usize, u64)> = Vec::new();
 
-        while let Some(Reverse((t, n))) = heap.pop() {
-            engine.node(n).time = t;
-            let op = next_op[n].take().expect("a scheduled node has a prefetched op");
-            next_op[n] = sources[n].next_op();
-            resumes.clear();
-            self.step(engine, n, t, op, &mut resumes)?;
-            for &(node, resume) in &resumes {
-                engine.node(node).time = resume;
-                if next_op[node].is_some() {
-                    heap.push(Reverse((resume, node)));
-                } else {
-                    done[node] = true;
+        loop {
+            let Some(mut top) = heap.peek_mut() else { break };
+            let Reverse(k) = *top;
+            let (t, n) = (k >> NODE_BITS, (k & NODE_MASK) as usize);
+            debug_assert_eq!(engine.node(n).time, t, "a scheduled node waits at its start time");
+            let op = next_op[n].take().expect("a scheduled node has a pending op");
+            let dt = match op {
+                Op::Read(va) => engine.access(n, va, AccessKind::Read)?,
+                Op::Write(va) => engine.access(n, va, AccessKind::Write)?,
+                Op::Protect(va, _) => engine.protect(n, va)?,
+                sync => {
+                    PeekMut::pop(top);
+                    resumes.clear();
+                    self.sync(engine, n, t, sync, &mut resumes)?;
+                    for &(node, resume) in &resumes {
+                        next_op[node] = advance(engine.node(node), resume, sources[node].as_mut());
+                        match next_op[node] {
+                            Some(_) => heap.push(Reverse(key(engine.node(node).time, node))),
+                            None => done[node] = true,
+                        }
+                    }
+                    continue;
+                }
+            };
+            next_op[n] = advance(engine.node(n), t + dt, sources[n].as_mut());
+            match next_op[n] {
+                Some(_) => *top = Reverse(key(engine.node(n).time, n)),
+                None => {
+                    done[n] = true;
+                    PeekMut::pop(top);
                 }
             }
         }
@@ -187,9 +215,11 @@ impl Replay {
         Ok(())
     }
 
-    /// Applies one op for node `n` at time `t`, appending every node it
-    /// resumes (with its resume time) to `resumes`.
-    fn step<E: Engine>(
+    /// Applies sync op `op` (a barrier arrival, lock acquire or release)
+    /// for node `n` at time `t`, charging the sync cycles and appending
+    /// every node it resumes (with its resume time) to `resumes`. A parked
+    /// node is not appended.
+    fn sync<E: Engine>(
         &mut self,
         engine: &mut E,
         n: usize,
@@ -198,27 +228,18 @@ impl Replay {
         resumes: &mut Vec<(usize, u64)>,
     ) -> Result<(), SimError> {
         let lock_error = |lock| move |misuse| SimError::Lock { node: n as u16, lock, misuse };
-        let dt = match op {
-            Op::Compute(c) => {
-                engine.node(n).fine.busy += c;
-                c
-            }
-            Op::Read(va) => engine.access(n, va, AccessKind::Read)?,
-            Op::Write(va) => engine.access(n, va, AccessKind::Write)?,
-            Op::Protect(va, _) => engine.protect(n, va)?,
+        match op {
             Op::Barrier(id) => {
                 for (node, resume, sync) in self.barriers.arrive(id, n, t).into_iter().flatten() {
                     engine.node(node).fine.sync += sync;
                     resumes.push((node, resume));
                 }
-                return Ok(());
             }
             Op::Lock(id) => {
                 if let Some((resume, sync)) = self.locks.acquire(id, n, t).map_err(lock_error(id))? {
                     engine.node(n).fine.sync += sync;
                     resumes.push((n, resume));
                 }
-                return Ok(());
             }
             Op::Unlock(id) => {
                 let ((resume, sync), next) = self.locks.release(id, n, t).map_err(lock_error(id))?;
@@ -228,10 +249,286 @@ impl Replay {
                     engine.node(waiter).fine.sync += wsync;
                     resumes.push((waiter, wresume));
                 }
-                return Ok(());
             }
-        };
-        resumes.push((n, t + dt));
+            other => unreachable!("{other} is not a sync op"),
+        }
         Ok(())
+    }
+}
+
+/// Bits of a heap key below the time: node indices are below
+/// [`MAX_NODES`].
+const NODE_BITS: u32 = MAX_NODES.trailing_zeros();
+const NODE_MASK: u64 = MAX_NODES - 1;
+
+/// The heap key of node `n` waiting at `time`: `(time, n)` packed into one
+/// `u64` that orders the same way. A clock of 2^54 cycles or more (a
+/// trace file's compute ops can say anything) would corrupt the order,
+/// so it panics instead.
+fn key(time: u64, n: usize) -> u64 {
+    assert!(time >> (64 - NODE_BITS) == 0, "clock {time} overflows the heap key");
+    time << NODE_BITS | n as u64
+}
+
+/// Sets `node`'s clock to `at` and pulls its next op that touches shared
+/// state, charging every `Compute` op on the way straight to the clock and
+/// to `fine.busy`. Returns `None` once the source is exhausted.
+fn advance(node: &mut NodeCtx, at: u64, source: &mut dyn OpSource) -> Option<Op> {
+    node.time = at;
+    loop {
+        match source.next_op()? {
+            Op::Compute(c) => {
+                node.time += c;
+                node.fine.busy += c;
+            }
+            op => return Some(op),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vcoma_tlb::Scheme;
+    use vcoma_types::{DetRng, MachineConfig, Protection, SyncId};
+
+    /// One engine call as [`Recorder`] logs it: the node, its clock when
+    /// the call was made, the call (`read`, `write` or `protect`) and the
+    /// address.
+    type Call = (usize, u64, &'static str, u64);
+
+    /// An engine that logs every `access` and `protect` call and charges
+    /// a latency derived from the call and the caller's clock, so two
+    /// loops end in the same state only if they make the same calls at
+    /// the same times in the same order.
+    struct Recorder {
+        nodes: Vec<NodeCtx>,
+        log: Vec<Call>,
+    }
+
+    impl Recorder {
+        fn new(nodes: usize) -> Self {
+            let cfg = SimConfig::new(MachineConfig::tiny(), Scheme::L0_TLB);
+            let build = cfg.scheme.spec().build_model;
+            Recorder {
+                nodes: (0..nodes as u64).map(|i| NodeCtx::new(&cfg, i, build)).collect(),
+                log: Vec::new(),
+            }
+        }
+
+        fn call(&mut self, n: usize, what: &'static str, va: VAddr) -> u64 {
+            let t = self.nodes[n].time;
+            self.log.push((n, t, what, va.raw()));
+            let dt = 1 + (va.raw() ^ t) % 40;
+            self.nodes[n].fine.local_stall += dt;
+            dt
+        }
+
+        /// Every node's final clock and ledger.
+        fn states(&self) -> Vec<(u64, LatencyBreakdown)> {
+            self.nodes.iter().map(|n| (n.time, n.fine)).collect()
+        }
+    }
+
+    impl Engine for Recorder {
+        fn node(&mut self, n: usize) -> &mut NodeCtx {
+            &mut self.nodes[n]
+        }
+
+        fn access(&mut self, n: usize, va: VAddr, kind: AccessKind) -> Result<u64, SimError> {
+            let what = match kind {
+                AccessKind::Read => "read",
+                AccessKind::Write => "write",
+            };
+            Ok(self.call(n, what, va))
+        }
+
+        fn protect(&mut self, n: usize, va: VAddr) -> Result<u64, SimError> {
+            Ok(self.call(n, "protect", va))
+        }
+    }
+
+    /// The reference the shared loop must match: the loop as it was
+    /// before compute ops were folded into the clock, where every op,
+    /// compute included, takes one heap pop and one push, and each node's
+    /// source is pulled exactly one op ahead.
+    fn reference_run<E: Engine>(
+        replay: &mut Replay,
+        engine: &mut E,
+        sources: &mut [Box<dyn OpSource + '_>],
+    ) -> Result<(), SimError> {
+        let mut next_op: Vec<Option<Op>> = sources.iter_mut().map(|s| s.next_op()).collect();
+        let mut done: Vec<bool> = next_op.iter().map(Option::is_none).collect();
+        let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+        for (i, o) in next_op.iter().enumerate() {
+            if o.is_some() {
+                heap.push(Reverse((0, i)));
+            }
+        }
+        let mut resumes: Vec<(usize, u64)> = Vec::new();
+        while let Some(Reverse((t, n))) = heap.pop() {
+            engine.node(n).time = t;
+            let op = next_op[n].take().expect("a scheduled node has a prefetched op");
+            next_op[n] = sources[n].next_op();
+            resumes.clear();
+            match op {
+                Op::Compute(c) => {
+                    engine.node(n).fine.busy += c;
+                    resumes.push((n, t + c));
+                }
+                Op::Read(va) => resumes.push((n, t + engine.access(n, va, AccessKind::Read)?)),
+                Op::Write(va) => resumes.push((n, t + engine.access(n, va, AccessKind::Write)?)),
+                Op::Protect(va, _) => resumes.push((n, t + engine.protect(n, va)?)),
+                sync => replay.sync(engine, n, t, sync, &mut resumes)?,
+            }
+            for &(node, resume) in &resumes {
+                engine.node(node).time = resume;
+                if next_op[node].is_some() {
+                    heap.push(Reverse((resume, node)));
+                } else {
+                    done[node] = true;
+                }
+            }
+        }
+        let parked: Vec<u16> =
+            done.iter().enumerate().filter(|&(_, &d)| !d).map(|(i, _)| i as u16).collect();
+        if !parked.is_empty() {
+            return Err(SimError::Deadlock { parked });
+        }
+        Ok(())
+    }
+
+    /// Replays `traces` through the shared loop and through the reference
+    /// and asserts identical engine logs, results and final node states.
+    /// Returns the shared loop's result.
+    fn check_against_reference(traces: &[Vec<Op>]) -> Result<(), SimError> {
+        let nodes = traces.len();
+        let mut fast = Recorder::new(nodes);
+        let got = Replay::new(nodes).run(&mut fast, &mut vcoma_types::trace_sources(traces));
+        let mut slow = Recorder::new(nodes);
+        let want =
+            reference_run(&mut Replay::new(nodes), &mut slow, &mut vcoma_types::trace_sources(traces));
+        assert_eq!(format!("{got:?}"), format!("{want:?}"), "{traces:?}");
+        assert_eq!(fast.log, slow.log, "{traces:?}");
+        assert_eq!(fast.states(), slow.states(), "{traces:?}");
+        got
+    }
+
+    /// A run of one to four compute ops, some of them zero cycles.
+    fn computes(rng: &mut DetRng, ops: &mut Vec<Op>) {
+        for _ in 0..=rng.gen_index(4) {
+            ops.push(Op::Compute(rng.gen_range(12)));
+        }
+    }
+
+    /// Random per-node traces: memory ops, protection changes and
+    /// non-nested lock sections between runs of compute ops, separated by
+    /// barriers every node reaches. A compute run may precede any op,
+    /// including a barrier, a lock and an unlock, and may end the trace.
+    /// Some seeds give one node only compute ops (it skips every barrier)
+    /// or drop one node's last barrier, so the others never leave it.
+    fn random_traces(seed: u64) -> Vec<Vec<Op>> {
+        let mut rng = DetRng::new(seed);
+        let nodes = 1 + rng.gen_index(5);
+        let barriers = rng.gen_index(4);
+        let mut traces: Vec<Vec<Op>> = (0..nodes)
+            .map(|_| {
+                let mut ops = Vec::new();
+                for b in 0..=barriers {
+                    for _ in 0..rng.gen_index(6) {
+                        if rng.gen_index(2) == 0 {
+                            computes(&mut rng, &mut ops);
+                        }
+                        let va = VAddr::new(rng.gen_range(1 << 12));
+                        match rng.gen_index(10) {
+                            0 => ops.push(Op::Protect(va, Protection::read_only())),
+                            1 => {
+                                let lock = SyncId(rng.gen_range(2) as u32);
+                                ops.push(Op::Lock(lock));
+                                for _ in 0..rng.gen_index(3) {
+                                    computes(&mut rng, &mut ops);
+                                    ops.push(Op::Write(va));
+                                }
+                                if rng.gen_index(2) == 0 {
+                                    computes(&mut rng, &mut ops);
+                                }
+                                ops.push(Op::Unlock(lock));
+                            }
+                            2..=5 => ops.push(Op::Read(va)),
+                            _ => ops.push(Op::Write(va)),
+                        }
+                    }
+                    if rng.gen_index(2) == 0 {
+                        computes(&mut rng, &mut ops);
+                    }
+                    if b < barriers {
+                        ops.push(Op::Barrier(SyncId(b as u32)));
+                    }
+                }
+                ops
+            })
+            .collect();
+        match rng.gen_index(6) {
+            0 => {
+                let n = rng.gen_index(nodes);
+                traces[n].retain(|op| matches!(op, Op::Compute(_)));
+            }
+            1 if barriers > 0 => {
+                let n = rng.gen_index(nodes);
+                let last = traces[n].iter().rposition(|op| matches!(op, Op::Barrier(_)));
+                traces[n].remove(last.expect("the trace has a barrier"));
+            }
+            _ => {}
+        }
+        traces
+    }
+
+    #[test]
+    fn folding_compute_matches_the_reference_loop_on_random_traces() {
+        let (mut ok, mut deadlocked) = (0, 0);
+        for seed in 0..400 {
+            match check_against_reference(&random_traces(seed)) {
+                Ok(()) => ok += 1,
+                Err(SimError::Deadlock { .. }) => deadlocked += 1,
+                Err(e) => panic!("seed {seed}: {e}"),
+            }
+        }
+        assert!(ok > 100 && deadlocked > 20, "{ok} completed, {deadlocked} deadlocked");
+    }
+
+    #[test]
+    fn folding_compute_matches_the_reference_loop_at_every_op_boundary() {
+        let (a, b) = (VAddr::new(0x40), VAddr::new(0x80));
+        let lock = SyncId(1);
+        let traces = vec![
+            // Compute runs before a lock, inside it, before the unlock and
+            // before a barrier, and a trailing compute.
+            vec![
+                Op::Compute(3),
+                Op::Compute(0),
+                Op::Compute(5),
+                Op::Lock(lock),
+                Op::Compute(2),
+                Op::Write(a),
+                Op::Compute(4),
+                Op::Unlock(lock),
+                Op::Compute(7),
+                Op::Barrier(SyncId(0)),
+                Op::Read(b),
+                Op::Compute(9),
+            ],
+            // Contends for the lock with node 0 and ends on a barrier.
+            vec![Op::Compute(1), Op::Lock(lock), Op::Read(a), Op::Unlock(lock), Op::Barrier(SyncId(0))],
+            // Only compute ops, including a zero-cycle one.
+            vec![Op::Compute(50), Op::Compute(0), Op::Compute(25)],
+        ];
+        // Node 2 never reaches barrier 0: nodes 0 and 1 stay parked on it.
+        match check_against_reference(&traces) {
+            Err(SimError::Deadlock { parked }) => assert_eq!(parked, vec![0, 1]),
+            other => panic!("expected a deadlock, got {other:?}"),
+        }
+        let mut released = traces.clone();
+        released[2].insert(1, Op::Barrier(SyncId(0)));
+        check_against_reference(&released).expect("every node reaches the barrier");
     }
 }

@@ -7,10 +7,12 @@
 //! as a *step* closure — "emit the next phase" — into one lazy
 //! [`OpSource`] per node: a phase is generated only when some node has
 //! drained its packed op stream, and each node decodes its own stream in
-//! place. The machine pulls one op ahead of each node, so a node waiting
-//! at a barrier has already pulled the next phase's first op: about two
-//! phases are live at once, at about two bytes per op. Before each phase
-//! is appended, every node's stream frees the ops it has already
+//! place. The machine pulls each node's stream only up to its next
+//! memory or sync op, so a node waiting at the barrier that ends a phase
+//! has pulled nothing after it: the next phase is generated once the
+//! barrier releases, when every node has consumed the phase, and about
+//! one phase is live at once, at about two bytes per op. Before each
+//! phase is appended, every node's stream frees the ops it has already
 //! decoded, so a node that never quite drains does not accumulate the
 //! whole trace.
 //!

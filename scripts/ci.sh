@@ -142,7 +142,7 @@ echo "==> hot-path micro-benchmarks: plain-timer harness must run every kernel"
 micro_out=$(mktemp)
 trap 'rm -rf "$out1" "$out2" "$bench1" "$fault1" "$fault2" "$n64a" "$n64b" "$micro_out"' EXIT
 cargo bench -p vcoma-bench --bench hotpath_micro | tee "$micro_out"
-for label in op_gen tlb_lookup tlb_bank cache_probe am_probe page_table_map coherence_txn directory_fill access_v_coma access_l0_tlb codec_roundtrip; do
+for label in op_gen tlb_lookup tlb_bank cache_probe am_probe page_table_map coherence_txn directory_fill access_v_coma access_l0_tlb replay_paper codec_roundtrip; do
     grep -q "bench hotpath_micro/${label}:" "$micro_out" \
         || { echo "hotpath_micro never ran ${label}"; exit 1; }
 done

@@ -1,5 +1,6 @@
 //! A counting global allocator for the heap guards: forwards to the
-//! system allocator and tracks the live heap and its high-water mark.
+//! system allocator and tracks the live heap, its high-water mark and the
+//! number of allocations.
 //!
 //! The counters are process-wide, so a binary that installs it must run
 //! its measurements on one thread at a time (one `#[test]` per binary).
@@ -12,8 +13,11 @@ pub struct Counting;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
+/// Counts one allocation (a fresh block or a grown one) of `bytes`.
 fn grew(bytes: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
     let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
     PEAK.fetch_max(live, Ordering::Relaxed);
 }
@@ -57,10 +61,20 @@ unsafe impl GlobalAlloc for Counting {
 
 /// Runs `f` and returns its result with the heap's peak growth above
 /// the live heap at the call, in MB (2^20 bytes).
+#[allow(dead_code)] // each test binary uses one of the two probes
 pub fn peak_mb_of<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let base = LIVE.load(Ordering::Relaxed);
     PEAK.store(base, Ordering::Relaxed);
     let out = f();
     let peak = PEAK.load(Ordering::Relaxed) - base;
     (out, peak as f64 / f64::from(1u32 << 20))
+}
+
+/// Runs `f` and returns its result with the number of allocations it
+/// made: fresh blocks plus grown ones.
+#[allow(dead_code)] // each test binary uses one of the two probes
+pub fn allocs_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let base = ALLOCS.load(Ordering::Relaxed);
+    let out = f();
+    (out, ALLOCS.load(Ordering::Relaxed) - base)
 }
