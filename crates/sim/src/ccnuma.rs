@@ -44,7 +44,7 @@
 //! assert_eq!(report.total_refs(), 2);
 //! ```
 
-use crate::replay::{Engine, NodeCtx, Replay};
+use crate::replay::{Category, Engine, NodeCtx, Replay};
 use crate::{NodeReport, SimConfig, SimError};
 use vcoma_coherence::Directory;
 use vcoma_tlb::BankModel;
@@ -286,10 +286,10 @@ impl NumaMachine {
     }
 
     /// Presents `page` to node `n`'s TLB, charging a miss as a page walk.
-    fn translate(&mut self, n: usize, page: VPage, t: &mut u64) {
-        let walk = self.nodes[n].xlb.lookup(page).cycles;
-        *t += walk;
-        self.nodes[n].fine.tlb_walk += walk;
+    fn translate(&mut self, n: usize, page: VPage) {
+        let node = &mut self.nodes[n];
+        let walk = node.xlb.lookup(page).cycles;
+        node.charge(walk, Category::TlbWalk);
     }
 }
 
@@ -298,7 +298,7 @@ impl Engine for NumaMachine {
         &mut self.nodes[n]
     }
 
-    fn access(&mut self, n: usize, va: VAddr, kind: AccessKind) -> Result<u64, SimError> {
+    fn access(&mut self, n: usize, va: VAddr, kind: AccessKind) -> Result<(), SimError> {
         let m = self.cfg.machine.clone();
         let node_id = NodeId::new(n as u16);
         let page = va.page(m.page_size);
@@ -320,22 +320,20 @@ impl Engine for NumaMachine {
         let flc_block = byte(scheme.virtual_flc()) / m.flc.block_size;
         let slc_block = byte(scheme.virtual_slc()) / m.slc.block_size;
 
-        let t0 = self.nodes[n].time;
-        let mut t = t0 + 1;
-        self.nodes[n].issue(kind);
-
+        self.nodes[n].count(kind);
+        self.nodes[n].charge(1, Category::Busy);
         if scheme == NumaScheme::L0Tlb {
-            self.translate(n, page, &mut t);
+            self.translate(n, page);
         }
         let flc_hit = match kind {
             AccessKind::Read => self.nodes[n].flc.read(flc_block).is_hit(),
             AccessKind::Write => self.nodes[n].flc.write(flc_block).is_hit(),
         };
         if kind == AccessKind::Read && flc_hit {
-            return Ok(t - t0);
+            return Ok(());
         }
         if scheme == NumaScheme::L1Tlb {
-            self.translate(n, page, &mut t);
+            self.translate(n, page);
         }
         let ratio = m.slc.block_size / m.flc.block_size;
         let slc_res = self.nodes[n].slc.access(slc_block, kind);
@@ -344,19 +342,19 @@ impl Engine for NumaMachine {
         }
         let writable = self.dir.slot(slc_block).and_then(|s| self.dir.master(s)) == Some(node_id);
         if slc_res.hit && (kind == AccessKind::Read || writable) {
-            t += m.timing.slc_hit;
-            self.nodes[n].fine.local_stall += m.timing.slc_hit;
-            return Ok(t - t0);
+            self.nodes[n].charge(m.timing.slc_hit, Category::LocalStall);
+            return Ok(());
         }
         if scheme == NumaScheme::L2Tlb {
-            self.translate(n, page, &mut t);
+            self.translate(n, page);
         }
 
-        // Directory transaction at the home: `now` advances through the
-        // request, the home's work and the reply, split into message
+        // Directory transaction at the home: `now` advances from the
+        // request through the home's work to the reply, split into message
         // (`net`), memory (`mem`) and shared-TLB (`lookup`) cycles.
-        let mut now = self.net.send(node_id, home, MsgKind::ReadReq, t);
-        let mut net = now - t;
+        let start = self.nodes[n].time;
+        let mut now = self.net.send(node_id, home, MsgKind::ReadReq, start);
+        let mut net = now - start;
         let mut mem = 0;
         let lookup = if scheme == NumaScheme::SharedTlb {
             // The home's shared TLB translates; it maps only local pages,
@@ -405,37 +403,37 @@ impl Engine for NumaMachine {
         let reply = self.net.send(home, node_id, MsgKind::BlockReply, now);
         net += reply - now;
 
-        let fine = &mut self.nodes[n].fine;
-        fine.dlb_lookup += lookup;
+        let node = &mut self.nodes[n];
+        node.charge(lookup, Category::DlbLookup);
         if home == node_id {
             self.local_mem += 1;
-            fine.local_stall += mem + net;
+            node.charge(mem + net, Category::LocalStall);
         } else {
             self.remote_mem += 1;
-            fine.coherence += mem;
-            fine.network += net;
+            node.charge(mem, Category::Coherence);
+            node.charge(net, Category::Network);
         }
-        Ok(reply - t0)
+        Ok(())
     }
 
     /// Charges a change of a page's protection: every TLB that may map
     /// the page drops it — all node TLBs, or the home's shared TLB under
     /// SHARED-TLB — for one round trip of control messages.
-    fn protect(&mut self, n: usize, va: VAddr) -> Result<u64, SimError> {
+    fn protect(&mut self, n: usize, va: VAddr) -> Result<(), SimError> {
         let m = &self.cfg.machine;
         let page = va.page(m.page_size);
-        let round_trip = 2 * m.timing.net_request;
-        let fine = if self.scheme == NumaScheme::SharedTlb {
+        let category = if self.scheme == NumaScheme::SharedTlb {
             let home = m.home_of_vpage(page).index();
             self.nodes[home].xlb.shootdown(VPage::new(page.raw() / m.nodes));
-            &mut self.nodes[n].fine.dlb_lookup
+            Category::DlbLookup
         } else {
             self.nodes.iter_mut().for_each(|node| node.xlb.shootdown(page));
-            &mut self.nodes[n].fine.tlb_walk
+            Category::TlbWalk
         };
-        *fine += round_trip;
-        self.nodes[n].fine.busy += 1;
-        Ok(1 + round_trip)
+        let node = &mut self.nodes[n];
+        node.charge(1, Category::Busy);
+        node.charge(2 * m.timing.net_request, category);
+        Ok(())
     }
 }
 

@@ -9,8 +9,6 @@
 # working directory and reports the `total_refs_per_second` (simulated
 # memory references per wall-clock second) its BENCH_sweep.json records.
 # The gate fails when head's median is below 0.7x the parent's median.
-# A parent built before BENCH_sweep.json recorded references is compared
-# on `total_cycles_per_second` instead, on both sides.
 #
 # Both sides run on the same host in the same job, so the runner's speed
 # cancels out. One worker per run keeps the figure free of
@@ -45,18 +43,11 @@ parent_bin="$work/parent-target/release/vcoma-experiments"
 head_bin="$PWD/target/release/vcoma-experiments"
 mkdir "$work/parent-run" "$work/head-run"
 
-# The gated figure: refs/s, unless the parent cannot write it.
-unit=refs
-if ! grep -q total_refs_per_second "$parent_bin"; then
-    unit=cycles
-    echo "parent records no refs/s; gating on cycles/s"
-fi
-
 # Runs the pinned sweep with binary $1 in directory $2 and prints the
-# run's simulated $unit/s.
+# run's simulated refs/s.
 sweep() {
     (cd "$2" && "$1" table2 fig8 --scale 0.05 --jobs 1 --out csv >/dev/null)
-    grep -o "\"total_${unit}_per_second\": [0-9.eE+-]*" "$2/BENCH_sweep.json" | awk '{print $2}'
+    grep -o '"total_refs_per_second": [0-9.eE+-]*' "$2/BENCH_sweep.json" | awk '{print $2}'
 }
 
 # The middle of three values.
@@ -72,13 +63,13 @@ for i in 1 2 3; do
         head_runs+=("$(sweep "$head_bin" "$work/head-run")")
         parent_runs+=("$(sweep "$parent_bin" "$work/parent-run")")
     fi
-    echo "pair $i: parent ${parent_runs[-1]} $unit/s, head ${head_runs[-1]} $unit/s"
+    echo "pair $i: parent ${parent_runs[-1]} refs/s, head ${head_runs[-1]} refs/s"
 done
 
 p=$(median3 "${parent_runs[@]}")
 h=$(median3 "${head_runs[@]}")
-awk -v p="$p" -v h="$h" -v unit="$unit" 'BEGIN {
-    printf "median %s/s: parent %.0f, head %.0f (head/parent %.3f)\n", unit, p, h, h / p
+awk -v p="$p" -v h="$h" 'BEGIN {
+    printf "median refs/s: parent %.0f, head %.0f (head/parent %.3f)\n", p, h, h / p
     if (h < 0.7 * p) {
         print "perf A/B: head is more than 30% slower than its parent"
         exit 1

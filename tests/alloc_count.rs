@@ -6,11 +6,12 @@
 //! V-COMA runs of FFT on the paper's 32-node machine. The traces are
 //! materialized and the machine built before counting starts, so only the
 //! run itself is counted. What a run may allocate is fixed or nearly so:
-//! the per-pass source boxes and replay state, the report, logarithmic
-//! growth of the page table and the coherence directory, and the barrier
-//! and lock bookkeeping of its sync ops. When every transaction that
-//! invalidated or injected built a fresh invalidation list, the two
-//! scales took 1,520 and 11,064 allocations.
+//! the per-pass source boxes and replay state, the report, and
+//! logarithmic growth of the page table and the coherence directory.
+//! When every transaction that invalidated or injected built a fresh
+//! invalidation list, the two scales took 1,520 and 11,064 allocations;
+//! when every barrier episode grew a fresh arrival list and collected a
+//! fresh release list, 361 and 375.
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
@@ -22,9 +23,11 @@ use vcoma::{materialize, Machine, MachineConfig, Op, Scheme, SimConfig};
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-/// Allocations a sync op may make: a barrier episode's arrival list and
-/// release list, a contended lock's wait queue.
-const PER_SYNC_OP: usize = 1;
+/// Allocations a sync op may make: none, because a barrier episode reuses
+/// the previous episode's arrival list and releases into the loop's
+/// resume list. (A lock's wait queue is allocated once per lock id; FFT
+/// takes no locks.)
+const PER_SYNC_OP: usize = 0;
 
 /// Allocations the larger run may add beyond its extra sync ops: the
 /// page table and directory double a few more times.
