@@ -10,7 +10,7 @@
 //!   and compare AM-level behaviour).
 
 use crate::render::TextTable;
-use crate::sweep::{self, SweepPoint, SweepResult};
+use crate::sweep::{self, SweepPoint};
 use crate::ExperimentConfig;
 use vcoma::workloads::Workload;
 use vcoma::{Scheme, SimReport};
@@ -52,19 +52,14 @@ where
         cfg.benchmarks().into_iter().map(|w| SweepPoint::new(w.name(), w)).collect();
     sweep::run(cfg, name, points, |w| {
         let (base, variant) = eval(w.as_ref());
-        let cycles = base.simulated_cycles().saturating_add(variant.simulated_cycles());
-        SweepResult::new(
-            AblationRow {
-                benchmark: w.name().to_string(),
-                what,
-                base_exec: exec(&base),
-                variant_exec: exec(&variant),
-                base_metric: metric(&base),
-                variant_metric: metric(&variant),
-            },
-            cycles,
-        )
-        .with_refs(base.total_refs() + variant.total_refs())
+        AblationRow {
+            benchmark: w.name().to_string(),
+            what,
+            base_exec: exec(&base),
+            variant_exec: exec(&variant),
+            base_metric: metric(&base),
+            variant_metric: metric(&variant),
+        }
     })
 }
 

@@ -11,7 +11,7 @@
 //! conservation integration test enforces for all five schemes.
 
 use crate::render::TextTable;
-use crate::sweep::{self, SweepPoint, SweepResult};
+use crate::sweep::{self, SweepPoint};
 use crate::ExperimentConfig;
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -62,12 +62,7 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<BreakdownRow> {
         }
     }
     sweep::run(cfg, "breakdown", points, |&(scheme, wl)| {
-        let report = cfg.run_cached(cfg.simulator(scheme), wl);
-        SweepResult::new(
-            BreakdownRow::from_report(wl.name(), scheme, &report),
-            report.simulated_cycles(),
-        )
-        .with_refs(report.total_refs())
+        BreakdownRow::from_report(wl.name(), scheme, &cfg.run_cached(cfg.simulator(scheme), wl))
     })
 }
 

@@ -57,9 +57,23 @@ impl std::fmt::Display for Endpoint {
     }
 }
 
-enum Stream {
+/// A connected unix-domain or TCP stream: the daemon's accepted
+/// connections and the client's outgoing ones.
+pub enum Stream {
+    /// A unix-domain socket connection.
     Unix(UnixStream),
+    /// A TCP connection.
     Tcp(TcpStream),
+}
+
+impl Stream {
+    /// A second handle on the same connection (one to read, one to write).
+    pub fn try_clone(&self) -> std::io::Result<Stream> {
+        match self {
+            Stream::Unix(s) => s.try_clone().map(Stream::Unix),
+            Stream::Tcp(s) => s.try_clone().map(Stream::Tcp),
+        }
+    }
 }
 
 impl Read for Stream {
@@ -97,17 +111,15 @@ pub struct Connection {
 impl Connection {
     /// Connects to the daemon at `endpoint`.
     pub fn connect(endpoint: &Endpoint) -> std::io::Result<Connection> {
-        let (reader, writer) = match endpoint {
-            Endpoint::Unix(path) => {
-                let s = UnixStream::connect(path)?;
-                (Stream::Unix(s.try_clone()?), Stream::Unix(s))
-            }
+        let writer = match endpoint {
+            Endpoint::Unix(path) => Stream::Unix(UnixStream::connect(path)?),
             Endpoint::Tcp(addr) => {
                 let s = TcpStream::connect(addr)?;
                 s.set_nodelay(true).ok();
-                (Stream::Tcp(s.try_clone()?), Stream::Tcp(s))
+                Stream::Tcp(s)
             }
         };
+        let reader = writer.try_clone()?;
         Ok(Connection { reader: BufReader::new(reader), writer })
     }
 

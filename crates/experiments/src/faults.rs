@@ -12,7 +12,7 @@
 //! cycle and event trace instead of producing a table.
 
 use crate::render::TextTable;
-use crate::sweep::{self, SweepPoint, SweepResult};
+use crate::sweep::{self, SweepPoint};
 use crate::ExperimentConfig;
 use vcoma::faults::FaultPlan;
 use vcoma::{paper_schemes, Scheme, SimError};
@@ -74,13 +74,7 @@ pub fn run(cfg: &ExperimentConfig, base: &FaultPlan) -> Result<Vec<FaultRow>, Si
         if !plan.is_zero() {
             sim = sim.with_fault_plan(plan);
         }
-        match vcoma::simulate(sim, workload.as_ref()) {
-            Ok(report) => {
-                let (cycles, refs) = (report.simulated_cycles(), report.total_refs());
-                SweepResult::new(Ok((scheme, intensity, report)), cycles).with_refs(refs)
-            }
-            Err(e) => SweepResult::new(Err(e), 0),
-        }
+        cfg.try_run_cached(sim, workload.as_ref()).map(|report| (scheme, intensity, report))
     });
 
     let mut rows = Vec::new();

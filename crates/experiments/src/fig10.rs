@@ -10,7 +10,7 @@
 //!   for RAYTRACE, where the paper reports the sync-time recovery.
 
 use crate::render::TextTable;
-use crate::sweep::{self, SweepPoint, SweepResult};
+use crate::sweep::{self, SweepPoint};
 use crate::ExperimentConfig;
 use vcoma::workloads::{Raytrace, Workload};
 use vcoma::sim::TimeBreakdownF;
@@ -68,9 +68,7 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<Fig10Panel> {
     }
     let bars = sweep::run(cfg, "fig10", points, |&(label, scheme, specs, wl)| {
         let sim = cfg.simulator(scheme).with_translation_specs(specs.to_vec()).with_warmup();
-        let report = cfg.run_cached(sim, wl);
-        SweepResult::new(Bar::from_report(label, &report), report.simulated_cycles())
-            .with_refs(report.total_refs())
+        Bar::from_report(label, &cfg.run_cached(sim, wl))
     });
     let mut bars = bars.into_iter();
     benchmarks

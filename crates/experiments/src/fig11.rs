@@ -2,7 +2,7 @@
 //! V-COMA.
 
 use crate::render::TextTable;
-use crate::sweep::{self, SweepPoint, SweepResult};
+use crate::sweep::{self, SweepPoint};
 use crate::ExperimentConfig;
 use vcoma::Scheme;
 
@@ -28,17 +28,13 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<Fig11Row> {
     sweep::run(cfg, "fig11", points, |w| {
         let report = cfg.run_cached(cfg.simulator(Scheme::V_COMA), w.as_ref());
         let p = report.pressure();
-        SweepResult::new(
-            Fig11Row {
-                benchmark: w.name().to_string(),
-                profile: p.as_slice().to_vec(),
-                mean: p.mean(),
-                max: p.max(),
-                cv: p.coefficient_of_variation(),
-            },
-            report.simulated_cycles(),
-        )
-        .with_refs(report.total_refs())
+        Fig11Row {
+            benchmark: w.name().to_string(),
+            profile: p.as_slice().to_vec(),
+            mean: p.mean(),
+            max: p.max(),
+            cv: p.coefficient_of_variation(),
+        }
     })
 }
 

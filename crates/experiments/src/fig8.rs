@@ -5,7 +5,7 @@
 //! shadow TLB/DLB bank, so the 6×6 grid needs 36 runs.
 
 use crate::render::TextTable;
-use crate::sweep::{self, SweepPoint, SweepResult};
+use crate::sweep::{self, SweepPoint};
 use crate::{ExperimentConfig, SIZE_AXIS};
 use vcoma::workloads::Workload;
 use vcoma::{paper_schemes, Scheme, TlbOrg};
@@ -59,18 +59,14 @@ pub fn run_schemes(cfg: &ExperimentConfig, schemes: &[Scheme]) -> Vec<Fig8Panel>
     let specs = &specs;
     let curves = sweep::run(cfg, "fig8", points, |&(w, scheme)| {
         let report = cfg.run_cached(cfg.simulator(scheme).with_translation_specs(specs.clone()), w);
-        SweepResult::new(
-            Curve {
-                scheme,
-                points: SIZE_AXIS
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &s)| (s, report.translation_misses_per_node(i)))
-                    .collect(),
-            },
-            report.simulated_cycles(),
-        )
-        .with_refs(report.total_refs())
+        Curve {
+            scheme,
+            points: SIZE_AXIS
+                .iter()
+                .enumerate()
+                .map(|(i, &s)| (s, report.translation_misses_per_node(i)))
+                .collect(),
+        }
     });
     benchmarks
         .iter()

@@ -6,7 +6,7 @@
 //! the stream the structure must capture.
 
 use crate::render::TextTable;
-use crate::sweep::{self, SweepPoint, SweepResult};
+use crate::sweep::{self, SweepPoint};
 use crate::{ExperimentConfig, SIZE_AXIS};
 use vcoma::workloads::Workload;
 use vcoma::{Scheme, TlbOrg};
@@ -56,24 +56,20 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<Fig9Panel> {
     let specs = &specs;
     let curves = sweep::run(cfg, "fig9", points, |&(w, scheme)| {
         let report = cfg.run_cached(cfg.simulator(scheme).with_translation_specs(specs.clone()), w);
-        SweepResult::new(
-            DmFaCurves {
-                scheme,
-                points: SIZE_AXIS
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &s)| {
-                        (
-                            s,
-                            report.translation_misses_per_node(2 * i),
-                            report.translation_misses_per_node(2 * i + 1),
-                        )
-                    })
-                    .collect(),
-            },
-            report.simulated_cycles(),
-        )
-        .with_refs(report.total_refs())
+        DmFaCurves {
+            scheme,
+            points: SIZE_AXIS
+                .iter()
+                .enumerate()
+                .map(|(i, &s)| {
+                    (
+                        s,
+                        report.translation_misses_per_node(2 * i),
+                        report.translation_misses_per_node(2 * i + 1),
+                    )
+                })
+                .collect(),
+        }
     });
     benchmarks
         .iter()

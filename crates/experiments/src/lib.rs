@@ -52,7 +52,7 @@ pub mod trace;
 use std::sync::Arc;
 
 use vcoma::workloads::{all_benchmarks, Workload};
-use vcoma::{simulate, MachineConfig, Scheme, SchemeSet, SimConfig, SimReport};
+use vcoma::{simulate, MachineConfig, Scheme, SchemeSet, SimConfig, SimError, SimReport};
 
 /// Shared configuration for all experiments.
 #[derive(Clone)]
@@ -197,33 +197,55 @@ impl ExperimentConfig {
     /// the workload, the scale and the process
     /// [`cache::code_fingerprint`] — is looked up; a hit returns the
     /// stored report (byte-identical to a fresh run by the codec's
-    /// round-trip guarantee), a miss simulates and persists.
+    /// round-trip guarantee), a miss simulates and persists. Either way
+    /// the progress sink hears the resolution once, and a fresh run's
+    /// cost is added to the sweep point this thread is evaluating.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`SimError`] of a failed run; nothing is stored or
+    /// reported for it.
+    pub fn try_run_cached(&self, sim: SimConfig, w: &dyn Workload) -> Result<SimReport, SimError> {
+        let store = self.cache.as_ref().map(|store| {
+            (store, cache::point_key(&sim, w, self.scale, cache::code_fingerprint()))
+        });
+        let hit = store.as_ref().and_then(|(store, key)| store.load(key, &sim));
+        let from_cache = hit.is_some();
+        let report = match hit {
+            Some(report) => report,
+            None => {
+                let report = simulate(sim, w)?;
+                if let Some((store, key)) = &store {
+                    store.store(key, &report);
+                }
+                report
+            }
+        };
+        self.resolved(report.simulated_cycles(), report.total_refs(), from_cache);
+        Ok(report)
+    }
+
+    /// [`ExperimentConfig::try_run_cached`], panicking on a failed run.
     ///
     /// # Panics
     ///
-    /// Panics on a [`vcoma::SimError`] (virtual-memory exhaustion or an
-    /// audit violation).
+    /// Panics on a [`SimError`] (virtual-memory exhaustion or an audit
+    /// violation).
     pub fn run_cached(&self, sim: SimConfig, w: &dyn Workload) -> SimReport {
-        let Some(store) = &self.cache else {
-            let report = run(sim, w);
-            if let Some(p) = &self.progress {
-                p.point_resolved(report.simulated_cycles(), false);
-            }
-            return report;
-        };
-        let key = cache::point_key(&sim, w, self.scale, cache::code_fingerprint());
-        if let Some(report) = store.load(&key, &sim) {
-            if let Some(p) = &self.progress {
-                p.point_resolved(report.simulated_cycles(), true);
-            }
-            return report;
-        }
-        let report = run(sim, w);
-        store.store(&key, &report);
+        self.try_run_cached(sim, w).unwrap_or_else(|e| panic!("simulation failed: {e}"))
+    }
+
+    /// The one place a simulation's cost is reported: the progress sink
+    /// hears every resolution, and a fresh run's `cycles` and `refs` are
+    /// added to the sweep point being evaluated on this thread (a store
+    /// hit simulated nothing, so it adds nothing).
+    pub(crate) fn resolved(&self, cycles: u64, refs: u64, from_cache: bool) {
         if let Some(p) = &self.progress {
-            p.point_resolved(report.simulated_cycles(), false);
+            p.point_resolved(cycles, from_cache);
         }
-        report
+        if !from_cache {
+            sweep::meter(cycles, refs);
+        }
     }
 
     /// The run configuration for `scheme` on this configuration's machine
@@ -231,11 +253,6 @@ impl ExperimentConfig {
     pub fn simulator(&self, scheme: Scheme) -> SimConfig {
         SimConfig::new(self.machine.clone(), scheme).with_seed(self.seed)
     }
-}
-
-/// [`simulate`], panicking on a failed run.
-fn run(sim: SimConfig, w: &dyn Workload) -> SimReport {
-    simulate(sim, w).unwrap_or_else(|e| panic!("simulation failed: {e}"))
 }
 
 impl Default for ExperimentConfig {

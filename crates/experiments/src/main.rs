@@ -91,10 +91,7 @@ fn usage() -> String {
 /// Parses a numeric flag value, exiting with a one-line usage error (status
 /// 2) on garbage instead of a panic backtrace.
 fn parse_flag<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
-    let raw = value.unwrap_or_else(|| {
-        eprintln!("error: {flag} needs a value");
-        std::process::exit(2);
-    });
+    let raw = flag_value(flag, value);
     raw.parse().unwrap_or_else(|_| {
         eprintln!("error: {flag} got '{raw}', expected a number");
         std::process::exit(2);
@@ -190,10 +187,7 @@ fn main() {
                 }
             }
             "--schemes" => {
-                let spec = args.next().unwrap_or_else(|| {
-                    eprintln!("error: --schemes needs a value");
-                    std::process::exit(2);
-                });
+                let spec = flag_value("--schemes", args.next());
                 match vcoma::SchemeSet::parse(&spec) {
                     Ok(set) => schemes = Some(set),
                     Err(e) => {
@@ -203,10 +197,7 @@ fn main() {
                 }
             }
             "--fault-seed" => {
-                let raw: String = args.next().unwrap_or_else(|| {
-                    eprintln!("error: --fault-seed needs a value");
-                    std::process::exit(2);
-                });
+                let raw = flag_value("--fault-seed", args.next());
                 let parsed = match raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
                     Some(hex) => u64::from_str_radix(hex, 16),
                     None => raw.parse(),
@@ -217,10 +208,7 @@ fn main() {
                 }));
             }
             "--fault-plan" => {
-                let spec = args.next().unwrap_or_else(|| {
-                    eprintln!("error: --fault-plan needs a value");
-                    std::process::exit(2);
-                });
+                let spec = flag_value("--fault-plan", args.next());
                 match vcoma::faults::FaultPlan::parse(&spec) {
                     Ok(p) => fault_plan = Some(p),
                     Err(e) => {

@@ -6,15 +6,16 @@
 //!   sweep announces its point count up front via
 //!   [`sweep_started`](ProgressSink::sweep_started) and ticks
 //!   [`point_done`](ProgressSink::point_done) as workers finish points;
-//! * [`crate::ExperimentConfig::run_cached`] reports resolution-level
-//!   progress — every simulator invocation routed through it calls
-//!   [`point_resolved`](ProgressSink::point_resolved) with the report's
-//!   simulated cycles and whether the result came from the store.
+//! * every **simulation** reports its cost where it runs:
+//!   [`point_resolved`](ProgressSink::point_resolved) fires once per run,
+//!   with its simulated cycles and whether the store served it, from the
+//!   one place in [`crate::ExperimentConfig`] that also feeds the sweep
+//!   ledger, so the two never disagree about a run's cost.
 //!
 //! The two views are deliberately distinct: most artifacts run exactly
 //! one simulation per grid point (so the counts line up), but some run
-//! several (or none — `ccnuma` drives the simulator directly), so the
-//! daemon surfaces both rather than conflating them.
+//! several (or none — `table1` only summarises traces), so the daemon
+//! surfaces both rather than conflating them.
 //!
 //! Every method has a no-op default and implementors must be
 //! `Send + Sync`: callbacks arrive concurrently from sweep workers.
@@ -46,9 +47,9 @@ pub trait ProgressSink: Send + Sync {
         let _ = label;
     }
 
-    /// One simulation routed through `run_cached` resolved, costing
-    /// `simulated_cycles` (as reported by the run), `from_cache` when the
-    /// result was served from the configured store instead of simulated.
+    /// One simulation resolved, costing `simulated_cycles` (the sum of
+    /// its node times), `from_cache` when the result was served from the
+    /// configured store instead of simulated.
     fn point_resolved(&self, simulated_cycles: u64, from_cache: bool) {
         let _ = (simulated_cycles, from_cache);
     }

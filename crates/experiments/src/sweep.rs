@@ -3,7 +3,7 @@
 //! Every artifact module expands its grid (benchmark × scheme × size …)
 //! into a list of [`SweepPoint`]s and hands them to [`run`], which
 //! evaluates them on a worker pool of scoped threads and merges the
-//! [`SweepResult`]s back **in input order**. Each point is a pure function
+//! values back **in input order**. Each point is a pure function
 //! of the experiment configuration, so the merged output is byte-identical
 //! no matter how many workers ran the sweep or in which order the points
 //! finished — `--jobs 1` and `--jobs 8` produce the same tables and CSVs.
@@ -13,7 +13,15 @@
 //! nothing: the CLI drains the ledger with [`take_stats`], prints one
 //! `[sweep …]` line per entry and writes `BENCH_sweep.json`, while the
 //! sweep daemon keeps its stdout to its readiness line.
+//!
+//! An evaluator returns only its value. The cost of each simulation it
+//! runs is reported where the simulation runs, by
+//! [`ExperimentConfig::run_cached`]: the progress sink hears it, and a
+//! fresh run's cycles and references go to a per-thread meter that
+//! [`run`] arms around each point. A store hit simulates nothing and adds
+//! nothing, so the ledger and the sink count the same work.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -36,33 +44,6 @@ impl<I> SweepPoint<I> {
     /// Builds a point.
     pub fn new(label: impl Into<String>, input: I) -> Self {
         SweepPoint { label: label.into(), input }
-    }
-}
-
-/// One evaluated point: the artifact datum plus the simulated cycles and
-/// memory references spent producing it (0 for non-simulation work such
-/// as trace summarisation).
-#[derive(Debug, Clone)]
-pub struct SweepResult<T> {
-    /// The artifact datum.
-    pub value: T,
-    /// Simulated cycles consumed by the point's runs.
-    pub simulated_cycles: u64,
-    /// Memory references the point's runs measured.
-    pub refs: u64,
-}
-
-impl<T> SweepResult<T> {
-    /// Wraps a value with its simulated-cycle cost and no references.
-    pub fn new(value: T, simulated_cycles: u64) -> Self {
-        SweepResult { value, simulated_cycles, refs: 0 }
-    }
-
-    /// Sets the memory references the point's runs measured.
-    #[must_use]
-    pub fn with_refs(mut self, refs: u64) -> Self {
-        self.refs = refs;
-        self
     }
 }
 
@@ -134,6 +115,20 @@ fn per_second(count: u64, wall_seconds: f64) -> f64 {
 
 static LEDGER: Mutex<Vec<SweepStats>> = Mutex::new(Vec::new());
 
+thread_local! {
+    /// The simulated cycles and references of the sweep point this thread
+    /// is evaluating; `None` outside an evaluation.
+    static METER: Cell<Option<(u64, u64)>> = const { Cell::new(None) };
+}
+
+/// Adds a fresh simulation's cost to the point this thread is evaluating
+/// (nothing outside a sweep).
+pub(crate) fn meter(cycles: u64, refs: u64) {
+    if let Some((c, r)) = METER.get() {
+        METER.set(Some((c.saturating_add(cycles), r.saturating_add(refs))));
+    }
+}
+
 /// Drains and returns the stats of every sweep run since the last call
 /// (process-wide, in completion order).
 pub fn take_stats() -> Vec<SweepStats> {
@@ -150,6 +145,8 @@ pub fn take_stats() -> Vec<SweepStats> {
 /// any, hears `sweep_started(name, points)` before evaluation begins and
 /// one `point_done(label)` per finished point, from whichever worker
 /// thread finished it; the values and stdout are the same without one.
+/// A point's simulated cycles and references are what its evaluation
+/// metered (see [`ExperimentConfig::run_cached`]).
 ///
 /// Appends a [`SweepStats`] record to the process-wide ledger; prints
 /// nothing.
@@ -157,7 +154,7 @@ pub fn run<I, T, F>(cfg: &ExperimentConfig, name: &str, points: Vec<SweepPoint<I
 where
     I: Sync,
     T: Send,
-    F: Fn(&I) -> SweepResult<T> + Sync,
+    F: Fn(&I) -> T + Sync,
 {
     let t0 = Instant::now();
     let n = points.len();
@@ -171,7 +168,7 @@ where
     // results into its point's dedicated slot, so completion order never
     // influences the merge below.
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<SweepResult<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<(T, u64, u64)>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let points = &points;
     let eval = &eval;
     let slots_ref = &slots;
@@ -183,8 +180,10 @@ where
                 if i >= n {
                     break;
                 }
-                let result = eval(&points[i].input);
-                *slots_ref[i].lock().unwrap() = Some(result);
+                let outer = METER.replace(Some((0, 0)));
+                let value = eval(&points[i].input);
+                let (cycles, refs) = METER.replace(outer).expect("the meter stays armed");
+                *slots_ref[i].lock().unwrap() = Some((value, cycles, refs));
                 if let Some(sink) = sink {
                     sink.point_done(&points[i].label);
                 }
@@ -195,10 +194,11 @@ where
     let mut values = Vec::with_capacity(n);
     let (mut simulated_cycles, mut refs) = (0u64, 0u64);
     for slot in slots {
-        let r = slot.into_inner().unwrap().expect("every sweep point is evaluated");
-        simulated_cycles = simulated_cycles.saturating_add(r.simulated_cycles);
-        refs = refs.saturating_add(r.refs);
-        values.push(r.value);
+        let (value, cycles, point_refs) =
+            slot.into_inner().unwrap().expect("every sweep point is evaluated");
+        simulated_cycles = simulated_cycles.saturating_add(cycles);
+        refs = refs.saturating_add(point_refs);
+        values.push(value);
     }
 
     let stats = SweepStats {
@@ -319,7 +319,7 @@ mod tests {
                 if i % 3 == 0 {
                     std::thread::sleep(std::time::Duration::from_millis(2));
                 }
-                SweepResult::new(i * i, i)
+                i * i
             });
             assert_eq!(out, (0..23).map(|i| i * i).collect::<Vec<u64>>());
         }
@@ -327,8 +327,8 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_agree() {
-        let serial = run(&jobs(1), "test_serial", square_points(17), |&i| SweepResult::new(i * 7, 0));
-        let parallel = run(&jobs(8), "test_parallel", square_points(17), |&i| SweepResult::new(i * 7, 0));
+        let serial = run(&jobs(1), "test_serial", square_points(17), |&i| i * 7);
+        let parallel = run(&jobs(8), "test_parallel", square_points(17), |&i| i * 7);
         assert_eq!(serial, parallel);
     }
 
@@ -352,7 +352,7 @@ mod tests {
 
         let sink = std::sync::Arc::new(Sink::default());
         let cfg = jobs(4).with_progress(sink.clone());
-        let out = run(&cfg, "test_sink", square_points(9), |&i| SweepResult::new(i + 1, 0));
+        let out = run(&cfg, "test_sink", square_points(9), |&i| i + 1);
         assert_eq!(out, (1..=9).collect::<Vec<u64>>());
         assert_eq!(*sink.started.lock().unwrap(), vec![("test_sink".to_string(), 9)]);
         let labels = sink.labels.lock().unwrap();
@@ -362,9 +362,7 @@ mod tests {
 
     #[test]
     fn empty_sweep_is_fine() {
-        let out: Vec<u64> = run(&jobs(4), "test_empty", Vec::<SweepPoint<u64>>::new(), |&i| {
-            SweepResult::new(i, 0)
-        });
+        let out: Vec<u64> = run(&jobs(4), "test_empty", Vec::<SweepPoint<u64>>::new(), |&i| i);
         assert!(out.is_empty());
     }
 
@@ -372,7 +370,9 @@ mod tests {
     fn stats_accumulate_cycles() {
         take_stats(); // other tests share the process-wide ledger
         let _ = run(&jobs(2), "test_stats", square_points(5), |&i| {
-            SweepResult::new(i, 100).with_refs(i)
+            meter(60, i);
+            meter(40, 0);
+            i
         });
         let stats = take_stats();
         let s = stats.iter().find(|s| s.sweep == "test_stats").expect("ledger entry");

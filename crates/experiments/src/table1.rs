@@ -1,7 +1,7 @@
 //! Table 1 — benchmark parameters.
 
 use crate::render::TextTable;
-use crate::sweep::{self, SweepPoint, SweepResult};
+use crate::sweep::{self, SweepPoint};
 use crate::ExperimentConfig;
 use vcoma::workloads::TraceAnalysis;
 
@@ -35,20 +35,17 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<Table1Row> {
         cfg.benchmarks().into_iter().map(|w| SweepPoint::new(w.name(), w)).collect();
     sweep::run(cfg, "table1", points, |w| {
         let a = TraceAnalysis::of_sources(w.sources(&cfg.machine), &cfg.machine);
-        SweepResult::new(
-            Table1Row {
-                name: w.name(),
-                params: w.params(),
-                shared_mb: w.shared_mb(),
-                touched_pages: a.pages,
-                touched_mb: a.footprint_mb(cfg.machine.page_size),
-                refs: a.refs(),
-                write_fraction: a.write_fraction(),
-                shared_pages: a.shared_pages(),
-                mean_sharing: a.mean_sharing_degree(),
-            },
-            0,
-        )
+        Table1Row {
+            name: w.name(),
+            params: w.params(),
+            shared_mb: w.shared_mb(),
+            touched_pages: a.pages,
+            touched_mb: a.footprint_mb(cfg.machine.page_size),
+            refs: a.refs(),
+            write_fraction: a.write_fraction(),
+            shared_pages: a.shared_pages(),
+            mean_sharing: a.mean_sharing_degree(),
+        }
     })
 }
 

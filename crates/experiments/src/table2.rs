@@ -3,7 +3,7 @@
 //! `L2` with writebacks, `L3`, V-COMA).
 
 use crate::render::{pct, TextTable};
-use crate::sweep::{self, SweepPoint, SweepResult};
+use crate::sweep::{self, SweepPoint};
 use crate::ExperimentConfig;
 use vcoma::workloads::Workload;
 use vcoma::{Scheme, TlbOrg};
@@ -44,13 +44,7 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<Table2Row> {
     let specs = &specs;
     let by_scheme = sweep::run(cfg, "table2", points, |&(w, scheme)| {
         let report = cfg.run_cached(cfg.simulator(scheme).with_translation_specs(specs.clone()), w);
-        SweepResult::new(
-            (0..TABLE2_SIZES.len())
-                .map(|i| report.translation_miss_rate(i))
-                .collect::<Vec<f64>>(),
-            report.simulated_cycles(),
-        )
-        .with_refs(report.total_refs())
+        (0..TABLE2_SIZES.len()).map(|i| report.translation_miss_rate(i)).collect::<Vec<f64>>()
     });
     benchmarks
         .iter()

@@ -6,7 +6,7 @@
 //! grid sizes that bracket the V-COMA target.
 
 use crate::render::TextTable;
-use crate::sweep::{self, SweepPoint, SweepResult};
+use crate::sweep::{self, SweepPoint};
 use crate::ExperimentConfig;
 use vcoma::workloads::Workload;
 use vcoma::{Scheme, TlbOrg};
@@ -58,8 +58,7 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<Table3Row> {
         match scheme {
             None => {
                 let vc = cfg.run_cached(cfg.simulator(Scheme::V_COMA).with_entries(8), w);
-                SweepResult::new(Probe::Target(vc.translation_misses_total(0)), vc.simulated_cycles())
-                    .with_refs(vc.total_refs())
+                Probe::Target(vc.translation_misses_total(0))
             }
             Some(scheme) => {
                 let sim = cfg.simulator(scheme).with_translation_specs(specs.clone());
@@ -69,8 +68,7 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<Table3Row> {
                     .enumerate()
                     .map(|(i, &s)| (s, report.translation_misses_total(i)))
                     .collect();
-                SweepResult::new(Probe::Curve(curve), report.simulated_cycles())
-                    .with_refs(report.total_refs())
+                Probe::Curve(curve)
             }
         }
     });

@@ -5,7 +5,7 @@
 //! in the paper's preloaded measurement window.
 
 use crate::render::TextTable;
-use crate::sweep::{self, SweepPoint, SweepResult};
+use crate::sweep::{self, SweepPoint};
 use crate::ExperimentConfig;
 use vcoma::workloads::Workload;
 use vcoma::Scheme;
@@ -41,11 +41,7 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<Table4Col> {
     }
     let ratios = sweep::run(cfg, "table4", points, |&(w, scheme, entries)| {
         let report = cfg.run_cached(cfg.simulator(scheme).with_entries(entries).with_warmup(), w);
-        SweepResult::new(
-            report.aggregate_breakdown().translation_over_stall(),
-            report.simulated_cycles(),
-        )
-        .with_refs(report.total_refs())
+        report.aggregate_breakdown().translation_over_stall()
     });
     benchmarks
         .iter()

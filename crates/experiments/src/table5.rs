@@ -11,7 +11,7 @@
 //! iterating the 1998 roster byte-exactly.
 
 use crate::render::{pct, TextTable};
-use crate::sweep::{self, SweepPoint, SweepResult};
+use crate::sweep::{self, SweepPoint};
 use crate::ExperimentConfig;
 use vcoma::workloads::Workload;
 use vcoma::{all_schemes, Scheme};
@@ -61,15 +61,11 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<Table5Row> {
         .collect();
     let cells = sweep::run(cfg, "table5", points, |&(w, scheme)| {
         let report = cfg.run_cached(cfg.simulator(scheme), w);
-        SweepResult::new(
-            (
-                report.exec_time(),
-                report.translation_miss_rate(0),
-                report.aggregate_breakdown().translation,
-            ),
-            report.simulated_cycles(),
+        (
+            report.exec_time(),
+            report.translation_miss_rate(0),
+            report.aggregate_breakdown().translation,
         )
-        .with_refs(report.total_refs())
     });
     let mut rows = Vec::new();
     for (w, chunk) in benchmarks.iter().zip(cells.chunks(schemes.len())) {

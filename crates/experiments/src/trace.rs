@@ -12,7 +12,7 @@
 //! table, CSV and exported JSON are byte-identical at any `--jobs` value.
 
 use crate::render::TextTable;
-use crate::sweep::{self, SweepPoint, SweepResult};
+use crate::sweep::{self, SweepPoint};
 use crate::ExperimentConfig;
 use std::collections::BTreeMap;
 use vcoma::metrics::{critical_paths, trace_export, Histogram, TraceSnapshot};
@@ -84,19 +84,14 @@ pub fn run(cfg: &ExperimentConfig) -> Vec<TraceRow> {
             }
             unattributed += p.unattributed;
         }
-        let cycles = report.simulated_cycles();
-        SweepResult::new(
-            TraceRow {
-                benchmark: w.name().to_string(),
-                scheme,
-                snapshot,
-                latency,
-                attributed,
-                unattributed,
-            },
-            cycles,
-        )
-        .with_refs(report.total_refs())
+        TraceRow {
+            benchmark: w.name().to_string(),
+            scheme,
+            snapshot,
+            latency,
+            attributed,
+            unattributed,
+        }
     })
 }
 

@@ -48,7 +48,16 @@ fn unwritable_metrics_out_fails_with_exit_2() {
 
 #[test]
 fn missing_flag_values_fail_with_exit_2() {
-    for flag in ["--out", "--metrics-out", "--trace-out"] {
+    for flag in [
+        "--out",
+        "--metrics-out",
+        "--trace-out",
+        "--schemes",
+        "--fault-seed",
+        "--fault-plan",
+        "--jobs",
+        "--scale",
+    ] {
         let output = bin().args(["table1", flag]).output().expect("run vcoma-experiments");
         assert_eq!(output.status.code(), Some(2), "{flag}");
         assert_eq!(stderr_line(&output), format!("error: {flag} needs a value"));

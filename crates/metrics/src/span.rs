@@ -99,7 +99,7 @@ impl Span {
 
 /// Owned wire form of a [`Span`]; `kind` arrives as a `String` and is
 /// [interned](crate::intern) into the `&'static str` the in-memory type
-/// carries.
+/// carries. A kind the interner refuses fails the decode.
 #[derive(serde::Deserialize)]
 struct SpanWire {
     id: SpanId,
@@ -115,11 +115,13 @@ struct SpanWire {
 impl serde::de::Deserialize for Span {
     fn deserialize<D: serde::de::Deserializer>(d: D) -> Result<Self, D::Error> {
         let w = SpanWire::deserialize(d)?;
+        let kind = crate::intern(&w.kind)
+            .ok_or_else(|| serde::de::Error::custom("span kind past the interner's caps"))?;
         Ok(Span {
             id: w.id,
             parent: w.parent,
             node: w.node,
-            kind: crate::intern(&w.kind),
+            kind,
             category: w.category,
             start: w.start,
             end: w.end,

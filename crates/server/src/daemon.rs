@@ -16,12 +16,12 @@
 //!
 //! Progress comes from a per-job [`JobProgress`] sink installed into
 //! the job's harness configuration: the sweep pool reports grid points
-//! (announced totals and completions) and `run_cached` reports every
-//! resolution — store hit or fresh simulation — with its simulated
-//! cycle cost. Status responses and the HTTP `/metrics` endpoint read
-//! those atomics live. The `ccnuma` artifact drives the CC-NUMA
-//! reference machine directly rather than through `run_cached`, so it
-//! contributes grid-point counts but no resolution counts.
+//! (announced totals and completions) and every simulation reports its
+//! resolution — store hit or fresh run — with its simulated cycle cost,
+//! from the one place in the harness that runs it (`ccnuma`'s CC-NUMA
+//! runs included). Status responses and the HTTP `/metrics` endpoint
+//! read those atomics live. Connections on either transport are one
+//! [`Stream`] type, shared with the client.
 //!
 //! Beside the NDJSON control endpoint the daemon can open a second,
 //! HTTP port (`--http ADDR`, see [`crate::http`]) serving `/metrics`,
@@ -34,8 +34,8 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::net::{SocketAddr, TcpListener};
+use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -49,7 +49,7 @@ use vcoma::metrics::json::{from_json_str, to_json_line};
 use vcoma::metrics::prometheus::PrometheusExposer;
 use vcoma::metrics::{HistogramSnapshot, Mergeable};
 use vcoma_experiments::cache::{code_fingerprint, fnv128_hex};
-use vcoma_experiments::client::Endpoint;
+use vcoma_experiments::client::{Endpoint, Stream};
 use vcoma_experiments::protocol::{CsvFile, Request, Response, PROTOCOL_VERSION};
 use vcoma_experiments::{artifacts, sweep, ExperimentConfig};
 
@@ -791,41 +791,3 @@ impl Listener {
     }
 }
 
-enum Stream {
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
-
-impl Stream {
-    fn try_clone(&self) -> std::io::Result<Stream> {
-        match self {
-            Stream::Unix(s) => s.try_clone().map(Stream::Unix),
-            Stream::Tcp(s) => s.try_clone().map(Stream::Tcp),
-        }
-    }
-}
-
-impl Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Unix(s) => s.read(buf),
-            Stream::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Unix(s) => s.write(buf),
-            Stream::Tcp(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Stream::Unix(s) => s.flush(),
-            Stream::Tcp(s) => s.flush(),
-        }
-    }
-}

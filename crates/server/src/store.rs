@@ -218,6 +218,30 @@ mod tests {
     }
 
     #[test]
+    fn envelopes_past_the_span_kind_caps_are_misses() {
+        let dir = tmpdir("kind-cap");
+        let store = DiskStore::open(&dir).expect("open");
+        let (sim, w) = small_run();
+        let sim = sim.with_trace(vcoma::TraceConfig { sample_every: 1, capacity: 64 });
+        let key = point_key(&sim, &w, 1.0, code_fingerprint());
+        store.store(&key, &simulate(sim.clone(), &w).expect("runs"));
+        let path = store.entry_path(&key.digest);
+        let text = std::fs::read_to_string(&path).expect("entry");
+        let issue = "\"kind\":\"issue\"";
+        assert!(text.contains(issue), "the entry carries spans");
+
+        // A kind longer than the interner takes fails the decode: a miss.
+        let long = format!("\"kind\":\"{}\"", "k".repeat(vcoma::metrics::MAX_INTERNED_LEN + 1));
+        std::fs::write(&path, text.replacen(issue, &long, 1)).expect("rewrite");
+        assert!(store.load(&key, &sim).is_none());
+        assert_eq!(store.misses(), 1);
+
+        std::fs::write(&path, &text).expect("restore");
+        assert!(store.load(&key, &sim).is_some());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn a_second_handle_on_the_same_root_sees_the_entries() {
         // Persistence across "restarts": reopening the directory serves
         // everything the first handle wrote.

@@ -10,9 +10,10 @@ use vcoma_vm::VmError;
 /// `SimError` covers every way a run can fail: virtual-memory exhaustion
 /// the page daemon could not resolve, coherence-invariant violations found
 /// by the auditor, a trace/source set that does not match the machine's
-/// node count, traces that misuse a lock, and traces that deadlock on a
-/// barrier or lock some participant never reaches. A caller surfaces these
-/// as values instead of unwinding mid-sweep.
+/// node count, traces that misuse a lock, traces that deadlock on a
+/// barrier or lock some participant never reaches, and compute ops that
+/// would run a node's clock past what the replay loop can schedule. A
+/// caller surfaces these as values instead of unwinding mid-sweep.
 #[derive(Debug)]
 pub enum SimError {
     /// The virtual-memory system reported an unrecoverable error while
@@ -51,6 +52,17 @@ pub enum SimError {
         /// The nodes still parked when the machine went idle.
         parked: Vec<u16>,
     },
+    /// A compute op would move a node's clock past 2^54 - 1 cycles, the
+    /// latest time the replay loop can schedule (a trace file's compute
+    /// ops can say anything).
+    Clock {
+        /// The node whose trace holds the compute op.
+        node: u16,
+        /// The node's clock when the op came up.
+        time: u64,
+        /// The op's cycles.
+        compute: u64,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -74,6 +86,10 @@ impl std::fmt::Display for SimError {
                 f,
                 "deadlock: nodes {parked:?} are parked on a barrier or lock that the \
                  other traces never reach"
+            ),
+            SimError::Clock { node, time, compute } => write!(
+                f,
+                "node {node}: a {compute}-cycle compute op at cycle {time} overflows the clock"
             ),
         }
     }

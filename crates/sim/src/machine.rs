@@ -987,6 +987,24 @@ mod tests {
     }
 
     #[test]
+    fn compute_ops_past_the_clock_limit_are_an_error() {
+        // 2^60 cycles at once; u64::MAX then 5 more, which would wrap the
+        // clock; and two 2^53-cycle ops, which only overflow together.
+        for (ops, time, compute) in [
+            ("c 1152921504606846976\n", 0, 1 << 60),
+            ("c 18446744073709551615\nc 5\n", 0, u64::MAX),
+            ("c 9007199254740992\nc 9007199254740992\n", 1 << 53, 1 << 53),
+        ] {
+            let text =
+                format!("# vcoma trace v1\nnode 0\nr 0x1000\nnode 1\n{ops}node 2\nnode 3\n");
+            let traces = vcoma_workloads::load_traces(&text).expect("parses");
+            let err = Machine::new(tiny(Scheme::L0_TLB)).run(traces).unwrap_err();
+            let SimError::Clock { node, time: t, compute: c } = err else { panic!("{err:?}") };
+            assert_eq!((node, t, c), (1, time, compute), "{ops:?}");
+        }
+    }
+
+    #[test]
     fn wrong_trace_count_is_an_error() {
         match Machine::new(tiny(Scheme::L0_TLB)).run(vec![Vec::new(); 3]) {
             Err(SimError::BadTraces { got, want }) => {

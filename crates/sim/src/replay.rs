@@ -199,7 +199,7 @@ impl Replay {
         let mut next_op: Vec<Option<Op>> = Vec::with_capacity(self.nodes);
         let mut heap = BinaryHeap::with_capacity(self.nodes);
         for (n, source) in sources.iter_mut().enumerate() {
-            let op = advance(engine.node(n), source.as_mut());
+            let op = advance(n, engine.node(n), source.as_mut())?;
             if op.is_some() {
                 heap.push(Reverse(key(engine.node(n).time, n)));
             }
@@ -225,7 +225,8 @@ impl Replay {
                     resumes.clear();
                     self.sync(engine, n, t, sync, &mut resumes)?;
                     for &node in &resumes {
-                        next_op[node] = advance(engine.node(node), sources[node].as_mut());
+                        next_op[node] =
+                            advance(node, engine.node(node), sources[node].as_mut())?;
                         match next_op[node] {
                             Some(_) => heap.push(Reverse(key(engine.node(node).time, node))),
                             None => done[node] = true,
@@ -234,7 +235,7 @@ impl Replay {
                     continue;
                 }
             }
-            next_op[n] = advance(engine.node(n), sources[n].as_mut());
+            next_op[n] = advance(n, engine.node(n), sources[n].as_mut())?;
             match next_op[n] {
                 Some(_) => *top = Reverse(key(engine.node(n).time, n)),
                 None => {
@@ -303,23 +304,32 @@ impl Replay {
 const NODE_BITS: u32 = MAX_NODES.trailing_zeros();
 const NODE_MASK: u64 = MAX_NODES - 1;
 
+/// The latest clock a heap key holds: 2^54 - 1 cycles.
+pub(crate) const MAX_CLOCK: u64 = u64::MAX >> NODE_BITS;
+
 /// The heap key of node `n` waiting at `time`: `(time, n)` packed into one
-/// `u64` that orders the same way. A clock of 2^54 cycles or more (a
-/// trace file's compute ops can say anything) would corrupt the order,
-/// so it panics instead.
+/// `u64` that orders the same way. [`advance`] keeps compute ops from
+/// running a clock past [`MAX_CLOCK`]; a later clock would corrupt the
+/// order, so it panics instead.
 fn key(time: u64, n: usize) -> u64 {
-    assert!(time >> (64 - NODE_BITS) == 0, "clock {time} overflows the heap key");
+    assert!(time <= MAX_CLOCK, "clock {time} overflows the heap key");
     time << NODE_BITS | n as u64
 }
 
-/// Pulls `node`'s next op that touches shared state, charging every
+/// Pulls node `n`'s next op that touches shared state, charging every
 /// `Compute` op on the way as `busy`. Returns `None` once the source is
-/// exhausted.
-fn advance(node: &mut NodeCtx, source: &mut dyn OpSource) -> Option<Op> {
+/// exhausted, and [`SimError::Clock`] for a compute op that would move the
+/// clock past [`MAX_CLOCK`].
+fn advance(n: usize, node: &mut NodeCtx, src: &mut dyn OpSource) -> Result<Option<Op>, SimError> {
     loop {
-        match source.next_op()? {
-            Op::Compute(c) => node.charge(c, Category::Busy),
-            op => return Some(op),
+        match src.next_op() {
+            Some(Op::Compute(c)) if c <= MAX_CLOCK.saturating_sub(node.time) => {
+                node.charge(c, Category::Busy);
+            }
+            Some(Op::Compute(c)) => {
+                return Err(SimError::Clock { node: n as u16, time: node.time, compute: c });
+            }
+            op => return Ok(op),
         }
     }
 }

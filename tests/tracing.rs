@@ -9,7 +9,7 @@
 
 use std::path::PathBuf;
 use vcoma_experiments::render::TextTable;
-use vcoma_experiments::sweep::{self, SweepPoint, SweepResult};
+use vcoma_experiments::sweep::{self, SweepPoint};
 use vcoma_experiments::{table2, trace, ExperimentConfig};
 use vcoma::{all_schemes, paper_schemes, simulate, Scheme, SimReport, TraceConfig};
 
@@ -38,20 +38,16 @@ fn sweep_table(cfg: &ExperimentConfig, traced: bool) -> TextTable {
         .collect();
     let rows = sweep::run(cfg, "tracing-inertness", points, |&scheme| {
         let r = run_one(cfg, scheme, traced);
-        let cycles = r.simulated_cycles();
-        SweepResult::new(
-            vec![
-                scheme.to_string(),
-                r.exec_time().to_string(),
-                r.total_refs().to_string(),
-                r.net_msgs().to_string(),
-                r.net_bytes().to_string(),
-                r.swap_outs().to_string(),
-                format!("{:?}", r.aggregate_breakdown()),
-                format!("{:?}", r.aggregate_fine()),
-            ],
-            cycles,
-        )
+        vec![
+            scheme.to_string(),
+            r.exec_time().to_string(),
+            r.total_refs().to_string(),
+            r.net_msgs().to_string(),
+            r.net_bytes().to_string(),
+            r.swap_outs().to_string(),
+            format!("{:?}", r.aggregate_breakdown()),
+            format!("{:?}", r.aggregate_fine()),
+        ]
     });
     let mut t = TextTable::new(vec![
         "scheme",
