@@ -12,7 +12,7 @@
 //! the parent commit and the head commit.
 
 use vcoma::Scheme;
-use vcoma_bench::{micro, plain_bench};
+use vcoma_bench::{micro, plain_bench, plain_bench_fresh};
 
 const OP_GEN_OPS: u64 = 200_000;
 const TLB_ITERS: u64 = 200_000;
@@ -35,7 +35,10 @@ fn main() {
     println!("am_probe({AM_ITERS}) = {}", micro::am_probe(&mut micro::am_arrays(), AM_ITERS));
     println!("page_table_map({MAP_ITERS}) = {}", micro::page_table_map(MAP_ITERS));
     println!("coherence_txn({COHERENCE_ITERS}) = {}", micro::coherence_txn(COHERENCE_ITERS));
-    println!("directory_fill({DIRECTORY_BLOCKS}) = {}", micro::directory_fill(DIRECTORY_BLOCKS));
+    println!(
+        "directory_fill({DIRECTORY_BLOCKS}) = {}",
+        micro::directory_fill(&mut micro::directory_protocol(), DIRECTORY_BLOCKS)
+    );
     println!("end_to_end({E2E_REFS}, v_coma) = {}", micro::end_to_end(E2E_REFS, Scheme::V_COMA));
     println!("end_to_end({E2E_REFS}, l0_tlb) = {}", micro::end_to_end(E2E_REFS, Scheme::L0_TLB));
     println!("replay_paper({REPLAY_REFS}) = {}", micro::replay_paper(REPLAY_REFS));
@@ -64,8 +67,8 @@ fn main() {
     plain_bench("hotpath_micro/coherence_txn", 20, || {
         std::hint::black_box(micro::coherence_txn(COHERENCE_ITERS));
     });
-    plain_bench("hotpath_micro/directory_fill", 20, || {
-        std::hint::black_box(micro::directory_fill(DIRECTORY_BLOCKS));
+    plain_bench_fresh("hotpath_micro/directory_fill", 20, micro::directory_protocol, |p| {
+        std::hint::black_box(micro::directory_fill(p, DIRECTORY_BLOCKS));
     });
     plain_bench("hotpath_micro/access_v_coma", 20, || {
         std::hint::black_box(micro::end_to_end(E2E_REFS, Scheme::V_COMA));

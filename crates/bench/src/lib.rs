@@ -8,12 +8,26 @@
 /// Minimal wall-clock harness: one warmup run, then `samples` timed runs,
 /// printing mean/min/max milliseconds.
 pub fn plain_bench<F: FnMut()>(label: &str, samples: u32, mut f: F) {
-    f();
+    plain_bench_fresh(label, samples, || (), |()| f());
+}
+
+/// [`plain_bench`] for a kernel that needs fresh state each run: `setup`
+/// builds it before the clock starts, and it is dropped after the clock
+/// stops, so only `f` is timed.
+pub fn plain_bench_fresh<S, F: FnMut(&mut S)>(
+    label: &str,
+    samples: u32,
+    mut setup: impl FnMut() -> S,
+    mut f: F,
+) {
+    f(&mut setup());
     let mut times = Vec::with_capacity(samples as usize);
     for _ in 0..samples.max(1) {
+        let mut state = setup();
         let t0 = std::time::Instant::now();
-        f();
+        f(&mut state);
         times.push(t0.elapsed().as_secs_f64() * 1e3);
+        drop(state);
     }
     let mean = times.iter().sum::<f64>() / times.len() as f64;
     let min = times.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -34,8 +48,8 @@ pub fn plain_bench<F: FnMut()>(label: &str, samples: u32, mut f: F) {
 /// The `hotpath_micro` bench target times them; `cargo test` runs them
 /// once at a small iteration count.
 pub mod micro {
-    use vcoma::cachesim::{Flc, NoRecency, SetAssocArray, Slc};
-    use vcoma::coherence::{AmState, NullTranslation, Protocol};
+    use vcoma::cachesim::{Flc, Slc};
+    use vcoma::coherence::{AmArray, AmState, NullTranslation, Protocol};
     use vcoma::net::Crossbar;
     use vcoma::vm::{PageTable, RoundRobinAllocator};
     use vcoma::workloads::{by_name, UniformRandom};
@@ -159,14 +173,14 @@ pub mod micro {
 
     /// The paper machine's attraction-memory arrays for [`am_probe`]: 32
     /// arrays of 4 MB, 4 ways and 128-byte blocks, about 1 Mi lines and
-    /// 9 MB of tags and states, which no per-core host cache holds. Every
+    /// 4 MB of packed ways, which no per-core host cache holds. Every
     /// way starts filled.
     #[must_use]
-    pub fn am_arrays() -> Vec<SetAssocArray<AmState, NoRecency>> {
+    pub fn am_arrays() -> Vec<AmArray> {
         let m = MachineConfig::paper_baseline();
         (0..m.nodes)
             .map(|_| {
-                let mut am: SetAssocArray<_, NoRecency> = SetAssocArray::with_geometry(m.am);
+                let mut am = AmArray::new(m.am);
                 for block in 0..m.am.lines() {
                     am.insert(block, AmState::Shared);
                 }
@@ -176,16 +190,16 @@ pub mod micro {
     }
 
     /// A seeded mix of array operations on `ams`, over blocks spanning
-    /// twice each array's capacity: three quarters `peek`, an eighth
-    /// `insert` where the set has room (the protocol makes room before it
-    /// inserts) and an eighth `invalidate`, so full arrays stay mostly
-    /// full. This is the mix the protocol runs: no operation in it reads
-    /// or writes recency state. `cache_probe` fits in host L1; on
+    /// twice each array's capacity: three quarters lookups (`contains` or
+    /// `get`), an eighth `insert` where the set has room (the protocol
+    /// makes room before it inserts) and an eighth `invalidate`, so full
+    /// arrays stay mostly full. This is the mix the protocol runs.
+    /// `cache_probe` fits in host L1; on
     /// [`am_arrays`] this kernel shows what a probe costs when its set
     /// comes from memory.
     /// Returns hits plus the peeked states plus the lines resident at the
     /// end.
-    pub fn am_probe(ams: &mut [SetAssocArray<AmState, NoRecency>], iters: u64) -> u64 {
+    pub fn am_probe(ams: &mut [AmArray], iters: u64) -> u64 {
         let lines = ams[0].capacity();
         let mut rng = DetRng::new(46);
         let mut sum = 0u64;
@@ -193,8 +207,8 @@ pub mod micro {
             let am = &mut ams[rng.gen_index(ams.len())];
             let block = rng.gen_index(2 * lines) as u64;
             match rng.gen_index(8) {
-                0..=3 => sum += u64::from(am.peek(block).is_some()),
-                4 | 5 => sum += am.peek(block).map_or(0, |s| *s as u64 + 1),
+                0..=3 => sum += u64::from(am.contains(block)),
+                4 | 5 => sum += am.get(block).map_or(0, |s| s as u64 + 1),
                 6 => {
                     if am.set_has_room(block) && !am.contains(block) {
                         am.insert(block, AmState::Exclusive);
@@ -245,12 +259,11 @@ pub mod micro {
     /// it reaches in a scale-0.1 FFT run, which the tiny machine's
     /// `coherence_txn` never sees. The filling node rotates with the
     /// block's AM set so no node takes more than two blocks of one set:
-    /// nothing is replaced. Returns cold fills plus remote reads plus the
-    /// final simulated time.
-    pub fn directory_fill(blocks: u64) -> u64 {
+    /// nothing is replaced. `protocol` is a fresh [`directory_protocol`].
+    /// Returns cold fills plus remote reads plus the final simulated time.
+    pub fn directory_fill(protocol: &mut Protocol, blocks: u64) -> u64 {
         let m = MachineConfig::paper_baseline();
         let (nodes, sets, blocks_per_page) = (m.nodes, m.am.sets(), m.blocks_per_page());
-        let mut protocol = Protocol::new(&m, 6);
         let mut net = Crossbar::new(nodes, m.timing);
         let mut xl = NullTranslation;
         let mut now = 0u64;
@@ -263,6 +276,12 @@ pub mod micro {
         }
         let s = protocol.stats();
         s.cold_fills + s.remote_reads + now
+    }
+
+    /// The paper machine's empty protocol state for [`directory_fill`].
+    #[must_use]
+    pub fn directory_protocol() -> Protocol {
+        Protocol::new(&MachineConfig::paper_baseline(), 6)
     }
 
     /// The full `Machine::access` path on the tiny 4-node machine: every
@@ -393,9 +412,9 @@ mod tests {
         assert!(coherence >= 20_000, "local hits plus remote transactions cover every access");
         assert_eq!(coherence, micro::coherence_txn(20_000));
 
-        let fill = micro::directory_fill(2_000);
+        let fill = micro::directory_fill(&mut micro::directory_protocol(), 2_000);
         assert!(fill > 4_000, "2000 cold fills plus 2000 remote reads plus a nonzero time");
-        assert_eq!(fill, micro::directory_fill(2_000));
+        assert_eq!(fill, micro::directory_fill(&mut micro::directory_protocol(), 2_000));
 
         let e2e = micro::end_to_end(1_000, Scheme::V_COMA);
         assert!(e2e > 4_000, "exec time plus 4 nodes x 1000 refs");

@@ -1,9 +1,10 @@
 //! Set-associative cache structures for the V-COMA simulator.
 //!
-//! This crate provides the building blocks shared by every tagged memory in
-//! the simulated machine: the generic [`SetAssocArray`], with [`Lru`] or
-//! [`NoRecency`] state per way, and the two
-//! processor-cache models of the paper's baseline machine:
+//! This crate provides the building blocks of the simulated machine's
+//! processor caches: the generic LRU [`SetAssocArray`] (the FLC, the SLC
+//! and the Victima spill; the attraction memories use the coherence
+//! crate's packed array) and the two processor-cache models of the
+//! paper's baseline machine:
 //!
 //! * [`Flc`] — a direct-mapped, write-through, no-write-allocate first-level
 //!   cache (16 KB / 32-byte blocks in the paper);
@@ -38,7 +39,7 @@ mod slc;
 mod stats;
 
 pub use flc::Flc;
-pub use set_assoc::{Lru, NoRecency, Recency, SetAssocArray};
+pub use set_assoc::SetAssocArray;
 pub use slc::{Slc, SlcAccess, Writeback};
 pub use stats::CacheStats;
 

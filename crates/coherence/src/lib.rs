@@ -41,11 +41,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod am;
 mod protocol;
 mod state;
 mod stats;
 mod translation;
 
+pub use am::{AmArray, TAG_BITS};
 pub use protocol::{Access, InjectionPolicy, Protocol, TxnHop};
 pub use state::{AmState, Directory, Slot};
 pub use stats::ProtocolStats;

@@ -1,11 +1,10 @@
 //! The COMA-F write-invalidate protocol engine.
 
 use crate::state::{Directory, Slot};
-use crate::{AmState, HomeTranslation, ProtocolStats};
-use vcoma_cachesim::{NoRecency, SetAssocArray};
+use crate::{AmArray, AmState, HomeTranslation, ProtocolStats};
 use vcoma_faults::{FaultPlan, TxnFaults};
 use vcoma_net::{Crossbar, MsgKind, SendOutcome};
-use vcoma_types::{DetRng, MachineConfig, NodeId, Timing};
+use vcoma_types::{AccessKind, DetRng, MachineConfig, NodeId, Timing};
 
 /// How a master/exclusive victim searches for a new slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -127,10 +126,7 @@ fn record_window(
 
 /// The blocks in `block`'s set of `am` held as plain Shared copies — the
 /// cheap replacement victims — in the set's fill order.
-fn shared_copies(
-    am: &SetAssocArray<AmState, NoRecency>,
-    block: u64,
-) -> impl Iterator<Item = u64> + '_ {
+fn shared_copies(am: &AmArray, block: u64) -> impl Iterator<Item = u64> + '_ {
     am.entries_in_set(block).filter(|(_, s)| !s.is_owner()).map(|(b, _)| b)
 }
 
@@ -246,7 +242,7 @@ impl Path {
 pub struct Protocol {
     /// One attraction memory per node. They keep no recency state:
     /// victims are drawn at random from a set's entries.
-    ams: Vec<SetAssocArray<AmState, NoRecency>>,
+    ams: Vec<AmArray>,
     dir: Directory,
     timing: Timing,
     nodes: u64,
@@ -274,7 +270,7 @@ impl Protocol {
     /// memories. `seed` drives victim selection and injection forwarding.
     pub fn new(cfg: &MachineConfig, seed: u64) -> Self {
         Protocol {
-            ams: (0..cfg.nodes).map(|_| SetAssocArray::with_geometry(cfg.am)).collect(),
+            ams: (0..cfg.nodes).map(|_| AmArray::new(cfg.am)).collect(),
             dir: Directory::new(cfg.nodes),
             timing: cfg.timing,
             nodes: cfg.nodes,
@@ -350,7 +346,7 @@ impl Protocol {
     /// Returns `true` if `node` can satisfy the access locally: any resident
     /// copy for a read, an Exclusive copy for a write.
     pub fn probe(&self, node: NodeId, block: u64, write: bool) -> bool {
-        match self.ams[node.index()].peek(block) {
+        match self.ams[node.index()].get(block) {
             None => false,
             Some(state) => !write || state.satisfies_write(),
         }
@@ -358,7 +354,25 @@ impl Protocol {
 
     /// Returns the AM state of `block` at `node`, if resident.
     pub fn state_of(&self, node: NodeId, block: u64) -> Option<AmState> {
-        self.ams[node.index()].peek(block).copied()
+        self.ams[node.index()].get(block)
+    }
+
+    /// Returns `true` if the attraction memories can hold `block`: its tag
+    /// fits a way ([`AmArray::fits`]). A block that does not fit is never
+    /// resident, and a transaction on it panics.
+    pub fn fits(&self, block: u64) -> bool {
+        self.ams[0].fits(block)
+    }
+
+    /// Counts a reference that the requester's attraction memory satisfied
+    /// locally, as [`Protocol::read`] or [`Protocol::write`] would count
+    /// it, for a caller that has already read the block's state with
+    /// [`Protocol::state_of`].
+    pub fn count_local_hit(&mut self, kind: AccessKind) {
+        match kind {
+            AccessKind::Read => self.stats.local_read_hits += 1,
+            AccessKind::Write => self.stats.local_write_hits += 1,
+        }
     }
 
     /// Accumulated statistics.
@@ -499,10 +513,7 @@ impl Protocol {
         xl: &mut dyn HomeTranslation,
         now: u64,
     ) -> Access {
-        // `peek`, not `lookup`: every AM insert has room (`install` and
-        // injection free a way first, victims drawn by the RNG), so AM
-        // recency never picks a victim and need not be refreshed.
-        if self.ams[requester.index()].peek(block).is_some() {
+        if self.ams[requester.index()].contains(block) {
             self.stats.local_read_hits += 1;
             return Access::local();
         }
@@ -535,13 +546,11 @@ impl Protocol {
             path.mem(self.timing.am_hit);
             self.path_send_ft(&mut path, net, master, requester, MsgKind::BlockReply);
             // A read demotes an Exclusive master to Master-shared.
-            if let Some(s) = self.ams[master.index()].peek_mut(block) {
-                if *s == AmState::Exclusive {
-                    *s = AmState::MasterShared;
-                }
-            } else {
-                debug_assert!(false, "directory master {master} does not hold {block:#x}");
-            }
+            let old = self.ams[master.index()].replace(block, AmState::MasterShared);
+            debug_assert!(
+                old.is_some_and(AmState::is_owner),
+                "directory master {master} does not own {block:#x}"
+            );
             self.dir.add(slot, requester);
             self.install(requester, block, AmState::Shared, net, path.t, &mut invals);
         }
@@ -558,7 +567,7 @@ impl Protocol {
         xl: &mut dyn HomeTranslation,
         now: u64,
     ) -> Access {
-        let local_state = self.ams[requester.index()].peek(block).copied();
+        let local_state = self.ams[requester.index()].get(block);
         if local_state == Some(AmState::Exclusive) {
             self.stats.local_write_hits += 1;
             return Access::local();
@@ -586,9 +595,9 @@ impl Protocol {
                 path = ack_path.later(grant_path);
                 self.dir.set_only(slot, requester);
                 self.dir.set_master(slot, Some(requester));
-                *self.ams[requester.index()]
-                    .peek_mut(block)
-                    .expect("upgrading node holds the block") = AmState::Exclusive;
+                self.ams[requester.index()]
+                    .replace(block, AmState::Exclusive)
+                    .expect("upgrading node holds the block");
             }
             None if self.dir.is_uncached(slot) => {
                 // Cold write fill: requester becomes the exclusive owner.
@@ -737,8 +746,7 @@ impl Protocol {
         // A node that is itself the home of its victim skips this step: it
         // is replacing the block precisely because that set is full.
         if home != from {
-            if let Some(s) = self.ams[home.index()].peek_mut(block) {
-                *s = AmState::MasterShared;
+            if self.ams[home.index()].replace(block, AmState::MasterShared).is_some() {
                 self.dir.set_master(slot, Some(home));
                 self.stats.injections_home += 1;
                 return;
@@ -772,9 +780,8 @@ impl Protocol {
             self.stats.injection_hops += 1;
             t = self.lossy_send_offpath(net, prev, cand, MsgKind::InjectForward, t);
             prev = cand;
-            if let Some(s) = self.ams[cand.index()].peek_mut(block) {
+            if self.ams[cand.index()].replace(block, AmState::MasterShared).is_some() {
                 // The candidate already holds a Shared copy: promote it.
-                *s = AmState::MasterShared;
                 self.dir.set_master(slot, Some(cand));
                 accepted = true;
             } else if self.ams[cand.index()].set_has_room(block) {
@@ -887,7 +894,7 @@ impl Protocol {
     pub fn check_block_invariants(&self, block: u64) -> Result<(), String> {
         let Some(slot) = self.dir.slot(block) else {
             for i in 0..self.nodes as usize {
-                if self.ams[i].peek(block).is_some() {
+                if self.ams[i].contains(block) {
                     return Err(format!(
                         "block {block:#x}: resident at node {i} with no directory entry"
                     ));
@@ -898,7 +905,7 @@ impl Protocol {
         let mut owners = 0;
         for i in 0..self.nodes as usize {
             let node = NodeId::new(i as u16);
-            let resident = self.ams[i].peek(block);
+            let resident = self.ams[i].get(block);
             if self.dir.holds(slot, node) != resident.is_some() {
                 return Err(format!(
                     "block {block:#x}: directory bit for {node} is {} but residence is {}",
@@ -916,7 +923,7 @@ impl Protocol {
                         ));
                     }
                 }
-                if *s == AmState::Exclusive && self.dir.copies(slot) != 1 {
+                if s == AmState::Exclusive && self.dir.copies(slot) != 1 {
                     return Err(format!(
                         "block {block:#x}: Exclusive at {node} with {} copies",
                         self.dir.copies(slot)

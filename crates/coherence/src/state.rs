@@ -4,12 +4,9 @@ use vcoma_types::{IntMap, NodeId, MAX_NODES};
 
 /// State of a resident attraction-memory block (paper §4.2). Absence from
 /// the AM array is the fourth state, *Invalid*.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AmState {
     /// A read-only copy; other copies exist, one of them is the master.
-    /// The default only fills vacant slots in the AM array's flat payload
-    /// slab — it carries no protocol meaning.
-    #[default]
     Shared,
     /// The read-only *master* copy — the one responsible for injection on
     /// replacement and for supplying data to readers.

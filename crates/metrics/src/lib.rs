@@ -41,7 +41,7 @@ mod span;
 pub mod trace_export;
 
 pub use histogram::{Histogram, HistogramSnapshot, BUCKETS};
-pub use intern::{intern, MAX_INTERNED, MAX_INTERNED_LEN};
+pub use intern::{intern, MAX_INTERNED, MAX_INTERNED_LEN, SEEDED_KINDS};
 pub use mergeable::Mergeable;
 pub use registry::{HistogramSlot, MetricsRegistry, MetricsSnapshot};
 pub use ring::{Event, EventRing, EventSnapshot};

@@ -63,6 +63,17 @@ pub enum SimError {
         /// The op's cycles.
         compute: u64,
     },
+    /// A reference's attraction-memory block is too wide for the
+    /// attraction memories' tags (`vcoma_coherence::TAG_BITS` bits above
+    /// the set index): on the paper machine, an address at or past 2^50 in
+    /// the address space the attraction memory is indexed by (a trace
+    /// file's addresses can say anything).
+    AddressWidth {
+        /// The node whose trace holds the reference.
+        node: u16,
+        /// The reference's virtual address.
+        addr: u64,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -90,6 +101,10 @@ impl std::fmt::Display for SimError {
             SimError::Clock { node, time, compute } => write!(
                 f,
                 "node {node}: a {compute}-cycle compute op at cycle {time} overflows the clock"
+            ),
+            SimError::AddressWidth { node, addr } => write!(
+                f,
+                "node {node}: address {addr:#x} is too wide for the attraction memory's tags"
             ),
         }
     }
@@ -134,5 +149,11 @@ mod tests {
         assert!(s.contains("deadlock"), "{s}");
         assert!(s.contains("[0, 2]"), "{s}");
         assert!(std::error::Error::source(&e).is_none());
+
+        let e = SimError::AddressWidth { node: 2, addr: 1 << 50 };
+        assert_eq!(
+            e.to_string(),
+            "node 2: address 0x4000000000000 is too wide for the attraction memory's tags"
+        );
     }
 }

@@ -388,6 +388,12 @@ impl Machine {
         }
 
         // --- attraction memory / coherence --------------------------------
+        // A reference to a block that no cache above holds always gets
+        // here, so the first reference to a block too wide for the AM's
+        // tags ends the run.
+        if !self.protocol.fits(am_block) {
+            return Err(SimError::AddressWidth { node: n as u16, addr: va.raw() });
+        }
         let am_state = self.protocol.state_of(node_id, am_block);
         let had_local_copy = am_state.is_some();
         let local_ok = am_state.is_some_and(|s| !kind.is_write() || s.satisfies_write());
@@ -396,9 +402,7 @@ impl Machine {
             if !slc_res.hit {
                 self.charge(n, timing.am_hit, Category::LocalStall, "am", am_block);
             }
-            // Refresh protocol-side stats/recency; guaranteed local.
-            let out = self.run_protocol(node_id, am_block, home, kind, self.nodes[n].time);
-            debug_assert!(out.local_hit);
+            self.protocol.count_local_hit(kind);
             return Ok(());
         }
 
@@ -1005,6 +1009,33 @@ mod tests {
     }
 
     #[test]
+    fn references_past_the_am_tag_range_are_an_error() {
+        // The tiny machine's AM has 128 sets of 128-byte blocks, so 14
+        // address bits sit below its 30-bit tags; the paper's has 8192
+        // sets, 20 bits.
+        for (machine, limit) in
+            [(MachineConfig::tiny(), 1u64 << 44), (MachineConfig::paper_baseline(), 1 << 50)]
+        {
+            let nodes = machine.nodes;
+            for scheme in [Scheme::V_COMA, Scheme::L3_TLB] {
+                let run = |addr: u64| {
+                    let mut text = format!("# vcoma trace v1\nnode 0\nw 0x1000\nnode 1\nr {addr:#x}\n");
+                    for n in 2..nodes {
+                        text.push_str(&format!("node {n}\n"));
+                    }
+                    let traces = vcoma_workloads::load_traces(&text).expect("parses");
+                    Machine::new(SimConfig::new(machine.clone(), scheme)).run(traces)
+                };
+                let err = run(limit).unwrap_err();
+                let SimError::AddressWidth { node, addr } = err else { panic!("{err:?}") };
+                assert_eq!((node, addr), (1, limit), "{scheme}");
+                let report = run(limit - 1).expect("the last address below the limit fits");
+                assert_eq!(report.total_refs(), 2, "{scheme}");
+            }
+        }
+    }
+
+    #[test]
     fn wrong_trace_count_is_an_error() {
         match Machine::new(tiny(Scheme::L0_TLB)).run(vec![Vec::new(); 3]) {
             Err(SimError::BadTraces { got, want }) => {
@@ -1234,6 +1265,32 @@ mod tests {
             snap.spans.iter().any(|s| s.category == vcoma_metrics::SpanCategory::Annotation),
             "an every-txn trace of a remote workload must capture hops"
         );
+    }
+
+    #[test]
+    fn every_recorded_span_kind_is_seeded_in_the_interner() {
+        use crate::TraceConfig;
+        let plan = vcoma_faults::FaultPlan::parse("drop=0.02,nack=0.05").unwrap();
+        let mut recorded = std::collections::BTreeSet::new();
+        for scheme in all_schemes() {
+            for faults in [None, Some(plan.clone())] {
+                let mut cfg = tiny(scheme)
+                    .with_seed(3)
+                    .with_trace(TraceConfig { sample_every: 1, capacity: 1 << 18 });
+                if let Some(plan) = faults {
+                    cfg = cfg.with_fault_plan(plan);
+                }
+                let report = Machine::new(cfg).run(sharing_traces(4, 8192, 32)).unwrap();
+                recorded.extend(report.trace().unwrap().spans.iter().map(|s| s.kind));
+            }
+        }
+        let missing: Vec<_> =
+            recorded.iter().filter(|k| !vcoma_metrics::SEEDED_KINDS.contains(k)).collect();
+        assert!(missing.is_empty(), "span kinds missing from SEEDED_KINDS: {missing:?}");
+        for kind in vcoma_net::ALL_MSG_KINDS {
+            assert!(vcoma_metrics::SEEDED_KINDS.contains(&kind.label()), "{kind}");
+        }
+        assert!(recorded.len() > 15, "the runs record most kinds: {recorded:?}");
     }
 
     #[test]

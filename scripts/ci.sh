@@ -10,6 +10,24 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every temporary file and directory the steps make, and the sweep daemon
+# while it runs; one exit trap removes and stops them all.
+tmps=()
+sweepd_pid=""
+cleanup() {
+    if [ -n "$sweepd_pid" ]; then kill "$sweepd_pid" 2>/dev/null || true; fi
+    rm -rf "${tmps[@]}"
+}
+trap cleanup EXIT
+# new_tmp VAR [mktemp flags]: makes a temporary path, records it for
+# cleanup and stores it in VAR.
+new_tmp() {
+    local path
+    path=$(mktemp "${@:2}")
+    tmps+=("$path")
+    printf -v "$1" %s "$path"
+}
+
 echo "==> lint: clippy (warnings are errors)"
 cargo clippy --all-targets -- -D warnings
 
@@ -29,12 +47,11 @@ cargo test -q -p vcoma-integration --test golden_reports
 
 echo "==> perfbench: builds against the workspace API and passes its smoke test"
 # perfbench's build rewrites its tracked Cargo.lock; put the committed one back.
-lock_copy=$(mktemp)
+new_tmp lock_copy
 cp perfbench/Cargo.lock "$lock_copy"
 smoke_status=0
 python3 perfbench/test_smoke.py || smoke_status=$?
 cp "$lock_copy" perfbench/Cargo.lock
-rm -f "$lock_copy"
 [ "$smoke_status" -eq 0 ] || { echo "perfbench smoke test failed"; exit 1; }
 
 echo "==> CC-NUMA example (paper §2): first touch keeps misses local, SHARED-TLB sends them remote"
@@ -65,14 +82,13 @@ assert v4["body"] == body, "v4 body is not v3's minus metrics.counters/gauges an
 PY
 
 echo "==> parallel determinism smoke sweep (--jobs 1 vs --jobs 2)"
-out1=$(mktemp -d)
-out2=$(mktemp -d)
-bench1=$(mktemp -d)
-fault1=$(mktemp -d)
-fault2=$(mktemp -d)
-n64a=$(mktemp -d)
-n64b=$(mktemp -d)
-trap 'rm -rf "$out1" "$out2" "$bench1" "$fault1" "$fault2" "$n64a" "$n64b"' EXIT
+new_tmp out1 -d
+new_tmp out2 -d
+new_tmp bench1 -d
+new_tmp fault1 -d
+new_tmp fault2 -d
+new_tmp n64a -d
+new_tmp n64b -d
 cargo run --release -p vcoma-experiments -- table2 fig8 \
     --scale 0.01 --out "$out1" --jobs 1
 cargo run --release -p vcoma-experiments -- table2 fig8 \
@@ -93,11 +109,10 @@ cp BENCH_sweep.json BENCH_sweep_64node.json
 echo "==> 64-node CSVs byte-identical; BENCH_sweep_64node.json records the --jobs 1 run"
 
 echo "==> table5 smoke: full scheme registry, --jobs 1 vs --jobs 8"
-t5a=$(mktemp -d)
-t5b=$(mktemp -d)
-t5n64a=$(mktemp -d)
-t5n64b=$(mktemp -d)
-trap 'rm -rf "$out1" "$out2" "$bench1" "$fault1" "$fault2" "$n64a" "$n64b" "$t5a" "$t5b" "$t5n64a" "$t5n64b"' EXIT
+new_tmp t5a -d
+new_tmp t5b -d
+new_tmp t5n64a -d
+new_tmp t5n64b -d
 cargo run --release -p vcoma-experiments -- table5 \
     --scale 0.01 --out "$t5a" --jobs 1
 cargo run --release -p vcoma-experiments -- table5 \
@@ -139,8 +154,7 @@ grep -q '"peak_rss_kb"' BENCH_sweep.json
 echo "==> jobs-1 and jobs-2 sweeps byte-identical; BENCH_sweep.json written"
 
 echo "==> hot-path micro-benchmarks: plain-timer harness must run every kernel"
-micro_out=$(mktemp)
-trap 'rm -rf "$out1" "$out2" "$bench1" "$fault1" "$fault2" "$n64a" "$n64b" "$micro_out"' EXIT
+new_tmp micro_out
 cargo bench -p vcoma-bench --bench hotpath_micro | tee "$micro_out"
 for label in op_gen tlb_lookup tlb_bank cache_probe am_probe page_table_map coherence_txn directory_fill access_v_coma access_l0_tlb replay_paper codec_roundtrip; do
     grep -q "bench hotpath_micro/${label}:" "$micro_out" \
@@ -162,9 +176,8 @@ diff -r "$fault1" "$fault2"
 echo "==> fault sweeps byte-identical across worker counts"
 
 echo "==> trace smoke: critical-path table + Perfetto export, --jobs 1 vs --jobs 8"
-trace1=$(mktemp -d)
-trace8=$(mktemp -d)
-trap 'rm -rf "$out1" "$out2" "$bench1" "$fault1" "$fault2" "$n64a" "$n64b" "$micro_out" "$trace1" "$trace8"' EXIT
+new_tmp trace1 -d
+new_tmp trace8 -d
 cargo run --release -p vcoma-experiments -- trace --scale 0.01 \
     --out "$trace1" --trace-out "$trace1/trace.json" --jobs 1
 cargo run --release -p vcoma-experiments -- trace --scale 0.01 \
@@ -188,10 +201,8 @@ fi
 echo "==> trace artifact byte-identical across worker counts; export valid"
 
 echo "==> sweep server: crash resume, 100% cache-hit resubmission, byte-diff vs direct run"
-sw=$(mktemp -d)
-sweepd_pid=""
+new_tmp sw -d
 sweepd_http="127.0.0.1:9188"
-trap 'kill "$sweepd_pid" 2>/dev/null || true; rm -rf "$out1" "$out2" "$bench1" "$fault1" "$fault2" "$n64a" "$n64b" "$micro_out" "$trace1" "$trace8" "$sw"' EXIT
 cargo build --release -p vcoma-server -p vcoma-experiments
 start_sweepd() {
     # A kill -9'd daemon leaves its socket file behind; clear it so the
